@@ -73,8 +73,8 @@ def cmd_table(p_list) -> OutputRecord:
 
 
 def cmd_dist(p: int, flavor: Flavor, r_max: int) -> OutputRecord:
-    field = build_field(p, flavor)
-    rows = [(f"D({r})", fmt(rankdist.dist_value(field, r))) for r in range(r_max + 1)]
+    dist = rankdist.stationary_distribution(build_field(p, flavor), r_max)
+    rows = [(f"D({r})", fmt(value)) for r, value in enumerate(dist.probs)]
     params = {"p": str(p), "flavor": flavor.value, "rmax": str(r_max)}
     return OutputRecord(command="dist", params=params, rows=rows)
 
@@ -121,12 +121,7 @@ def cmd_isotropic(p: int, flavor: Flavor, n: int) -> OutputRecord:
 
 def cmd_simulate(config: SimConfig) -> OutputRecord:
     empirical = twistsim.simulate(config)
-    offset = config.shift_mode.offset
-    walked = rankdist.point_mass(config.field, 0, r_max=config.k)
-    operator = rankdist.MarkovOperator(config.field, r_max=config.k)
-    for _ in range(config.k):
-        walked = rankdist.apply(walked, operator)
-    reference = rankdist.shift(walked, offset)
+    reference = rankdist.walk_law(config.field, config.k, config.shift_mode.offset)
     tv = empirical.tv_against(reference.probs)
     stat, dof, pvalue = empirical.chi2_against(reference.probs)
     params = {

@@ -34,16 +34,31 @@ def leading_constant(field: FieldParams) -> float:
         i += 1
 
 
+def _stationary_probs(field: FieldParams, r_max: int) -> np.ndarray:
+    """D(0..r_max) by the running product D(r) = D(r-1) * q^(1-epsilon)/(q^r - 1).
+
+    Once the product underflows to 0.0 every later value is 0.0 too, so the
+    loop stops there; q^r then never grows past the float range.
+    """
+    q = field.q
+    up = float(q // field.p)  # q^(1-epsilon)
+    probs = np.zeros(r_max + 1, dtype=np.float64)
+    value = leading_constant(field)
+    q_next = 1
+    for r in range(r_max + 1):
+        probs[r] = value
+        q_next *= q  # q^(r+1)
+        value *= up / (q_next - 1)
+        if value == 0.0:
+            break
+    return probs
+
+
 def dist_value(field: FieldParams, r: int) -> float:
     """Probability of rank r under the stationary distribution."""
     if r < 0:
         raise ValueError("rank must be non-negative")
-    q = field.q
-    up = float(q // field.p)  # q^(1-epsilon)
-    value = leading_constant(field)
-    for i in range(1, r + 1):
-        value *= up / (q**i - 1)
-    return value
+    return float(_stationary_probs(field, r)[r])
 
 
 def expected_rank(field: FieldParams) -> float:
@@ -68,7 +83,8 @@ def qr_moment_by_series(field: FieldParams, r_max: int = R_MAX_DEFAULT) -> float
     """The q^r-moment by direct summation of q^r * D(r)."""
     dist = stationary_distribution(field, r_max)
     q = float(field.q)
-    return float(sum(q**r * dr for r, dr in enumerate(dist.probs)))
+    # ranks whose mass underflowed add nothing, and q^r may overflow there
+    return float(sum(q**r * dr for r, dr in enumerate(dist.probs) if dr))
 
 
 def beta(field: FieldParams) -> float:
@@ -134,6 +150,38 @@ def stationary_weight_exact(field: FieldParams, r: int) -> Fraction:
     return w
 
 
+def _ramp(a: np.ndarray, h: float) -> np.ndarray:
+    """E[max(a + h*U, 0)] for U uniform on [-1, 1]."""
+    return np.where(a >= h, a, np.where(a <= -h, 0.0, (a + h) ** 2 / (4.0 * h)))
+
+
+def coin_table(field: FieldParams, n_ranks: int, y: float | None = None) -> np.ndarray:
+    """Probability of the Frobenius coin (the rank does not fall) at ranks
+    0..n_ranks-1.
+
+    The coin is q^(-r), which underflows to 0.0 harmlessly at high ranks.
+    With finite y every coin is perturbed by its own fresh U/y, U uniform
+    on [-1, 1], and clipped to [0, 1]; since no perturbation is reused,
+    the table holds the marginal E[clip(q^(-r) + U/y, 0, 1)], which is
+    exact in law. At rank 0 the coin always lands, so no walk goes below 0.
+    """
+    coin = np.power(float(field.q), -np.arange(n_ranks, dtype=np.float64))
+    if y is not None:
+        if y <= 0:
+            raise ValueError("y must be positive")
+        # clip(x, 0, 1) = x - max(x - 1, 0) + max(-x, 0), and U is symmetric
+        h = 1.0 / y
+        coin = coin - _ramp(coin - 1.0, h) + _ramp(-coin, h)
+    coin[0] = 1.0
+    return coin
+
+
+def _step_coefficients(coin: np.ndarray, p: int):
+    """Per-rank (down, stay, up) probabilities: the coin fails, or it lands
+    and the character's Kummer line matches the transverse line (1/p) or not."""
+    return 1.0 - coin, (1.0 - 1.0 / p) * coin, coin / p
+
+
 @dataclass(frozen=True)
 class MarkovOperator:
     """Tridiagonal rank-transition operator, truncated at R_max."""
@@ -145,13 +193,7 @@ class MarkovOperator:
         return markov_entry(self.field, r, s)
 
     def _coefficients(self):
-        q, p = self.field.q, self.field.p
-        ranks = np.arange(self.r_max + 1, dtype=np.float64)
-        qr = np.power(float(q), -ranks)
-        down = 1.0 - qr
-        stay = (1.0 - 1.0 / p) * qr
-        up = qr / p
-        return down, stay, up
+        return _step_coefficients(coin_table(self.field, self.r_max + 1), self.field.p)
 
 
 @dataclass
@@ -188,14 +230,11 @@ def stationary_distribution(field: FieldParams, r_max: int = R_MAX_DEFAULT) -> R
     """
     if r_max < 0:
         raise ValueError("r_max must be non-negative")
-    q = field.q
-    up = float(q // field.p)
-    probs = np.empty(r_max + 1, dtype=np.float64)
-    probs[0] = leading_constant(field)
-    for r in range(1, r_max + 1):
-        probs[r] = probs[r - 1] * up / (q**r - 1)
-    rho = up / (q ** (r_max + 1) - 1)
-    tail = probs[r_max] * rho / (1.0 - rho)
+    probs = _stationary_probs(field, r_max)
+    tail = 0.0
+    if probs[r_max]:
+        rho = float(field.q // field.p) / (field.q ** (r_max + 1) - 1)
+        tail = probs[r_max] * rho / (1.0 - rho)
     return RankDistribution(field=field, probs=probs, tail_bound=float(tail))
 
 
@@ -207,6 +246,15 @@ def point_mass(field: FieldParams, r: int, r_max: int = R_MAX_DEFAULT) -> RankDi
     return RankDistribution(field=field, probs=probs)
 
 
+def _step(probs: np.ndarray, down: np.ndarray, stay: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """probs after one step of the tridiagonal chain, over the same ranks;
+    what the top rank sends upward is not kept."""
+    out = probs * stay
+    out[:-1] += probs[1:] * down[1:]
+    out[1:] += probs[:-1] * up[:-1]
+    return out
+
+
 def apply(dist: RankDistribution, op: MarkovOperator) -> RankDistribution:
     """One application of the operator; overflow past R_max feeds the tail."""
     if dist.field != op.field:
@@ -214,12 +262,46 @@ def apply(dist: RankDistribution, op: MarkovOperator) -> RankDistribution:
     if dist.r_max != op.r_max:
         raise ValueError("distribution and operator use different truncation ranks")
     down, stay, up = op._coefficients()
-    probs = dist.probs
-    out = probs * stay
-    out[:-1] += probs[1:] * down[1:]
-    out[1:] += probs[:-1] * up[:-1]
-    leaked = float(probs[-1] * up[-1])
+    out = _step(dist.probs, down, stay, up)
+    leaked = float(dist.probs[-1] * up[-1])
     return RankDistribution(field=dist.field, probs=out, tail_bound=dist.tail_bound + leaked)
+
+
+# walk_law drops a rank once its mass falls below this; the dropped mass
+# and everything it would have fed are then far below any printed digit.
+WALK_LAW_FLOOR = 1e-300
+
+
+def walk_law(field: FieldParams, k: int, offset: int = 0,
+             y: float | None = None) -> RankDistribution:
+    """Law of the rank after k steps of the walk from rank 0, shifted up by
+    offset, over ranks 0..k+offset (the ranks a k-step walk can print).
+
+    y selects the bounded-error coin as in coin_table. Only the live prefix
+    of ranks is stepped: whenever the mass at the top live rank falls below
+    WALK_LAW_FLOOR it is dropped and added to tail_bound, which therefore
+    bounds the total-variation distance to the untruncated law. The cost is
+    O(k * R) for a live width R, where the full operator walk is O(k^2).
+    """
+    if k < 0:
+        raise ValueError("step count must be non-negative")
+    if offset < 0:
+        raise ValueError("offset must be non-negative")
+    down, stay, up = _step_coefficients(coin_table(field, k + 1, y), field.p)
+    probs = np.zeros(k + 1 + offset, dtype=np.float64)
+    law = probs[offset:]
+    law[0] = 1.0
+    top = 0  # highest rank with mass; a step can reach top + 1 <= k
+    leaked = 0.0
+    for _ in range(k):
+        n = top + 2
+        law[:n] = _step(law[:n], down[:n], stay[:n], up[:n])
+        top += 1
+        while top > 0 and law[top] < WALK_LAW_FLOOR:
+            leaked += float(law[top])
+            law[top] = 0.0
+            top -= 1
+    return RankDistribution(field=field, probs=probs, tail_bound=leaked)
 
 
 def tv_distance(a: RankDistribution, b: RankDistribution) -> float:

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.stats import chi2 as _chi2
 
 from .gf import FieldParams
+from .rankdist import coin_table
 from .spaces import LocalPlane, build_local_plane, fiber_size, kummer_line_of_character
 
 # Samples are split into fixed-size chunks, each driven by its own
@@ -167,30 +168,6 @@ class FanLadder:
 
 def fan_ladder(stand_in_exponent: float) -> FanLadder:
     return FanLadder(stand_in_exponent=stand_in_exponent)
-
-
-def step_rank_closed_form(r: int, field: FieldParams, rng: np.random.Generator,
-                          y: float | None = None) -> int:
-    """One rank step: Frobenius coin at q^(-r), then the 1/p line match.
-
-    With finite y the coin probability is perturbed uniformly within
-    +-1/y (clamped to [0, 1]); at rank 0 localization vanishes always,
-    so the coin is exact there and the walk never goes below 0.
-    """
-    if r < 0:
-        raise ValueError("rank must be non-negative")
-    p0 = field.q ** (-r) if r else 1.0
-    if y is not None:
-        if y <= 0:
-            raise ValueError("y must be positive")
-        p0 = min(max(p0 + (2.0 * rng.random() - 1.0) / y, 0.0), 1.0)
-        if r == 0:
-            p0 = 1.0
-    if rng.random() >= p0:
-        return r - 1
-    if rng.random() < 1.0 / field.p:
-        return r + 1
-    return r
 
 
 _PLANES: dict[FieldParams, LocalPlane] = {}
@@ -355,27 +332,34 @@ class EmpiricalDistribution:
 
 
 def _simulate_chunk(config: SimConfig, chunk_index: int, size: int, n_ranks: int) -> np.ndarray:
+    """Rank counts of one chunk of walks, drawn from its own substream.
+
+    Each sample-step uses one uniform u against the coin table: u < coin/p
+    moves up (coin lands, line matches), u >= coin moves down (coin
+    fails), and anything between stays.
+    """
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.seed, spawn_key=(chunk_index,))
     )
     if config.initial is None:
-        ranks = np.zeros(size, dtype=np.int64)
+        ranks = np.zeros(size, dtype=np.intp)
     else:
         law = np.asarray(config.initial, dtype=np.float64)
         ranks = rng.choice(len(law), size=size, p=law / law.sum())
-    q = float(config.field.q)
+    coin = coin_table(config.field, n_ranks, config.chebotarev_y)
     inv_p = 1.0 / config.field.p
-    y = config.chebotarev_y
+    u = np.empty(size)
+    threshold = np.empty(size)
+    down = np.empty(size, dtype=bool)
+    up = np.empty(size, dtype=bool)
     for _ in range(config.k):
-        u_coin = rng.random(size)
-        u_line = rng.random(size)
-        p0 = np.power(q, -ranks.astype(np.float64))
-        if y is not None:
-            u_pert = rng.random(size)
-            p0 = np.clip(p0 + (2.0 * u_pert - 1.0) / y, 0.0, 1.0)
-            p0[ranks == 0] = 1.0
-        t_zero = u_coin < p0
-        ranks = np.where(t_zero, np.where(u_line < inv_p, ranks + 1, ranks), ranks - 1)
+        rng.random(out=u)
+        np.take(coin, ranks, out=threshold)
+        np.greater_equal(u, threshold, out=down)
+        threshold *= inv_p
+        np.less(u, threshold, out=up)
+        ranks += up
+        ranks -= down
     ranks += config.shift_mode.offset
     return np.bincount(ranks, minlength=n_ranks)
 
@@ -388,21 +372,17 @@ def simulate(config: SimConfig) -> EmpiricalDistribution:
     """
     top_initial = len(config.initial) - 1 if config.initial is not None else 0
     n_ranks = top_initial + config.k + config.shift_mode.offset + 1
-    sizes = [
-        min(CHUNK_SAMPLES, config.samples - start)
-        for start in range(0, config.samples, CHUNK_SAMPLES)
-    ]
-    if config.threads == 1:
-        parts = [_simulate_chunk(config, i, m, n_ranks) for i, m in enumerate(sizes)]
-    else:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            parts = list(
-                pool.map(lambda im: _simulate_chunk(config, im[0], im[1], n_ranks),
-                         enumerate(sizes))
-            )
+    starts = range(0, config.samples, CHUNK_SAMPLES)
+
+    def chunk(index: int) -> np.ndarray:
+        size = min(CHUNK_SAMPLES, config.samples - starts[index])
+        return _simulate_chunk(config, index, size, n_ranks)
+
     counts = np.zeros(n_ranks, dtype=np.int64)
-    for part in parts:
-        counts += part
+    with ThreadPoolExecutor(max_workers=config.threads) as pool:
+        mapper = map if config.threads == 1 else pool.map
+        for part in mapper(chunk, range(len(starts))):
+            counts += part
     return EmpiricalDistribution(counts=counts, total=config.samples)
 
 
@@ -420,6 +400,8 @@ def strata_cardinality(model: PlaceModel, ladder: FanLadder, k: int, x: float,
     """
     if k < 0:
         raise ValueError("k must be non-negative")
+    if cap >= 2**63:
+        raise ValueError(f"cap {cap} must be below 2^63: stratum counts are kept in int64")
     if k == 0:
         return 1
     p1 = np.sort(model.p1_norms())

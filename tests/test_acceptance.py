@@ -170,10 +170,7 @@ def test_criterion_6_monte_carlo_convergence():
         field = build_field(p, flavor)
         emp = ts.simulate(ts.SimConfig(field=field, k=20, samples=1_000_000,
                                        seed=4242, threads=1))
-        walked = rd.point_mass(field, 0, r_max=20)
-        op = rd.MarkovOperator(field, r_max=20)
-        for _ in range(20):
-            walked = rd.apply(walked, op)
+        walked = rd.walk_law(field, 20)
         worst_tv = max(worst_tv, emp.tv_against(walked.probs))
         _, _, pvalue = emp.chi2_against(walked.probs)
         worst_p = min(worst_p, pvalue)

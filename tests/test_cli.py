@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from twistrank import rankdist as rd
 from twistrank.cli import load_sim_config, main
+from twistrank.gf import Flavor, build_field
 from twistrank.records import OutputRecord
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -46,6 +48,24 @@ def test_dist_values_non_increasing_with_exact_ratio():
     assert values[2] < values[1]
 
 
+@pytest.mark.parametrize("p,flavor,rmax", [("2", "sym", 1200), ("3", "uni", 400)])
+def test_dist_far_past_float_range_of_q_power(p, flavor, rmax):
+    code, out, err = run_cli("--format", "json", "dist", "--p", p, "--flavor", flavor,
+                             "--rmax", str(rmax))
+    assert code == 0, err
+    field = build_field(int(p), Flavor.parse(flavor))
+    values = [float(v) for _, v in OutputRecord.from_json(out).rows]
+    assert len(values) == rmax + 1
+    for r, value in enumerate(values):
+        # past rank 60 the exact weight is below 2^-1700 for both fields
+        exact = values[0] * float(rd.stationary_weight_exact(field, r)) if r < 60 else 0.0
+        if exact > 1e-290:
+            assert value == pytest.approx(exact, rel=1e-12)
+        else:
+            assert value < 1e-290
+    assert values[-1] == 0.0
+
+
 def test_dist_rejects_bad_flavor():
     code, _, err = run_cli("dist", "--p", "2", "--flavor", "orthogonal")
     assert code == 1
@@ -60,6 +80,14 @@ def test_moments_output():
     assert float(values["expected_rank"]) == pytest.approx(0.48509952, abs=1e-6)
     assert float(values["qr_moment_formula"]) == 3.0
     assert abs(float(values["qr_moment_series"]) - 3.0) < 1e-8
+
+
+def test_moments_large_unitary_p():
+    code, out, err = run_cli("--format", "json", "moments", "--p", "1009", "--flavor", "uni")
+    assert code == 0, err
+    values = dict(OutputRecord.from_json(out).rows)
+    assert float(values["qr_moment_formula"]) == 1010.0
+    assert float(values["qr_moment_series"]) == pytest.approx(1010.0, rel=1e-12)
 
 
 def test_bounds_output():
@@ -117,15 +145,22 @@ def test_simulate_byte_identical_runs():
     assert first[0] == 0
 
 
+def test_simulate_matches_golden_histogram():
+    """Seeded simulate output is pinned, so any change to it is deliberate."""
+    code, out, err = run_cli("--format", "csv", "simulate", "--p", "3", "--flavor", "uni",
+                             "--k", "5", "--samples", "20000", "--seed", "11")
+    assert code == 0 and err == ""
+    assert out == (DATA_DIR / "simulate_p3_uni_k5_seed11.csv").read_text()
+
+
 def test_simulate_thread_flag_output_invariant():
     base = ("--format", "csv", "simulate", "--p", "2", "--flavor", "sym", "--k", "6",
             "--samples", "50000", "--seed", "21")
     single = run_cli(*base, "--threads", "1")
-    quad = run_cli(*base, "--threads", "4")
-    # the thread count is echoed in params; the data rows must agree
-    rows_single = OutputRecord.from_csv(single[1]).rows
-    rows_quad = OutputRecord.from_csv(quad[1]).rows
-    assert rows_single == rows_quad
+    for threads in ("2", "4"):
+        other = run_cli(*base, "--threads", threads)
+        # the thread count is echoed in params; everything else must agree
+        assert other[1] == single[1].replace("threads,1", f"threads,{threads}")
 
 
 def test_simulate_with_config_file(tmp_path):
@@ -202,6 +237,13 @@ def test_ladder_sieve_cap_diagnostic():
     assert code == 1
     assert out == ""
     assert "sieve cap" in err
+
+
+def test_ladder_rejects_cap_beyond_int64():
+    code, out, err = run_cli("ladder", "--x", "10", "--k", "1", "--cap", str(10**40))
+    assert code == 1
+    assert out == ""
+    assert "2^63" in err
 
 
 def test_out_flag_writes_file(tmp_path):

@@ -235,3 +235,117 @@ def test_shift_of_stationary_spot_value():
     shifted = rd.shift(rd.stationary_distribution(field, 32), 1)
     assert trunc4(shifted.probs[1]) == 0.4194
     assert shifted.probs[0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# walk_law: the k-step law of the rank walk
+# ---------------------------------------------------------------------------
+
+def operator_walk(field, k):
+    """point_mass at 0 followed by k operator applications, as a reference."""
+    dist = rd.point_mass(field, 0, k)
+    op = rd.MarkovOperator(field, k)
+    for _ in range(k):
+        dist = rd.apply(dist, op)
+    return dist
+
+
+def test_walk_law_equals_operator_walk():
+    for p, flavor in ALL_PAIRS:
+        field = build_field(p, flavor)
+        for k in (1, 5, 20, 1000):
+            law = rd.walk_law(field, k)
+            reference = operator_walk(field, k)
+            assert len(law.probs) == k + 1
+            diff = np.abs(law.probs - reference.probs)
+            assert diff.max() < 5e-17
+            # the two differ only at truncated ranks, and tail_bound covers them
+            assert diff.sum() <= law.tail_bound < 1e-290
+            big = reference.probs > 1e-250
+            assert np.array_equal(law.probs[big], reference.probs[big])
+        assert law.tail_bound > 0
+
+
+def test_walk_law_k0_is_point_mass():
+    field = build_field(3, Flavor.UNITARY)
+    law = rd.walk_law(field, 0)
+    assert law.probs.tolist() == [1.0]
+    assert law.tail_bound == 0.0
+    assert rd.walk_law(field, 0, offset=2).probs.tolist() == [0.0, 0.0, 1.0]
+
+
+def test_walk_law_offset_shifts_every_rank():
+    field = build_field(2, Flavor.SYMPLECTIC)
+    plain = rd.walk_law(field, 7)
+    for offset in (1, 3):
+        shifted = rd.walk_law(field, 7, offset=offset)
+        assert np.array_equal(shifted.probs, rd.shift(plain, offset).probs)
+    with pytest.raises(ValueError):
+        rd.walk_law(field, 7, offset=-1)
+    with pytest.raises(ValueError):
+        rd.walk_law(field, -1)
+
+
+def test_walk_law_tail_bound_covers_truncated_mass():
+    for p, flavor in ((2, Flavor.SYMPLECTIC), (3, Flavor.UNITARY)):
+        field = build_field(p, flavor)
+        for y in (None, 4.0):
+            law = rd.walk_law(field, 2000, y=y)
+            assert law.tail_bound > 0
+            assert law.total_mass() + law.tail_bound == pytest.approx(1.0, abs=1e-12)
+            # only the live prefix carries mass; everything past it was dropped
+            top = int(np.nonzero(law.probs)[0][-1])
+            assert top < 400  # of the 2001 ranks a 2000-step walk could reach
+            assert law.probs[top] >= rd.WALK_LAW_FLOOR
+
+
+def test_coin_table_exact_mode():
+    field = build_field(2, Flavor.SYMPLECTIC)
+    coin = rd.coin_table(field, 1100)
+    assert coin[:4].tolist() == [1.0, 0.5, 0.25, 0.125]
+    assert coin[-1] == 0.0  # 2^-1099 underflows harmlessly
+
+
+def test_coin_table_bounded_error_is_marginal_of_clipped_coin():
+    """The table equals E[clip(q^-r + U/y, 0, 1)], U uniform on [-1, 1],
+    computed here by a fine midpoint rule; rank 0 stays 1."""
+    u = (np.arange(200_000) + 0.5) / 100_000 - 1.0
+    for p, flavor in ((2, Flavor.SYMPLECTIC), (3, Flavor.UNITARY), (13, Flavor.SYMPLECTIC)):
+        field = build_field(p, flavor)
+        for y in (0.5, 1.5, 4.0, 50.0, 1e6):
+            coin = rd.coin_table(field, 12, y)
+            assert coin[0] == 1.0
+            for r in range(1, 12):
+                c = float(field.q) ** -r
+                expected = np.clip(c + u / y, 0.0, 1.0).mean()
+                assert coin[r] == pytest.approx(expected, abs=1e-9)
+    with pytest.raises(ValueError):
+        rd.coin_table(build_field(2, Flavor.SYMPLECTIC), 4, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the stationary law far past the float range of q^r
+# ---------------------------------------------------------------------------
+
+def test_stationary_distribution_beyond_float_range_of_q_power():
+    for p, flavor, r_max in ((2, Flavor.SYMPLECTIC, 1200), (3, Flavor.UNITARY, 400),
+                             (1009, Flavor.UNITARY, 64), (32749, Flavor.SYMPLECTIC, 80)):
+        field = build_field(p, flavor)
+        dist = rd.stationary_distribution(field, r_max)
+        d0 = dist.probs[0]
+        for r in range(r_max + 1):
+            # past rank 60 the exact weight is below 2^-1700 for every field here
+            exact = d0 * float(rd.stationary_weight_exact(field, r)) if r < 60 else 0.0
+            if exact > 1e-290:
+                assert dist.probs[r] == pytest.approx(exact, rel=1e-12)
+            else:
+                assert dist.probs[r] < 1e-290
+        assert dist.probs[-1] == 0.0 and dist.tail_bound == 0.0
+        assert rd.dist_value(field, r_max) == 0.0
+        assert rd.dist_value(field, 1) == dist.probs[1]
+
+
+def test_qr_moment_series_for_large_unitary_p():
+    for p in (1009, 32749):
+        field = build_field(p, Flavor.UNITARY)
+        assert rd.qr_moment_by_series(field) == pytest.approx(rd.qr_moment(field), rel=1e-12)

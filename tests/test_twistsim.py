@@ -14,7 +14,6 @@ from twistrank.twistsim import (
     fan_ladder,
     micro_transition_law,
     simulate,
-    step_rank_closed_form,
     step_rank_micro_model,
     strata_cardinality,
     strata_cardinality_ratio,
@@ -103,28 +102,34 @@ def test_ladder_rejects_bad_exponent():
 # rank steps
 # ---------------------------------------------------------------------------
 
+def one_step_counts(field, r, samples, seed, y=None):
+    """Rank counts after one kernel step of every sample from rank r."""
+    initial = (0.0,) * r + (1.0,)
+    config = SimConfig(field=field, k=1, samples=samples, seed=seed, initial=initial,
+                       chebotarev_y=y)
+    return simulate(config).counts
+
+
 def test_step_never_below_zero():
     field = build_field(2, Flavor.SYMPLECTIC)
-    rng = np.random.default_rng(0)
     for y in (None, 3.0):
-        for _ in range(5000):
-            assert step_rank_closed_form(0, field, rng, y=y) in (0, 1)
+        # a rank below 0 would make the histogram's bincount raise
+        counts = one_step_counts(field, 0, 5000, seed=0, y=y)
+        assert len(counts) == 2 and counts.sum() == 5000
 
 
 def test_step_up_frequency_q2_rank0():
     field = build_field(2, Flavor.SYMPLECTIC)
-    rng = np.random.default_rng(42)
     n = 1_000_000
-    ups = sum(step_rank_closed_form(0, field, rng) == 1 for _ in range(n))
+    ups = one_step_counts(field, 0, n, seed=42)[1]
     sigma = math.sqrt(0.5 * 0.5 / n)
     assert abs(ups / n - 0.5) <= 3 * sigma
 
 
 def test_step_down_frequency_q4_rank1():
     field = build_field(2, Flavor.UNITARY)
-    rng = np.random.default_rng(43)
     n = 1_000_000
-    downs = sum(step_rank_closed_form(1, field, rng) == 0 for _ in range(n))
+    downs = one_step_counts(field, 1, n, seed=43)[0]
     sigma = math.sqrt(0.75 * 0.25 / n)
     assert abs(downs / n - 0.75) <= 3 * sigma
 
@@ -134,8 +139,7 @@ def test_step_bounded_error_mode():
     y = 50.0
     n = 1_000_000
     for r in (0, 1, 2):
-        rng = np.random.default_rng(100 + r)
-        t_zero = sum(step_rank_closed_form(r, field, rng, y=y) >= r for _ in range(n))
+        t_zero = one_step_counts(field, r, n, seed=100 + r, y=y)[r:].sum()
         target = field.q ** (-r) if r else 1.0
         sigma = math.sqrt(0.25 / n)
         assert abs(t_zero / n - target) <= 1 / y + 3 * sigma
@@ -215,9 +219,10 @@ def test_simulate_deterministic():
 
 def test_simulate_thread_count_invariance():
     field = build_field(2, Flavor.SYMPLECTIC)
-    base = SimConfig(field=field, k=10, samples=120_000, seed=5, threads=1)
-    quad = SimConfig(field=field, k=10, samples=120_000, seed=5, threads=4)
-    assert np.array_equal(simulate(base).counts, simulate(quad).counts)
+    base = simulate(SimConfig(field=field, k=10, samples=120_000, seed=5, threads=1))
+    for threads in (2, 4):
+        other = SimConfig(field=field, k=10, samples=120_000, seed=5, threads=threads)
+        assert np.array_equal(base.counts, simulate(other).counts)
 
 
 def test_simulate_shift_equals_postcomposed_shift():
@@ -251,38 +256,41 @@ def test_simulate_custom_initial_law():
 def test_simulate_reference_law(samples=1_000_000):
     field = build_field(2, Flavor.SYMPLECTIC)
     emp = simulate(SimConfig(field=field, k=20, samples=samples, seed=42))
-    walked = rd.point_mass(field, 0, r_max=20)
-    op = rd.MarkovOperator(field, r_max=20)
-    for _ in range(20):
-        walked = rd.apply(walked, op)
-    assert emp.tv_against(walked.probs) < 0.01
+    assert emp.tv_against(rd.walk_law(field, 20).probs) < 0.01
 
 
 def test_simulate_chi2_grid_does_not_reject():
-    """Goodness of fit against the operator walk at the 1e-3 level."""
+    """Goodness of fit against the k-step law at the 1e-3 level."""
     for p, flavor in SIX_PAIRS:
         field = build_field(p, flavor)
         for k in (1, 5, 20):
             emp = simulate(SimConfig(field=field, k=k, samples=1_000_000,
                                      seed=1000 + p))
-            walked = rd.point_mass(field, 0, r_max=k)
-            op = rd.MarkovOperator(field, r_max=k)
-            for _ in range(k):
-                walked = rd.apply(walked, op)
-            _, _, pvalue = emp.chi2_against(walked.probs)
+            _, _, pvalue = emp.chi2_against(rd.walk_law(field, k).probs)
             assert pvalue > 1e-3, (p, flavor, k, pvalue)
+
+
+def test_simulate_chi2_grid_bounded_error_mode():
+    """The --y walk fits its own k-step law at the 1e-3 level. y = 4 moves
+    the coin far enough that the exact law is rejected at k = 20."""
+    y = 4.0
+    for p, flavor in SIX_PAIRS:
+        field = build_field(p, flavor)
+        for k in (1, 5, 20):
+            emp = simulate(SimConfig(field=field, k=k, samples=1_000_000,
+                                     seed=2000 + p, chebotarev_y=y))
+            _, _, pvalue = emp.chi2_against(rd.walk_law(field, k, y=y).probs)
+            assert pvalue > 1e-3, (p, flavor, k, pvalue)
+        _, _, pvalue = emp.chi2_against(rd.walk_law(field, 20).probs)
+        assert pvalue < 1e-3, (p, flavor, pvalue)
 
 
 def test_simulate_bounded_error_mode_stays_close():
     field = build_field(2, Flavor.SYMPLECTIC)
     emp = simulate(SimConfig(field=field, k=20, samples=200_000, seed=4,
                              chebotarev_y=1000.0))
-    walked = rd.point_mass(field, 0, r_max=20)
-    op = rd.MarkovOperator(field, r_max=20)
-    for _ in range(20):
-        walked = rd.apply(walked, op)
     # the perturbation is mean-zero, so the walk stays near the exact law
-    assert emp.tv_against(walked.probs) < 0.02
+    assert emp.tv_against(rd.walk_law(field, 20).probs) < 0.02
 
 
 def test_sim_config_validation():
@@ -370,6 +378,16 @@ def test_strata_cap_guard():
     ladder = fan_ladder(2.0)
     with pytest.raises(CapExceeded):
         strata_cardinality(model, ladder, 3, 50.0, cap=1000)
+
+
+def test_strata_rejects_cap_beyond_int64():
+    # the DP counts in int64, so a cap of 2^63 or more cannot guard it
+    model = build_place_model(2000, 1.0, seed=0)
+    with pytest.raises(ValueError, match="2\\^63"):
+        strata_cardinality(model, fan_ladder(1.0), 15, 2000.0, cap=10**40)
+    with pytest.raises(ValueError, match="2\\^63"):
+        strata_cardinality(model, fan_ladder(1.0), 1, 2000.0, cap=2**63)
+    assert strata_cardinality(model, fan_ladder(1.0), 1, 2000.0, cap=2**63 - 1) == 303
 
 
 def test_strata_empty_denominator_raises():
