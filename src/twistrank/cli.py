@@ -8,6 +8,7 @@ line are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from decimal import ROUND_DOWN, Decimal
 
@@ -51,8 +52,8 @@ def _parse_y(text: str) -> float | None:
     if text.strip().lower() == "exact":
         return None
     y = float(text)
-    if y <= 0:
-        raise ValueError(f"--y must be positive or 'exact', got {text!r}")
+    if not (math.isfinite(y) and y > 0):
+        raise ValueError(f"--y must be a positive finite number or 'exact', got {text!r}")
     return y
 
 
@@ -121,7 +122,8 @@ def cmd_isotropic(p: int, flavor: Flavor, n: int) -> OutputRecord:
 
 def cmd_simulate(config: SimConfig) -> OutputRecord:
     empirical = twistsim.simulate(config)
-    reference = rankdist.walk_law(config.field, config.k, config.shift_mode.offset)
+    reference = rankdist.walk_law(config.field, config.k, config.shift_mode.offset,
+                                  config.chebotarev_y)
     tv = empirical.tv_against(reference.probs)
     stat, dof, pvalue = empirical.chi2_against(reference.probs)
     params = {

@@ -7,6 +7,7 @@ and q^(1-epsilon) are always exact integers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -167,11 +168,15 @@ def coin_table(field: FieldParams, n_ranks: int, y: float | None = None) -> np.n
     """
     coin = np.power(float(field.q), -np.arange(n_ranks, dtype=np.float64))
     if y is not None:
-        if y <= 0:
-            raise ValueError("y must be positive")
-        # clip(x, 0, 1) = x - max(x - 1, 0) + max(-x, 0), and U is symmetric
-        h = 1.0 / y
-        coin = coin - _ramp(coin - 1.0, h) + _ramp(-coin, h)
+        if not (math.isfinite(y) and y > 0):
+            raise ValueError(f"y must be positive and finite, got {y!r}")
+        if y <= 1:
+            # c + U/y covers all of [0, 1], so the clipped mean is linear in c
+            coin = 0.5 + (coin - 0.5) * (y / 2.0)
+        else:
+            # clip(x, 0, 1) = x - max(x - 1, 0) + max(-x, 0), and U is symmetric
+            h = 1.0 / y
+            coin = coin - _ramp(coin - 1.0, h) + _ramp(-coin, h)
     coin[0] = 1.0
     return coin
 
@@ -246,13 +251,14 @@ def point_mass(field: FieldParams, r: int, r_max: int = R_MAX_DEFAULT) -> RankDi
     return RankDistribution(field=field, probs=probs)
 
 
-def _step(probs: np.ndarray, down: np.ndarray, stay: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """probs after one step of the tridiagonal chain, over the same ranks;
-    what the top rank sends upward is not kept."""
-    out = probs * stay
-    out[:-1] += probs[1:] * down[1:]
-    out[1:] += probs[:-1] * up[:-1]
-    return out
+def _step(down: np.ndarray, stay: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """Mass per rank after one step of the tridiagonal chain, given the mass
+    each rank sends down, keeps and sends up (probabilities or sample
+    counts); what the top rank sends upward is not kept. stay is updated in
+    place and returned."""
+    stay[:-1] += down[1:]
+    stay[1:] += up[:-1]
+    return stay
 
 
 def apply(dist: RankDistribution, op: MarkovOperator) -> RankDistribution:
@@ -261,9 +267,11 @@ def apply(dist: RankDistribution, op: MarkovOperator) -> RankDistribution:
         raise ValueError("distribution and operator live over different fields")
     if dist.r_max != op.r_max:
         raise ValueError("distribution and operator use different truncation ranks")
+    probs = dist.probs
     down, stay, up = op._coefficients()
-    out = _step(dist.probs, down, stay, up)
-    leaked = float(dist.probs[-1] * up[-1])
+    moved_up = probs * up
+    out = _step(probs * down, probs * stay, moved_up)
+    leaked = float(moved_up[-1])
     return RankDistribution(field=dist.field, probs=out, tail_bound=dist.tail_bound + leaked)
 
 
@@ -295,7 +303,8 @@ def walk_law(field: FieldParams, k: int, offset: int = 0,
     leaked = 0.0
     for _ in range(k):
         n = top + 2
-        law[:n] = _step(law[:n], down[:n], stay[:n], up[:n])
+        live = law[:n]
+        law[:n] = _step(live * down[:n], live * stay[:n], live * up[:n])
         top += 1
         while top > 0 and law[top] < WALK_LAW_FLOOR:
             leaked += float(law[top])

@@ -9,7 +9,6 @@ The marginal one-step law equals the rank-transition operator exactly.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,13 +16,12 @@ import numpy as np
 from scipy.stats import chi2 as _chi2
 
 from .gf import FieldParams
-from .rankdist import coin_table
+from .rankdist import _step, _step_coefficients, coin_table
 from .spaces import LocalPlane, build_local_plane, fiber_size, kummer_line_of_character
 
 # Samples are split into fixed-size chunks, each driven by its own
-# counter-derived substream; merging chunk counts is order-independent,
-# so results do not depend on the worker count. Changing this constant
-# changes simulation output for a given seed.
+# counter-derived substream, and chunk counts are added up. Changing this
+# constant changes simulation output for a given seed.
 CHUNK_SAMPLES = 1 << 14
 
 
@@ -248,7 +246,8 @@ class SimConfig:
 
     The walk is n-independent (character fibers are balanced), so n is
     carried only for bookkeeping surfaces. chebotarev_y = None means the
-    exact-probability regime.
+    exact-probability regime. threads is validated and echoed so that
+    existing configs keep parsing, but the simulator ignores it.
     """
 
     field: FieldParams
@@ -268,14 +267,15 @@ class SimConfig:
             raise ValueError("k must be non-negative")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.chebotarev_y is not None and self.chebotarev_y <= 0:
-            raise ValueError("chebotarev_y must be positive")
+        if self.chebotarev_y is not None and not (
+                math.isfinite(self.chebotarev_y) and self.chebotarev_y > 0):
+            raise ValueError("chebotarev_y must be positive and finite")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         if self.initial is not None:
             arr = np.asarray(self.initial, dtype=np.float64)
-            if arr.ndim != 1 or len(arr) == 0 or (arr < 0).any():
-                raise ValueError("initial law must be a non-negative vector")
+            if arr.ndim != 1 or len(arr) == 0 or not (np.isfinite(arr) & (arr >= 0)).all():
+                raise ValueError("initial law must be a finite non-negative vector")
             if abs(arr.sum() - 1.0) > 1e-9:
                 raise ValueError("initial law must sum to 1")
 
@@ -334,55 +334,45 @@ class EmpiricalDistribution:
 def _simulate_chunk(config: SimConfig, chunk_index: int, size: int, n_ranks: int) -> np.ndarray:
     """Rank counts of one chunk of walks, drawn from its own substream.
 
-    Each sample-step uses one uniform u against the coin table: u < coin/p
-    moves up (coin lands, line matches), u >= coin moves down (coin
-    fails), and anything between stays.
+    The walks are i.i.d., so the count per rank is the whole state: each
+    step draws, per rank, how many of its walks move up, stay and fall
+    (one multinomial over the coin table) and moves those counts with the
+    same tridiagonal step as the reference law. The rare moves come first,
+    so the fall is the remainder; ranks with no walks draw nothing.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.seed, spawn_key=(chunk_index,))
     )
+    counts = np.zeros(n_ranks, dtype=np.int64)
     if config.initial is None:
-        ranks = np.zeros(size, dtype=np.intp)
+        counts[0] = size
     else:
         law = np.asarray(config.initial, dtype=np.float64)
-        ranks = rng.choice(len(law), size=size, p=law / law.sum())
+        counts[: len(law)] = rng.multinomial(size, law / law.sum())
     coin = coin_table(config.field, n_ranks, config.chebotarev_y)
-    inv_p = 1.0 / config.field.p
-    u = np.empty(size)
-    threshold = np.empty(size)
-    down = np.empty(size, dtype=bool)
-    up = np.empty(size, dtype=bool)
+    down, stay, up = _step_coefficients(coin, config.field.p)
+    moves = np.stack([up, stay, down], axis=1)
+    top = int(np.flatnonzero(counts)[-1])  # a step can reach top + 1 < n_ranks
     for _ in range(config.k):
-        rng.random(out=u)
-        np.take(coin, ranks, out=threshold)
-        np.greater_equal(u, threshold, out=down)
-        threshold *= inv_p
-        np.less(u, threshold, out=up)
-        ranks += up
-        ranks -= down
-    ranks += config.shift_mode.offset
-    return np.bincount(ranks, minlength=n_ranks)
+        n = top + 2
+        drawn = rng.multinomial(counts[:n], moves[:n])
+        counts[:n] = _step(drawn[:, 2], drawn[:, 1], drawn[:, 0])
+        top = int(np.flatnonzero(counts[:n])[-1])
+    return np.roll(counts, config.shift_mode.offset)
 
 
 def simulate(config: SimConfig) -> EmpiricalDistribution:
     """Run the rank walk for every sample and return the rank counts.
 
     Output depends only on (seed, samples, k, field, shift, y, initial);
-    in particular it is identical for every thread count.
+    config.threads is accepted for existing configs but has no effect.
     """
     top_initial = len(config.initial) - 1 if config.initial is not None else 0
     n_ranks = top_initial + config.k + config.shift_mode.offset + 1
-    starts = range(0, config.samples, CHUNK_SAMPLES)
-
-    def chunk(index: int) -> np.ndarray:
-        size = min(CHUNK_SAMPLES, config.samples - starts[index])
-        return _simulate_chunk(config, index, size, n_ranks)
-
     counts = np.zeros(n_ranks, dtype=np.int64)
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        mapper = map if config.threads == 1 else pool.map
-        for part in mapper(chunk, range(len(starts))):
-            counts += part
+    for index, start in enumerate(range(0, config.samples, CHUNK_SAMPLES)):
+        size = min(CHUNK_SAMPLES, config.samples - start)
+        counts += _simulate_chunk(config, index, size, n_ranks)
     return EmpiricalDistribution(counts=counts, total=config.samples)
 
 

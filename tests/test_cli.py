@@ -163,6 +163,26 @@ def test_simulate_thread_flag_output_invariant():
         assert other[1] == single[1].replace("threads,1", f"threads,{threads}")
 
 
+def test_simulate_bounded_error_reference_is_its_own_law():
+    # y = 4 moves the coin far enough that the exact law would reject this walk
+    code, out, _ = run_cli("--format", "json", "simulate", "--p", "13", "--flavor", "uni",
+                           "--k", "20", "--samples", "1000000", "--seed", "5", "--y", "4")
+    assert code == 0
+    values = dict(OutputRecord.from_json(out).rows)
+    assert float(values["chi2_pvalue"]) > 1e-3
+    field = build_field(13, Flavor.UNITARY)
+    assert float(values["ref(1)"]) == pytest.approx(rd.walk_law(field, 20, y=4.0).probs[1],
+                                                    rel=1e-11)
+
+
+@pytest.mark.parametrize("y", ["nan", "inf", "0", "-2"])
+def test_simulate_rejects_bad_y(y):
+    code, out, err = run_cli("simulate", "--p", "2", "--flavor", "sym", "--k", "3", "--y", y)
+    assert code == 1
+    assert out == ""
+    assert "--y must be a positive finite number" in err
+
+
 def test_simulate_with_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -312,15 +314,16 @@ def test_coin_table_bounded_error_is_marginal_of_clipped_coin():
     u = (np.arange(200_000) + 0.5) / 100_000 - 1.0
     for p, flavor in ((2, Flavor.SYMPLECTIC), (3, Flavor.UNITARY), (13, Flavor.SYMPLECTIC)):
         field = build_field(p, flavor)
-        for y in (0.5, 1.5, 4.0, 50.0, 1e6):
+        for y in (1e-300, 1e-12, 0.5, 1.0, 1.5, 4.0, 50.0, 1e6):
             coin = rd.coin_table(field, 12, y)
             assert coin[0] == 1.0
             for r in range(1, 12):
                 c = float(field.q) ** -r
                 expected = np.clip(c + u / y, 0.0, 1.0).mean()
                 assert coin[r] == pytest.approx(expected, abs=1e-9)
-    with pytest.raises(ValueError):
-        rd.coin_table(build_field(2, Flavor.SYMPLECTIC), 4, 0.0)
+    for y in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            rd.coin_table(build_field(2, Flavor.SYMPLECTIC), 4, y)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import kstest
 
 from twistrank import rankdist as rd
 from twistrank.gf import Flavor, build_field
@@ -285,6 +286,20 @@ def test_simulate_chi2_grid_bounded_error_mode():
         assert pvalue < 1e-3, (p, flavor, pvalue)
 
 
+def test_simulate_chi2_pvalues_uniform_across_seeds():
+    """Under the right law the chi2 p-values of independent runs are uniform,
+    which one seeded run cannot show: 200 seeds per case, KS test at 1e-3."""
+    for p, flavor, y in ((2, Flavor.SYMPLECTIC, None), (7, Flavor.UNITARY, 4.0)):
+        field = build_field(p, flavor)
+        law = rd.walk_law(field, 20, y=y).probs
+        pvalues = [
+            simulate(SimConfig(field=field, k=20, samples=20_000, seed=seed,
+                               chebotarev_y=y)).chi2_against(law)[2]
+            for seed in range(200)
+        ]
+        assert kstest(pvalues, "uniform").pvalue > 1e-3, (p, flavor, y)
+
+
 def test_simulate_bounded_error_mode_stays_close():
     field = build_field(2, Flavor.SYMPLECTIC)
     emp = simulate(SimConfig(field=field, k=20, samples=200_000, seed=4,
@@ -303,6 +318,12 @@ def test_sim_config_validation():
         SimConfig(field=field, chebotarev_y=0.0)
     with pytest.raises(ValueError):
         SimConfig(field=field, initial=(0.5, 0.2))
+    for y in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(field=field, chebotarev_y=y)
+    for initial in ((math.nan, 1.0), (math.inf, 1.0), (0.5, -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(field=field, initial=initial)
     with pytest.raises(ValueError):
         ShiftMode("notfd", -1)
     with pytest.raises(ValueError):
