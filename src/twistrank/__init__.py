@@ -6,13 +6,7 @@ simulator, and the downstream density/bound calculators.
 """
 
 from .gf import FieldParams, Flavor, FqElem, build_field
-from .rankdist import (
-    MarkovOperator,
-    RankDistribution,
-    dist_value,
-    markov_entry,
-    stationary_distribution,
-)
+from .rankdist import RankDistribution, dist_value, stationary_distribution
 from .spaces import (
     HermitianSpace,
     LocalPlane,
@@ -27,10 +21,8 @@ __all__ = [
     "Flavor",
     "FqElem",
     "build_field",
-    "MarkovOperator",
     "RankDistribution",
     "dist_value",
-    "markov_entry",
     "stationary_distribution",
     "HermitianSpace",
     "LocalPlane",

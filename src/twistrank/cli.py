@@ -158,6 +158,8 @@ def cmd_simulate(config: SimConfig) -> OutputRecord:
 def cmd_ladder(x: float, exponent: float, depth: int, k: int | None = None,
                density: float = 1.0, seed: int = 0, cap: int = 10**15,
                sieve_cap: int = DEFAULT_SIEVE_CAP) -> OutputRecord:
+    if k is not None and k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
     ladder = twistsim.fan_ladder(exponent)
     levels = ladder.levels(x, depth)
     params = {"x": fmt(x), "exponent": fmt(exponent), "depth": str(depth)}

@@ -1,4 +1,4 @@
-"""Symplectic/unitary rank distributions and the rank-transition operator.
+"""Symplectic/unitary rank distributions and the rank-transition chain.
 
 Everything here exploits the identity q^epsilon = p, valid in both
 flavors (q = p, epsilon = 1 and q = p^2, epsilon = 1/2), so q^(i+epsilon)
@@ -111,21 +111,6 @@ def odd_mass_by_series(field: FieldParams, r_max: int = R_MAX_DEFAULT) -> float:
     return float(dist.probs[1::2].sum())
 
 
-def markov_entry(field: FieldParams, r: int, s: int) -> float:
-    """One-step transition probability from rank r to rank s."""
-    if r < 0 or s < 0:
-        raise ValueError("ranks must be non-negative")
-    q, p = field.q, field.p
-    qr = q ** (-r) if r else 1.0
-    if s == r - 1:
-        return 1.0 - qr
-    if s == r:
-        return (1.0 - 1.0 / p) * qr
-    if s == r + 1:
-        return qr / p
-    return 0.0
-
-
 def markov_entry_exact(field: FieldParams, r: int, s: int) -> Fraction:
     """Exact rational transition probability, for cross-checks."""
     if r < 0 or s < 0:
@@ -185,20 +170,6 @@ def _step_coefficients(coin: np.ndarray, p: int):
     """Per-rank (down, stay, up) probabilities: the coin fails, or it lands
     and the character's Kummer line matches the transverse line (1/p) or not."""
     return 1.0 - coin, (1.0 - 1.0 / p) * coin, coin / p
-
-
-@dataclass(frozen=True)
-class MarkovOperator:
-    """Tridiagonal rank-transition operator, truncated at R_max."""
-
-    field: FieldParams
-    r_max: int = R_MAX_DEFAULT
-
-    def entry(self, r: int, s: int) -> float:
-        return markov_entry(self.field, r, s)
-
-    def _coefficients(self):
-        return _step_coefficients(coin_table(self.field, self.r_max + 1), self.field.p)
 
 
 @dataclass
@@ -261,14 +232,11 @@ def _step(down: np.ndarray, stay: np.ndarray, up: np.ndarray) -> np.ndarray:
     return stay
 
 
-def apply(dist: RankDistribution, op: MarkovOperator) -> RankDistribution:
-    """One application of the operator; overflow past R_max feeds the tail."""
-    if dist.field != op.field:
-        raise ValueError("distribution and operator live over different fields")
-    if dist.r_max != op.r_max:
-        raise ValueError("distribution and operator use different truncation ranks")
+def apply(dist: RankDistribution) -> RankDistribution:
+    """One step of the chain over dist's field, truncated at dist's R_max;
+    overflow past R_max feeds the tail."""
     probs = dist.probs
-    down, stay, up = op._coefficients()
+    down, stay, up = _step_coefficients(coin_table(dist.field, len(probs)), dist.field.p)
     moved_up = probs * up
     out = _step(probs * down, probs * stay, moved_up)
     leaked = float(moved_up[-1])
@@ -313,19 +281,7 @@ def walk_law(field: FieldParams, k: int, offset: int = 0,
     return RankDistribution(field=field, probs=probs, tail_bound=leaked)
 
 
-def tv_distance(a: RankDistribution, b: RankDistribution) -> float:
-    """Half the L1 distance between two probability vectors."""
-    n = max(len(a.probs), len(b.probs))
-    pa = np.zeros(n)
-    pb = np.zeros(n)
-    pa[: len(a.probs)] = a.probs
-    pb[: len(b.probs)] = b.probs
-    return 0.5 * float(np.abs(pa - pb).sum())
-
-
-def power_iterate(
-    initial: RankDistribution, op: MarkovOperator, k: int
-) -> tuple[RankDistribution, list[float]]:
+def power_iterate(initial: RankDistribution, k: int) -> tuple[RankDistribution, list[float]]:
     """initial * M^k, plus the total-variation distance to the stationary
     distribution reported after every step."""
     if k < 0:
@@ -334,16 +290,6 @@ def power_iterate(
     dist = initial
     trace = []
     for _ in range(k):
-        dist = apply(dist, op)
-        trace.append(tv_distance(dist, target))
+        dist = apply(dist)
+        trace.append(0.5 * float(np.abs(dist.probs - target.probs).sum()))
     return dist, trace
-
-
-def shift(dist: RankDistribution, r0: int) -> RankDistribution:
-    """Shift all mass up by r0 ranks, extending the support to keep it all."""
-    if r0 < 0:
-        raise ValueError("shift must be non-negative")
-    if r0 == 0:
-        return RankDistribution(field=dist.field, probs=dist.probs.copy(), tail_bound=dist.tail_bound)
-    probs = np.concatenate([np.zeros(r0), dist.probs])
-    return RankDistribution(field=dist.field, probs=probs, tail_bound=dist.tail_bound)

@@ -215,6 +215,8 @@ def build_local_plane(field: FieldParams) -> LocalPlane:
 
 def fiber_size(p: int, n: int) -> int:
     """Number of order-p^n totally ramified characters mapping to one line."""
+    if n < 1:
+        raise ValueError(f"character order exponent n must be >= 1, got {n}")
     return p ** (2 * n - 2) * (p - 1)
 
 
@@ -226,8 +228,6 @@ def kummer_line_of_character(plane: LocalPlane, fiber_index: int, n: int, p: int
     """
     if p != plane.space.field.p:
         raise ValueError("p does not match the plane's field")
-    if n < 1:
-        raise ValueError("character order exponent n must be >= 1")
     block = fiber_size(p, n)
     total = p * block
     if not 0 <= fiber_index < total:

@@ -17,7 +17,7 @@ from scipy.stats import chi2 as _chi2
 
 from .gf import FieldParams
 from .rankdist import _step, _step_coefficients, coin_table
-from .spaces import LocalPlane, build_local_plane, fiber_size, kummer_line_of_character
+from .spaces import build_local_plane, fiber_size, kummer_line_of_character
 
 # Samples are split into fixed-size chunks, each driven by its own
 # counter-derived substream, and chunk counts are added up. Changing this
@@ -61,9 +61,10 @@ class ShiftMode:
             return cls("notfd", 0)
         if text.startswith("notfd:"):
             try:
-                return cls("notfd", int(text.split(":", 1)[1]))
+                r_gamma = int(text.split(":", 1)[1])
             except ValueError:
                 raise ValueError(f"bad shift spec {text!r}: expected notfd:<int>") from None
+            return cls("notfd", r_gamma)
         raise ValueError(f"bad shift spec {text!r}: expected 'fd' or 'notfd:<int>'")
 
     def __str__(self) -> str:
@@ -135,8 +136,9 @@ class FanLadder:
     stand_in_exponent: float
 
     def __post_init__(self):
-        if self.stand_in_exponent < 1:
-            raise ValueError("ladder exponent must be >= 1")
+        if not (math.isfinite(self.stand_in_exponent) and self.stand_in_exponent >= 1):
+            raise ValueError(f"ladder exponent must be finite and >= 1, "
+                             f"got {self.stand_in_exponent!r}")
 
     def _base(self, y: float) -> float:
         try:
@@ -145,8 +147,8 @@ class FanLadder:
             return math.inf
 
     def levels(self, x: float, depth: int) -> list[float]:
-        if x < 1:
-            raise ValueError("x must be >= 1")
+        if not (math.isfinite(x) and x >= 1):
+            raise ValueError(f"x must be finite and >= 1, got {x!r}")
         if depth < 1:
             raise ValueError("depth must be >= 1")
         out: list[float] = []
@@ -168,47 +170,13 @@ def fan_ladder(stand_in_exponent: float) -> FanLadder:
     return FanLadder(stand_in_exponent=stand_in_exponent)
 
 
-_PLANES: dict[FieldParams, LocalPlane] = {}
-
-
-def _plane(field: FieldParams) -> LocalPlane:
-    plane = _PLANES.get(field)
-    if plane is None:
-        plane = _PLANES[field] = build_local_plane(field)
-    return plane
-
-
-def step_rank_micro_model(r: int, field: FieldParams, n: int,
-                          rng: np.random.Generator) -> int:
-    """One rank step through the local-plane geometry.
-
-    Draws the transverse isotropic line V (unramified when the Frobenius
-    coin fails, uniform among ramified lines otherwise) and a totally
-    ramified character; the rank rises exactly when the character's
-    Kummer line equals V. Marginally identical to the closed form.
-    """
-    if r < 0:
-        raise ValueError("rank must be non-negative")
-    plane = _plane(field)
-    p = field.p
-    p0 = field.q ** (-r) if r else 1.0
-    t_zero = rng.random() < p0
-    if t_zero:
-        v = plane.ramified_lines[int(rng.integers(p))]
-    else:
-        v = plane.unramified_line
-    n_chars = p * fiber_size(p, n)
-    kummer = kummer_line_of_character(plane, int(rng.integers(n_chars)), n, p)
-    if not t_zero:
-        return r - 1
-    return r + 1 if kummer == v else r
-
-
-def micro_transition_law(field: FieldParams, r: int, n: int, exact: bool = True) -> dict:
+def micro_transition_law(field: FieldParams, r: int, n: int) -> dict[int, Fraction]:
     """Exhaustive one-step law of the micro model at rank r.
 
-    Enumerates every (coin, V, character) outcome with its weight; with
-    exact=True the weights are rationals and the result must equal the
+    Enumerates every (coin, V, character) outcome with its rational weight:
+    the rank falls when the Frobenius coin fails; otherwise the transverse
+    line V is one of the p ramified lines, and the rank rises exactly when
+    the character's Kummer line equals V. The result must equal the
     operator entries exactly.
     """
     if r < 0:
@@ -216,20 +184,13 @@ def micro_transition_law(field: FieldParams, r: int, n: int, exact: bool = True)
     plane = build_local_plane(field)
     p, q = field.p, field.q
     n_chars = p * fiber_size(p, n)
-    if exact:
-        pt0 = Fraction(1, q**r)
-        w_v = Fraction(1, p)
-        w_f = Fraction(1, n_chars)
-        zero = Fraction(0)
-    else:
-        pt0 = q ** (-r) if r else 1.0
-        w_v = 1.0 / p
-        w_f = 1.0 / n_chars
-        zero = 0.0
-    law: dict[int, object] = {}
+    pt0 = Fraction(1, q**r)
+    w_v = Fraction(1, p)
+    w_f = Fraction(1, n_chars)
+    law: dict[int, Fraction] = {}
 
     def add(s, w):
-        law[s] = law.get(s, zero) + w
+        law[s] = law.get(s, 0) + w
 
     for f in range(n_chars):
         kummer = kummer_line_of_character(plane, f, n, p)
@@ -237,7 +198,7 @@ def micro_transition_law(field: FieldParams, r: int, n: int, exact: bool = True)
             add(r - 1, (1 - pt0) * w_f)
         for v in plane.ramified_lines:
             add(r + 1 if kummer == v else r, pt0 * w_v * w_f)
-    return {s: w for s, w in law.items() if w != zero}
+    return {s: w for s, w in law.items() if w != 0}
 
 
 @dataclass(frozen=True)

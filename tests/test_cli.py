@@ -119,6 +119,14 @@ def test_isotropic_fiber_size_p3_n2():
     assert dict(rec.rows)["fiber_size"] == "18"  # 3^2 * 2
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_isotropic_rejects_n_below_one(n):
+    code, out, err = run_cli("isotropic", "--p", "3", "--flavor", "sym", "--n", n)
+    assert code == 1
+    assert out == ""
+    assert f"n must be >= 1, got {n}" in err
+
+
 def test_simulate_k0_point_mass():
     code, out, _ = run_cli("--format", "json", "simulate", "--p", "2", "--flavor",
                            "sym", "--k", "0", "--samples", "1000", "--seed", "3")
@@ -264,6 +272,19 @@ def test_ladder_rejects_cap_beyond_int64():
     assert code == 1
     assert out == ""
     assert "2^63" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--x", "nan"), "x must be finite and >= 1, got nan"),
+    (("--x", "inf"), "x must be finite and >= 1, got inf"),
+    (("--x", "10", "--exponent", "nan"), "ladder exponent must be finite and >= 1, got nan"),
+    (("--x", "10", "--k", "-1"), "k must be non-negative, got -1"),
+])
+def test_ladder_rejects_bad_input(argv, message):
+    code, out, err = run_cli("ladder", *argv)
+    assert code == 1
+    assert out == ""
+    assert message in err
 
 
 def test_out_flag_writes_file(tmp_path):

@@ -2,11 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twistrank import rankdist as rd
 from twistrank.gf import Flavor, build_field
+from twistrank.twistsim import primes_up_to
 
 ALL_PAIRS = [(p, flavor) for p in (2, 3, 5, 7, 11, 13) for flavor in Flavor]
+
+# the advertised domain: every prime p <= 2^15
+DOMAIN_PRIMES = [int(p) for p in primes_up_to(2**15)]
 
 
 def trunc4(value):
@@ -38,35 +44,44 @@ def test_dist_value_equal_at_rank_one_for_p2_sym():
     assert rd.dist_value(field, 1) == pytest.approx(rd.dist_value(field, 0), rel=1e-14)
 
 
+def operator_row(field, r, r_max=8):
+    """Row r of the transition operator, read through the kernel: the law
+    after one step from rank r, with the mass sent past r_max appended."""
+    moved = rd.apply(rd.point_mass(field, r, r_max))
+    return np.append(moved.probs, moved.tail_bound)
+
+
 def test_markov_entries_rank0_q2():
     field = build_field(2, Flavor.SYMPLECTIC)
-    assert rd.markov_entry(field, 0, 0) == 0.5
-    assert rd.markov_entry(field, 0, 1) == 0.5
-    assert rd.markov_entry(field, 0, 2) == 0.0
+    row = operator_row(field, 0)
+    assert row[0] == 0.5
+    assert row[1] == 0.5
+    assert row[2] == 0.0
     with pytest.raises(ValueError):
-        rd.markov_entry(field, 0, -1)
+        rd.markov_entry_exact(field, 0, -1)
 
 
 def test_markov_entries_rank2_q2():
     field = build_field(2, Flavor.SYMPLECTIC)
-    assert rd.markov_entry(field, 2, 1) == 0.75
-    assert rd.markov_entry(field, 2, 2) == 0.125
-    assert rd.markov_entry(field, 2, 3) == 0.125
+    row = operator_row(field, 2)
+    assert row[1] == 0.75
+    assert row[2] == 0.125
+    assert row[3] == 0.125
 
 
 def test_markov_entries_rank1_q4():
     field = build_field(2, Flavor.UNITARY)
-    assert rd.markov_entry(field, 1, 0) == 0.75
-    assert rd.markov_entry(field, 1, 1) == 0.125
-    assert rd.markov_entry(field, 1, 2) == 0.125
+    row = operator_row(field, 1)
+    assert row[0] == 0.75
+    assert row[1] == 0.125
+    assert row[2] == 0.125
 
 
 def test_markov_rows_stochastic_float():
     for p, flavor in ALL_PAIRS:
         field = build_field(p, flavor)
         for r in range(65):
-            row = sum(rd.markov_entry(field, r, s) for s in range(max(0, r - 1), r + 2))
-            assert abs(row - 1.0) < 1e-15
+            assert abs(operator_row(field, r, 64).sum() - 1.0) < 1e-15
 
 
 def test_markov_rows_stochastic_exact():
@@ -102,15 +117,13 @@ def test_stationarity_l1():
     for p, flavor in ALL_PAIRS:
         field = build_field(p, flavor)
         dist = rd.stationary_distribution(field, 64)
-        op = rd.MarkovOperator(field, 64)
-        moved = rd.apply(dist, op)
+        moved = rd.apply(dist)
         assert np.abs(moved.probs - dist.probs).sum() < 1e-10
 
 
 def test_apply_point_mass():
     field = build_field(2, Flavor.SYMPLECTIC)
-    op = rd.MarkovOperator(field, 8)
-    moved = rd.apply(rd.point_mass(field, 0, 8), op)
+    moved = rd.apply(rd.point_mass(field, 0, 8))
     assert moved.probs[0] == 0.5
     assert moved.probs[1] == 0.5
     assert moved.probs[2:].sum() == 0
@@ -122,44 +135,60 @@ def test_apply_preserves_mass():
     probs = rng.random(16)
     probs /= probs.sum()
     dist = rd.RankDistribution(field=field, probs=probs)
-    op = rd.MarkovOperator(field, 15)
-    moved = rd.apply(dist, op)
+    moved = rd.apply(dist)
     assert moved.total_mass() + moved.tail_bound == pytest.approx(1.0, abs=1e-12)
 
 
-def test_apply_field_mismatch():
-    sym = build_field(2, Flavor.SYMPLECTIC)
-    uni = build_field(2, Flavor.UNITARY)
-    with pytest.raises(ValueError):
-        rd.apply(rd.point_mass(sym, 0, 8), rd.MarkovOperator(uni, 8))
+@settings(derandomize=True, deadline=None)
+@given(p=st.sampled_from(DOMAIN_PRIMES), flavor=st.sampled_from(list(Flavor)),
+       r_max=st.integers(64, 200))
+@example(p=2, flavor=Flavor.SYMPLECTIC, r_max=64)
+@example(p=32749, flavor=Flavor.UNITARY, r_max=200)
+def test_operator_rows_and_stationarity_over_domain(p, flavor, r_max):
+    """Every kernel row is stochastic and equals the exact rational entries,
+    and the stationary law is a fixed point, anywhere in p <= 2^15."""
+    field = build_field(p, flavor)
+    for r in range(r_max + 1):
+        row = operator_row(field, r, r_max)
+        assert abs(row.sum() - 1.0) <= 1e-15
+        neighbours = range(max(0, r - 1), r + 2)
+        for s in neighbours:
+            exact = float(rd.markov_entry_exact(field, r, s))
+            if exact >= 1e-300:
+                assert abs(row[s] - exact) <= 1e-15 * exact
+            else:
+                assert abs(row[s] - exact) < 1e-300
+        row[list(neighbours)] = 0.0
+        assert not row.any()
+    dist = rd.stationary_distribution(field, r_max)
+    assert np.abs(rd.apply(dist).probs - dist.probs).sum() < 1e-10
 
 
 def test_power_iterate_k0_is_identity():
     field = build_field(2, Flavor.SYMPLECTIC)
     start = rd.point_mass(field, 3, 16)
-    final, trace = rd.power_iterate(start, rd.MarkovOperator(field, 16), 0)
+    final, trace = rd.power_iterate(start, 0)
     assert trace == []
     assert np.array_equal(final.probs, start.probs)
 
 
 def test_power_iterate_converges_from_zero():
     field = build_field(2, Flavor.SYMPLECTIC)
-    final, trace = rd.power_iterate(rd.point_mass(field, 0, 64), rd.MarkovOperator(field, 64), 60)
+    final, trace = rd.power_iterate(rd.point_mass(field, 0, 64), 60)
     assert trace[-1] < 1e-6
 
 
 def test_power_iterate_converges_from_five():
     field = build_field(3, Flavor.UNITARY)
-    final, trace = rd.power_iterate(rd.point_mass(field, 5, 64), rd.MarkovOperator(field, 64), 60)
+    final, trace = rd.power_iterate(rd.point_mass(field, 5, 64), 60)
     assert trace[-1] < 1e-6
 
 
 def test_tv_to_stationary_never_increases():
     for p, flavor in ((2, Flavor.SYMPLECTIC), (3, Flavor.UNITARY)):
         field = build_field(p, flavor)
-        op = rd.MarkovOperator(field, 64)
         for r in range(11):
-            _, trace = rd.power_iterate(rd.point_mass(field, r, 64), op, 100)
+            _, trace = rd.power_iterate(rd.point_mass(field, r, 64), 100)
             for earlier, later in zip(trace, trace[1:]):
                 assert later <= earlier + 1e-15
 
@@ -221,24 +250,6 @@ def test_tail_bound_certifies_omitted_mass():
         assert dist.tail_bound >= omitted > 0
 
 
-def test_shift_identity_and_mass():
-    field = build_field(2, Flavor.SYMPLECTIC)
-    dist = rd.stationary_distribution(field, 32)
-    same = rd.shift(dist, 0)
-    assert np.array_equal(same.probs, dist.probs)
-    moved = rd.shift(dist, 3)
-    assert moved.probs[:3].sum() == 0
-    assert moved.total_mass() == pytest.approx(dist.total_mass(), abs=0)
-    assert np.array_equal(moved.probs[3:], dist.probs)
-
-
-def test_shift_of_stationary_spot_value():
-    field = build_field(2, Flavor.SYMPLECTIC)
-    shifted = rd.shift(rd.stationary_distribution(field, 32), 1)
-    assert trunc4(shifted.probs[1]) == 0.4194
-    assert shifted.probs[0] == 0.0
-
-
 # ---------------------------------------------------------------------------
 # walk_law: the k-step law of the rank walk
 # ---------------------------------------------------------------------------
@@ -246,9 +257,8 @@ def test_shift_of_stationary_spot_value():
 def operator_walk(field, k):
     """point_mass at 0 followed by k operator applications, as a reference."""
     dist = rd.point_mass(field, 0, k)
-    op = rd.MarkovOperator(field, k)
     for _ in range(k):
-        dist = rd.apply(dist, op)
+        dist = rd.apply(dist)
     return dist
 
 
@@ -281,7 +291,7 @@ def test_walk_law_offset_shifts_every_rank():
     plain = rd.walk_law(field, 7)
     for offset in (1, 3):
         shifted = rd.walk_law(field, 7, offset=offset)
-        assert np.array_equal(shifted.probs, rd.shift(plain, offset).probs)
+        assert np.array_equal(shifted.probs, np.concatenate([np.zeros(offset), plain.probs]))
     with pytest.raises(ValueError):
         rd.walk_law(field, 7, offset=-1)
     with pytest.raises(ValueError):

@@ -300,6 +300,16 @@ def test_kummer_fiber_balance_exhaustive():
             assert all(c == fiber_size(p, n) for c in counts.values())
 
 
+def test_fiber_size_rejects_n_below_one():
+    assert fiber_size(3, 1) == 2
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            fiber_size(3, n)
+    plane = build_local_plane(build_field(2, Flavor.SYMPLECTIC))
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        kummer_line_of_character(plane, 0, 0, 2)
+
+
 def test_kummer_index_out_of_range():
     field = build_field(2, Flavor.SYMPLECTIC)
     plane = build_local_plane(field)

@@ -15,7 +15,6 @@ from twistrank.twistsim import (
     fan_ladder,
     micro_transition_law,
     simulate,
-    step_rank_micro_model,
     strata_cardinality,
     strata_cardinality_ratio,
 )
@@ -94,9 +93,16 @@ def test_ladder_saturates_to_inf():
     assert all(a <= b or b == math.inf for a, b in zip(levels, levels[1:]))
 
 
+def test_ladder_rejects_bad_x():
+    for x in (math.nan, math.inf, 0.5):
+        with pytest.raises(ValueError, match="x must be finite and >= 1"):
+            fan_ladder(2.0).levels(x, 3)
+
+
 def test_ladder_rejects_bad_exponent():
-    with pytest.raises(ValueError):
-        fan_ladder(0.5)
+    for exponent in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="exponent must be finite and >= 1"):
+            fan_ladder(exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -146,14 +152,6 @@ def test_step_bounded_error_mode():
         assert abs(t_zero / n - target) <= 1 / y + 3 * sigma
 
 
-def test_micro_model_step_values():
-    field = build_field(3, Flavor.SYMPLECTIC)
-    rng = np.random.default_rng(9)
-    seen = {step_rank_micro_model(1, field, 1, rng) for _ in range(3000)}
-    assert seen == {0, 1, 2}
-    assert all(step_rank_micro_model(0, field, 1, rng) >= 0 for _ in range(1000))
-
-
 def test_micro_law_exact_equivalence_with_operator():
     """Exhaustive (coin, line, character) enumeration reproduces the
     transition operator exactly, for every order exponent n."""
@@ -162,7 +160,7 @@ def test_micro_law_exact_equivalence_with_operator():
             field = build_field(p, flavor)
             for n in (1, 2):
                 for r in range(4):
-                    law = micro_transition_law(field, r, n, exact=True)
+                    law = micro_transition_law(field, r, n)
                     expected = {
                         s: rd.markov_entry_exact(field, r, s)
                         for s in range(max(0, r - 1), r + 2)
@@ -172,17 +170,10 @@ def test_micro_law_exact_equivalence_with_operator():
                     assert sum(law.values()) == 1
 
 
-def test_micro_law_float_mode_close():
-    field = build_field(2, Flavor.SYMPLECTIC)
-    law = micro_transition_law(field, 2, 1, exact=False)
-    for s, value in law.items():
-        assert value == pytest.approx(rd.markov_entry(field, 2, s), abs=1e-12)
-
-
 def test_micro_law_spot_counts_p2_rank0():
     # 2 line choices x 2 characters: rank rises in exactly 2 of 4 outcomes
     field = build_field(2, Flavor.SYMPLECTIC)
-    law = micro_transition_law(field, 0, 1, exact=True)
+    law = micro_transition_law(field, 0, 1)
     assert law[1] == Fraction(1, 2)
     assert law[0] == Fraction(1, 2)
 
@@ -190,7 +181,7 @@ def test_micro_law_spot_counts_p2_rank0():
 def test_micro_law_spot_counts_p3_rank0():
     # 3 x 6 outcomes, 6 of 18 rise
     field = build_field(3, Flavor.SYMPLECTIC)
-    law = micro_transition_law(field, 0, 1, exact=True)
+    law = micro_transition_law(field, 0, 1)
     assert law[1] == Fraction(1, 3)
 
 
@@ -328,6 +319,10 @@ def test_sim_config_validation():
         ShiftMode("notfd", -1)
     with pytest.raises(ValueError):
         ShiftMode.parse("sideways")
+    with pytest.raises(ValueError, match="r_gamma must be non-negative"):
+        ShiftMode.parse("notfd:-1")
+    with pytest.raises(ValueError, match="expected notfd:<int>"):
+        ShiftMode.parse("notfd:two")
 
 
 # ---------------------------------------------------------------------------
