@@ -138,7 +138,8 @@ class FqElem:
 
     def _coerce(self, other) -> "FqElem":
         if isinstance(other, FqElem):
-            if other.field != self.field:
+            # identity first: comparing the whole FieldParams is the slow path
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("field mismatch in arithmetic")
             return other
         if isinstance(other, int):
@@ -202,9 +203,17 @@ class FqElem:
         return self.c0 != 0 or self.c1 != 0
 
     def inv(self) -> "FqElem":
+        """a^-1 = conj(a) / N(a), with the norm N(a) = a * conj(a) in F_p."""
         if not self:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self ** (self.field.q - 2)
+        field = self.field
+        p = field.p
+        if field.modulus is None:
+            return FqElem(field, pow(self.c0, p - 2, p), 0)
+        a1, a0 = field.modulus
+        c0, c1 = self.c0, self.c1
+        n_inv = pow((c0 * c0 - a1 * c0 * c1 + a0 * c1 * c1) % p, p - 2, p)
+        return FqElem(field, (c0 - a1 * c1) * n_inv % p, -c1 * n_inv % p)
 
     def __truediv__(self, other):
         b = self._coerce(other)
@@ -213,10 +222,14 @@ class FqElem:
         return self * b.inv()
 
     def conj(self) -> "FqElem":
-        """Frobenius a -> a^p; the identity on the prime field."""
+        """Frobenius a -> a^p; the identity on the prime field.
+
+        It sends x to the other root -a1 - x of the modulus x^2 + a1*x + a0.
+        """
         if self.field.flavor is Flavor.SYMPLECTIC or self.c1 == 0:
             return self
-        return self ** self.field.p
+        p = self.field.p
+        return FqElem(self.field, (self.c0 - self.field.modulus[0] * self.c1) % p, -self.c1 % p)
 
     def encode(self) -> int:
         """Integer encoding c0 + c1*p, used for canonical orderings."""

@@ -6,6 +6,7 @@ unique representation and equality is structural comparison.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .gf import FieldParams, Flavor, FqElem
@@ -175,22 +176,59 @@ def is_maximal_isotropic(space: HermitianSpace, sub: Subspace) -> bool:
     return sub == orthogonal_complement(space, sub)
 
 
+def _roots_mod_p(a2: int, a1: int, a0: int, p: int, sqrt: dict[int, int]) -> list[int]:
+    """The roots in F_p, ascending, of a2*a^2 + a1*a + a0; `sqrt` maps each
+    square of F_p to one of its square roots."""
+    if p == 2:
+        return [a for a in range(2) if (a2 * a * a + a1 * a + a0) % 2 == 0]
+    if not a2:
+        if not a1:
+            return [] if a0 else list(range(p))
+        return [-a0 * pow(a1, p - 2, p) % p]
+    disc = (a1 * a1 - 4 * a2 * a0) % p
+    if disc not in sqrt:
+        return []
+    s, half = sqrt[disc], pow(2 * a2, p - 2, p)
+    return sorted({(-a1 + s) * half % p, (-a1 - s) * half % p})
+
+
 def enumerate_isotropic_lines(space: HermitianSpace) -> list[Subspace]:
     """All isotropic lines of a 2-dimensional space, in canonical order.
 
     Lines are ordered lexicographically by the integer encoding of their
-    canonical basis vector, which makes downstream fiber maps stable.
+    canonical basis vector, which makes downstream fiber maps stable. The
+    bases (0, 1) and (1, t) are already reduced, and the lines are found
+    in O(p) without testing every candidate:
+
+    - symplectic: the form is alternating, so all p + 1 lines are isotropic;
+    - unitary: for t = a + b*x, h((1, t), (1, t)) = g00 + Tr(g10*t) + g11*N(t)
+      with N(a + b*x) = a^2 - m1*a*b + m0*b^2 for the modulus x^2 + m1*x + m0.
+      For each b in F_p that is the polynomial
+          g11*a^2 + (Tr(g10) - m1*g11*b)*a + (g00 + Tr(g10*x)*b + m0*g11*b^2)
+      over F_p, and (0, 1) is isotropic exactly when g11 = 0.
     """
     if space.dim != 2:
         raise ValueError("isotropic-line enumeration requires dimension 2")
     field = space.field
+    p = field.p
     one, zero = field.one(), field.zero()
-    reps = [(zero, one)] + [(one, t) for t in field.elements()]
-    lines = []
-    for v in reps:
-        if not evaluate_form(space, v, v):
-            lines.append(Subspace.from_vectors([v], 2))
-    lines.sort(key=lambda line: tuple(e.encode() for e in line.basis[0]))
+
+    def line(t: FqElem) -> Subspace:
+        return Subspace(ambient_dim=2, basis=((one, t),))
+
+    axis = Subspace(ambient_dim=2, basis=((zero, one),))
+    if field.flavor is Flavor.SYMPLECTIC:
+        return [axis] + [line(FqElem(field, a, 0)) for a in range(p)]
+    (g00, _), (g10, g11) = space.gram
+    m1, m0 = field.modulus
+    h00, h11 = g00.c0, g11.c0
+    tr1, trx = ((y + y.conj()).c0 for y in (g10, g10 * field.gen()))
+    lines = [] if h11 else [axis]
+    sqrt = {s * s % p: s for s in range(p)}
+    for b in range(p):
+        roots = _roots_mod_p(h11, (tr1 - m1 * h11 * b) % p,
+                             (h00 + trx * b + m0 * h11 * b * b) % p, p, sqrt)
+        lines += [line(FqElem(field, a, b)) for a in roots]
     return lines
 
 
@@ -213,10 +251,22 @@ def build_local_plane(field: FieldParams) -> LocalPlane:
     return LocalPlane(space=space, unramified_line=lines[0], ramified_lines=tuple(lines[1:]))
 
 
+# fiber sizes are printed in decimal, and Python refuses to convert an int of
+# more than 4300 digits to text by default
+MAX_FIBER_DIGITS = 4300
+
+
 def fiber_size(p: int, n: int) -> int:
     """Number of order-p^n totally ramified characters mapping to one line."""
     if n < 1:
         raise ValueError(f"character order exponent n must be >= 1, got {n}")
+    # the largest n whose fiber size has at most MAX_FIBER_DIGITS digits,
+    # found without building the power
+    bound = math.ceil((MAX_FIBER_DIGITS - math.log10(p - 1)) / (2 * math.log10(p)))
+    if n > bound:
+        raise ValueError(f"character order exponent n = {n} is too large for p = {p}: "
+                         f"the fiber size p^(2n-2)(p-1) would exceed {MAX_FIBER_DIGITS} "
+                         f"digits (n <= {bound})")
     return p ** (2 * n - 2) * (p - 1)
 
 

@@ -5,9 +5,10 @@ from pathlib import Path
 import pytest
 
 from twistrank import rankdist as rd
-from twistrank.cli import load_sim_config, main
+from twistrank.cli import cmd_isotropic, load_sim_config, main
 from twistrank.gf import Flavor, build_field
 from twistrank.records import OutputRecord
+from twistrank.spaces import evaluate_form, hyperbolic_plane
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -125,6 +126,45 @@ def test_isotropic_rejects_n_below_one(n):
     assert code == 1
     assert out == ""
     assert f"n must be >= 1, got {n}" in err
+
+
+@pytest.mark.parametrize("p, largest", [(2, 7143), (3, 4506), (32749, 476)])
+def test_isotropic_bounds_n(p, largest):
+    code, out, err = run_cli("--format", "csv", "isotropic", "--p", str(p), "--flavor",
+                             "sym", "--n", str(largest))
+    assert code == 0 and err == ""
+    fiber = dict(OutputRecord.from_csv(out).rows)["fiber_size"]
+    assert fiber == str(p ** (2 * largest - 2) * (p - 1))
+    assert len(fiber) <= 4300
+    assert p ** (2 * largest) * (p - 1) >= 10**4300  # the next n has more digits
+    for n in (largest + 1, 5000 if p == 3 else 10**9):
+        code, out, err = run_cli("isotropic", "--p", str(p), "--flavor", "sym", "--n", str(n))
+        assert code == 1
+        assert out == ""
+        assert f"n = {n} is too large for p = {p}" in err
+        assert f"n <= {largest}" in err
+
+
+def test_isotropic_top_of_domain_unitary():
+    """p = 32749 in the unitary flavor: p + 1 lines over F_{p^2}."""
+    p = 32749
+    field = build_field(p, Flavor.UNITARY)
+    rows = cmd_isotropic(p, Flavor.UNITARY, 1).rows
+    lines = [value for label, value in rows if label.startswith(("unramified", "ramified["))]
+    assert len(lines) == p + 1 == int(dict(rows)["lines_total"])
+    assert len(set(lines)) == p + 1
+
+    def parse(text):
+        if "x" not in text:
+            return field.elem(int(text))
+        c1, _, c0 = text.partition("x")
+        return field.elem(int(c0[1:]) if c0 else 0, int(c1) if c1 else 1)
+
+    plane = hyperbolic_plane(field)
+    for value in lines[:3] + lines[p // 2:p // 2 + 3] + lines[-3:]:
+        v = tuple(parse(c) for c in value[1:-1].split(", "))
+        assert v[0] == field.one() or v == (field.zero(), field.one())
+        assert not evaluate_form(plane, v, v)
 
 
 def test_simulate_k0_point_mass():

@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twistrank.gf import MAX_P, Flavor, build_field, is_prime
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
+DOMAIN_PRIMES = [p for p in range(2, MAX_P + 1) if is_prime(p)]
 
 
 def all_fields_q_le(limit):
@@ -167,6 +170,15 @@ def test_mixed_field_arithmetic_rejected():
     b = build_field(5, Flavor.SYMPLECTIC).elem(1)
     with pytest.raises(ValueError):
         a + b
+    # equal fields built twice are distinct objects but still one field
+    f, g = build_field(5, Flavor.UNITARY), build_field(5, Flavor.UNITARY)
+    assert f is not g and f == g
+    assert f.gen() * g.gen() == f.elem(2)  # x^2 = 2 with modulus x^2 - 2
+    assert f.gen() + g.one() == g.elem(1, 1)
+    with pytest.raises(ValueError):
+        f.gen() * build_field(5, Flavor.SYMPLECTIC).one()
+    with pytest.raises(ValueError):
+        f.gen() - build_field(7, Flavor.UNITARY).gen()
 
 
 def test_epsilon_is_exact_rational():
@@ -175,3 +187,19 @@ def test_epsilon_is_exact_rational():
     # q^epsilon = p holds exactly in both flavors
     assert sym.q ** sym.epsilon.numerator == sym.p ** sym.epsilon.denominator
     assert uni.q ** uni.epsilon.numerator == uni.p ** uni.epsilon.denominator
+
+
+@settings(derandomize=True, deadline=None)
+@given(p=st.sampled_from(DOMAIN_PRIMES), flavor=st.sampled_from(list(Flavor)),
+       c0=st.integers(0, MAX_P), c1=st.integers(0, MAX_P))
+@example(p=2, flavor=Flavor.UNITARY, c0=0, c1=1)
+@example(p=32749, flavor=Flavor.UNITARY, c0=32748, c1=32748)
+@example(p=32749, flavor=Flavor.SYMPLECTIC, c0=32748, c1=0)
+def test_closed_form_conj_and_inverse(p, flavor, c0, c1):
+    """conj and inv agree with the powers a^p and a^(q-2) over p <= 2^15."""
+    field = build_field(p, flavor)
+    a = field.elem(c0, c1 if flavor is Flavor.UNITARY else 0)
+    assert a.conj() == a ** p
+    if a:
+        assert a.inv() == a ** (field.q - 2)
+        assert a * a.inv() == field.one()

@@ -2,6 +2,8 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from twistrank.gf import Flavor, build_field, is_prime
 from twistrank.spaces import (
@@ -247,6 +249,35 @@ def test_isotropic_census_against_brute_force():
             lines = enumerate_isotropic_lines(space)
             assert len(lines) == p + 1
             assert set(lines) == brute_force_isotropic_lines(space)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(p=st.sampled_from([2, 3, 5, 7, 11]), flavor=st.sampled_from(list(Flavor)),
+       g00=st.integers(0, 10), g11=st.integers(0, 10),
+       g10=st.tuples(st.integers(0, 10), st.integers(0, 10)))
+@example(p=5, flavor=Flavor.UNITARY, g00=1, g11=1, g10=(0, 0))  # quadratic in a
+@example(p=2, flavor=Flavor.UNITARY, g00=1, g11=1, g10=(1, 0))  # quadratic over F_2
+@example(p=3, flavor=Flavor.UNITARY, g00=1, g11=0, g10=(0, 1))  # Tr(g10) = g11 = 0
+@example(p=7, flavor=Flavor.UNITARY, g00=3, g11=0, g10=(2, 5))  # linear in a
+@example(p=11, flavor=Flavor.SYMPLECTIC, g00=0, g11=0, g10=(4, 0))
+def test_isotropic_lines_of_random_gram_against_brute_force(p, flavor, g00, g11, g10):
+    """Any non-degenerate 2x2 Gram matrix, not just the hyperbolic plane."""
+    field = build_field(p, flavor)
+    if flavor is Flavor.SYMPLECTIC:
+        c = field.elem(g10[0])
+        assume(c)
+        gram = ((field.zero(), -c), (c, field.zero()))
+    else:
+        d0, d1, lower = field.elem(g00), field.elem(g11), field.elem(*g10)
+        assume(d0 * d1 - lower * lower.conj())
+        gram = ((d0, lower.conj()), (lower, d1))
+    space = HermitianSpace(field=field, dim=2, gram=gram)
+    lines = enumerate_isotropic_lines(space)
+    assert set(lines) == brute_force_isotropic_lines(space)
+    assert len(lines) == p + 1
+    keys = [tuple(e.encode() for e in line.basis[0]) for line in lines]
+    assert keys == sorted(set(keys))
+    assert all(line == Subspace.from_vectors(line.basis, 2) for line in lines)
 
 
 def test_enumerate_requires_dim2():
