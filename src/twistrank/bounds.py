@@ -58,11 +58,11 @@ def avg_rank_bound(field: FieldParams, deg_k: int) -> float:
     return deg_k * rankdist.expected_rank(field)
 
 
-def no_growth_proportion_bound(p: int, field: FieldParams) -> float:
+def no_growth_proportion_bound(field: FieldParams) -> float:
     """Lower bound for the proportion of degree-p cyclic extensions with
-    no rank growth: D(0) when p = 2, else (p-1)(D(0) - (p-2)/(p-1))."""
-    if field.p != p:
-        raise ValueError("twist degree p must match the field's characteristic")
+    no rank growth, p the field's characteristic: D(0) when p = 2, else
+    (p-1)(D(0) - (p-2)/(p-1))."""
+    p = field.p
     d0 = rankdist.dist_value(field, 0)
     if p == 2:
         return d0
@@ -122,7 +122,7 @@ def reports(p: int, deg_k: int = 1) -> list[BoundReport]:
                 name="no_growth_proportion",
                 p=p,
                 flavor=flavor,
-                value=no_growth_proportion_bound(p, field),
+                value=no_growth_proportion_bound(field),
                 formula="D(0) if p=2 else (p-1)(D(0)-(p-2)/(p-1))",
             )
         )

@@ -53,7 +53,7 @@ def _parse_y(text: str) -> float | None:
         return None
     y = float(text)
     if not (math.isfinite(y) and y > 0):
-        raise ValueError(f"--y must be a positive finite number or 'exact', got {text!r}")
+        raise ValueError(f"y = {y} is not positive and finite")
     return y
 
 
@@ -143,12 +143,9 @@ def cmd_simulate(config: SimConfig) -> OutputRecord:
         ("chi2_dof", str(dof)),
         ("chi2_pvalue", fmt(pvalue)),
     ]
-    emp = empirical.probs()
-    n_ranks = max(len(emp), len(reference.probs))
-    for r in range(n_ranks):
-        count = int(empirical.counts[r]) if r < len(empirical.counts) else 0
-        ref = reference.probs[r] if r < len(reference.probs) else 0.0
-        e = emp[r] if r < len(emp) else 0.0
+    # both laws span ranks 0..k+offset
+    columns = zip(empirical.counts, empirical.probs(), reference.probs, strict=True)
+    for r, (count, e, ref) in enumerate(columns):
         rows.append((f"count({r})", str(count)))
         rows.append((f"emp({r})", fmt(e)))
         rows.append((f"ref({r})", fmt(ref)))
@@ -160,7 +157,7 @@ def cmd_ladder(x: float, exponent: float, depth: int, k: int | None = None,
                sieve_cap: int = DEFAULT_SIEVE_CAP) -> OutputRecord:
     if k is not None and k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    ladder = twistsim.fan_ladder(exponent)
+    ladder = twistsim.FanLadder(exponent)
     levels = ladder.levels(x, depth)
     params = {"x": fmt(x), "exponent": fmt(exponent), "depth": str(depth)}
     rows = [(f"L{i + 1}", fmt(level)) for i, level in enumerate(levels)]
@@ -183,12 +180,24 @@ def cmd_ladder(x: float, exponent: float, depth: int, k: int | None = None,
     return OutputRecord(command="ladder", params=params, rows=rows)
 
 
-SIM_CONFIG_FIELDS = ("p", "flavor", "n", "k", "samples", "seed", "shift", "y", "threads")
+# per simulate field: its parser, its default, and what a valid value is
+SIM_CONFIG_FIELDS = {
+    "p": (_parse_prime, "2", "a prime"),
+    "flavor": (Flavor.parse, "sym", "'sym' or 'uni'"),
+    "n": (int, "1", "an integer"),
+    "k": (int, "0", "an integer"),
+    "samples": (int, "10000", "an integer"),
+    "seed": (int, "0", "an integer"),
+    "shift": (ShiftMode.parse, "notfd:0", "'fd' or 'notfd:<r>' with r >= 0"),
+    "y": (_parse_y, "exact", "a positive finite number or 'exact'"),
+    "threads": (int, "1", "an integer"),
+}
 
 
-def load_sim_config(path: str) -> dict[str, str]:
-    """Parse the flat key=value config document for the simulator."""
-    options: dict[str, str] = {}
+def load_sim_config(path: str) -> dict[str, tuple[str, int]]:
+    """Parse the flat key=value config document for the simulator into
+    key -> (value, line number)."""
+    options: dict[str, tuple[str, int]] = {}
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -208,33 +217,31 @@ def load_sim_config(path: str) -> dict[str, str]:
             )
         if not value:
             raise ConfigError(f"{path}:{lineno}: field {key!r} has no value")
-        options[key] = value
+        options[key] = (value, lineno)
     return options
 
 
 def _build_sim_config(args) -> SimConfig:
+    """Each field comes from its flag, else the config, else its default; a
+    value that does not parse is reported with the flag or file:line it
+    came from."""
     options = load_sim_config(args.config) if args.config else {}
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return options.get(key, default)
-
-    try:
-        p = _parse_prime(str(pick(args.p, "p", 2)))
-        flavor = Flavor.parse(str(pick(args.flavor, "flavor", "sym")))
-        n = int(pick(args.n, "n", 1))
-        k = int(pick(args.k, "k", 0))
-        samples = int(pick(args.samples, "samples", 10000))
-        seed = int(pick(args.seed, "seed", 0))
-        shift = ShiftMode.parse(str(pick(args.shift, "shift", "notfd:0")))
-        y = _parse_y(str(pick(args.y, "y", "exact")))
-        threads = int(pick(args.threads, "threads", 1))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    field = build_field(p, flavor)
-    return SimConfig(field=field, n=n, k=k, samples=samples, seed=seed,
-                     shift_mode=shift, chebotarev_y=y, threads=threads)
+    values = {}
+    for key, (parse, default, expected) in SIM_CONFIG_FIELDS.items():
+        if getattr(args, key) is not None:
+            text, where = str(getattr(args, key)), f"--{key}"
+        elif key in options:
+            text, lineno = options[key]
+            where = f"{args.config}:{lineno}: field {key!r}"
+        else:
+            text, where = default, f"default {key}"
+        try:
+            values[key] = parse(text)
+        except ValueError:
+            raise ConfigError(f"{where} must be {expected}, got {text!r}") from None
+    field = build_field(values.pop("p"), values.pop("flavor"))
+    return SimConfig(field=field, shift_mode=values.pop("shift"),
+                     chebotarev_y=values.pop("y"), **values)
 
 
 def build_parser() -> argparse.ArgumentParser:

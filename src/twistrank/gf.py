@@ -91,25 +91,13 @@ class FieldParams:
                 for c0 in range(self.p):
                     yield FqElem(self, c0, c1)
 
-    def modulus_str(self) -> str:
-        if self.modulus is None:
-            return ""
-        a1, a0 = self.modulus
-        s = "x^2"
-        if a1 == 1:
-            s += "+x"
-        elif a1:
-            s += f"+{a1}x"
-        if a0:
-            s += f"+{a0}"
-        return s
-
 
 def build_field(p: int, flavor: Flavor) -> FieldParams:
     """Construct field parameters for F_p (symplectic) or F_{p^2} (unitary).
 
     The quadratic modulus is chosen deterministically: x^2+x+1 for p = 2,
-    x^2 - n for odd p with n the smallest positive non-residue mod p.
+    x^2 - n for odd p with n the smallest positive non-residue mod p. Both
+    have no root in F_p, so they are irreducible.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -121,11 +109,7 @@ def build_field(p: int, flavor: Flavor) -> FieldParams:
         modulus = (1, 1)
     else:
         modulus = (0, (-smallest_nonresidue(p)) % p)
-    field = FieldParams(p=p, flavor=flavor, q=p * p, epsilon=Fraction(1, 2), modulus=modulus)
-    for a in range(p):
-        if (a * a + modulus[0] * a + modulus[1]) % p == 0:
-            raise ValueError(f"modulus {field.modulus_str()} is reducible mod {p}")
-    return field
+    return FieldParams(p=p, flavor=flavor, q=p * p, epsilon=Fraction(1, 2), modulus=modulus)
 
 
 @dataclass(frozen=True)
@@ -231,10 +215,6 @@ class FqElem:
         p = self.field.p
         return FqElem(self.field, (self.c0 - self.field.modulus[0] * self.c1) % p, -self.c1 % p)
 
-    def encode(self) -> int:
-        """Integer encoding c0 + c1*p, used for canonical orderings."""
-        return self.c0 + self.c1 * self.field.p
-
     def __str__(self) -> str:
         if self.field.flavor is Flavor.SYMPLECTIC:
             return str(self.c0)
@@ -245,7 +225,3 @@ class FqElem:
 
     def __repr__(self) -> str:
         return f"FqElem({self}, q={self.field.q})"
-
-
-def conj(a: FqElem) -> FqElem:
-    return a.conj()

@@ -106,11 +106,6 @@ def odd_mass(field: FieldParams) -> float:
     return (1.0 - beta(field)) / 2.0
 
 
-def odd_mass_by_series(field: FieldParams, r_max: int = R_MAX_DEFAULT) -> float:
-    dist = stationary_distribution(field, r_max)
-    return float(dist.probs[1::2].sum())
-
-
 def markov_entry_exact(field: FieldParams, r: int, s: int) -> Fraction:
     """Exact rational transition probability, for cross-checks."""
     if r < 0 or s < 0:
@@ -190,13 +185,6 @@ class RankDistribution:
         if (self.probs < 0).any():
             raise ValueError("probabilities must be non-negative")
 
-    @property
-    def r_max(self) -> int:
-        return len(self.probs) - 1
-
-    def total_mass(self) -> float:
-        return float(self.probs.sum())
-
 
 def stationary_distribution(field: FieldParams, r_max: int = R_MAX_DEFAULT) -> RankDistribution:
     """The stationary distribution truncated at r_max, with tail bound.
@@ -212,14 +200,6 @@ def stationary_distribution(field: FieldParams, r_max: int = R_MAX_DEFAULT) -> R
         rho = float(field.q // field.p) / (field.q ** (r_max + 1) - 1)
         tail = probs[r_max] * rho / (1.0 - rho)
     return RankDistribution(field=field, probs=probs, tail_bound=float(tail))
-
-
-def point_mass(field: FieldParams, r: int, r_max: int = R_MAX_DEFAULT) -> RankDistribution:
-    if not 0 <= r <= r_max:
-        raise ValueError("point mass must sit inside [0, r_max]")
-    probs = np.zeros(r_max + 1, dtype=np.float64)
-    probs[r] = 1.0
-    return RankDistribution(field=field, probs=probs)
 
 
 def _step(down: np.ndarray, stay: np.ndarray, up: np.ndarray) -> np.ndarray:
@@ -280,16 +260,3 @@ def walk_law(field: FieldParams, k: int, offset: int = 0,
             top -= 1
     return RankDistribution(field=field, probs=probs, tail_bound=leaked)
 
-
-def power_iterate(initial: RankDistribution, k: int) -> tuple[RankDistribution, list[float]]:
-    """initial * M^k, plus the total-variation distance to the stationary
-    distribution reported after every step."""
-    if k < 0:
-        raise ValueError("iteration count must be non-negative")
-    target = stationary_distribution(initial.field, initial.r_max)
-    dist = initial
-    trace = []
-    for _ in range(k):
-        dist = apply(dist)
-        trace.append(0.5 * float(np.abs(dist.probs - target.probs).sum()))
-    return dist, trace

@@ -12,6 +12,13 @@ import json
 from dataclasses import dataclass, field
 
 
+class _LineSink(list):
+    r"""csv.writer target keeping each row with its "\r\n" cut to "\n"."""
+
+    def write(self, line: str) -> None:
+        self.append(line[:-2] + "\n")
+
+
 @dataclass
 class OutputRecord:
     command: str
@@ -36,15 +43,17 @@ class OutputRecord:
         )
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        lines = _LineSink()
+        # the default "\r\n" terminator makes the writer quote a lone "\r"
+        # as well as "\n"; the sink ends each row in "\n" alone
+        writer = csv.writer(lines)
         writer.writerow(["section", "key", "value"])
         writer.writerow(["command", "", self.command])
         for key, value in self.params.items():
             writer.writerow(["param", key, value])
         for label, value in self.rows:
             writer.writerow(["row", label, value])
-        return buf.getvalue()
+        return "".join(lines)
 
     @classmethod
     def from_csv(cls, text: str) -> "OutputRecord":

@@ -53,10 +53,6 @@ class Subspace:
                 raise ValueError("vector length does not match the ambient dimension")
         return cls(ambient_dim=ambient_dim, basis=rref(vectors))
 
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
-
     def __str__(self) -> str:
         rows = ["(" + ", ".join(str(v) for v in row) + ")" for row in self.basis]
         return "span{" + ", ".join(rows) + "}"
@@ -195,10 +191,10 @@ def _roots_mod_p(a2: int, a1: int, a0: int, p: int, sqrt: dict[int, int]) -> lis
 def enumerate_isotropic_lines(space: HermitianSpace) -> list[Subspace]:
     """All isotropic lines of a 2-dimensional space, in canonical order.
 
-    Lines are ordered lexicographically by the integer encoding of their
-    canonical basis vector, which makes downstream fiber maps stable. The
-    bases (0, 1) and (1, t) are already reduced, and the lines are found
-    in O(p) without testing every candidate:
+    Lines are ordered lexicographically by the integer encodings c0 + c1*p
+    of their canonical basis vector, which makes downstream fiber maps
+    stable. The bases (0, 1) and (1, t) are already reduced, and the lines
+    are found in O(p) without testing every candidate:
 
     - symplectic: the form is alternating, so all p + 1 lines are isotropic;
     - unitary: for t = a + b*x, h((1, t), (1, t)) = g00 + Tr(g10*t) + g11*N(t)
@@ -270,14 +266,13 @@ def fiber_size(p: int, n: int) -> int:
     return p ** (2 * n - 2) * (p - 1)
 
 
-def kummer_line_of_character(plane: LocalPlane, fiber_index: int, n: int, p: int) -> Subspace:
+def kummer_line_of_character(plane: LocalPlane, fiber_index: int, n: int) -> Subspace:
     """Map a character index onto the ramified lines in equal-size blocks.
 
     Indices run over the p^(2n-1)(p-1) totally ramified characters of
     order p^n; each ramified line receives exactly p^(2n-2)(p-1) of them.
     """
-    if p != plane.space.field.p:
-        raise ValueError("p does not match the plane's field")
+    p = plane.space.field.p
     block = fiber_size(p, n)
     total = p * block
     if not 0 <= fiber_index < total:

@@ -77,17 +77,6 @@ class PlaceModel:
 
     norms: np.ndarray
     labels: np.ndarray  # 0 = B, 1 = P0, 2 = P1
-    p1_density: float
-    seed: int
-
-    LABELS = ("B", "P0", "P1")
-
-    def __len__(self) -> int:
-        return len(self.norms)
-
-    def places(self):
-        for norm, lab in zip(self.norms, self.labels):
-            yield int(norm), self.LABELS[lab]
 
     def p1_norms(self) -> np.ndarray:
         return self.norms[self.labels == 2]
@@ -121,7 +110,7 @@ def build_place_model(x: float, p1_density: float, seed: int, n_bad: int = 0) ->
     labels[coins < p1_density] = 2
     labels[coins >= p1_density] = 1
     labels[:n_bad] = 0
-    return PlaceModel(norms=norms, labels=labels, p1_density=p1_density, seed=seed)
+    return PlaceModel(norms=norms, labels=labels)
 
 
 @dataclass(frozen=True)
@@ -162,13 +151,6 @@ class FanLadder:
             prod = prod * level
         return out
 
-    def level(self, i: int, x: float) -> float:
-        return self.levels(x, i)[-1]
-
-
-def fan_ladder(stand_in_exponent: float) -> FanLadder:
-    return FanLadder(stand_in_exponent=stand_in_exponent)
-
 
 def micro_transition_law(field: FieldParams, r: int, n: int) -> dict[int, Fraction]:
     """Exhaustive one-step law of the micro model at rank r.
@@ -193,7 +175,7 @@ def micro_transition_law(field: FieldParams, r: int, n: int) -> dict[int, Fracti
         law[s] = law.get(s, 0) + w
 
     for f in range(n_chars):
-        kummer = kummer_line_of_character(plane, f, n, p)
+        kummer = kummer_line_of_character(plane, f, n)
         if r >= 1:
             add(r - 1, (1 - pt0) * w_f)
         for v in plane.ramified_lines:
@@ -372,12 +354,3 @@ def strata_cardinality(model: PlaceModel, ladder: FanLadder, k: int, x: float,
         current = np.concatenate(([0], np.cumsum(contrib)))
     return int(current[-1])
 
-
-def strata_cardinality_ratio(model: PlaceModel, ladder: FanLadder, k: int, x: float,
-                             cap: int = 10**15) -> float:
-    """|D_k(X)| / |D_{k+1}(X)| over the model's place universe."""
-    numerator = strata_cardinality(model, ladder, k, x, cap)
-    denominator = strata_cardinality(model, ladder, k + 1, x, cap)
-    if denominator == 0:
-        raise ValueError(f"stratum k={k + 1} is empty at x={x}; enlarge the model")
-    return numerator / denominator

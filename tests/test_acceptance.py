@@ -185,14 +185,15 @@ def test_criterion_6_monte_carlo_convergence():
 
 def test_criterion_7_stratification_trend():
     start = time.monotonic()
-    ladder = ts.fan_ladder(2.0)
+    ladder = ts.FanLadder(2.0)
     # one shared universe reaching the top threshold used below
-    model = ts.build_place_model(ladder.level(2, 64.0), 1.0, seed=0)
+    model = ts.build_place_model(ladder.levels(64.0, 2)[-1], 1.0, seed=0)
     ok = True
     detail = []
     for k, xs in ((0, (10.0, 20.0, 40.0, 80.0, 160.0, 320.0)),
                   (1, (2.0, 4.0, 8.0, 16.0, 32.0, 64.0))):
-        ratios = [ts.strata_cardinality_ratio(model, ladder, k, x) for x in xs]
+        ratios = [ts.strata_cardinality(model, ladder, k, x)
+                  / ts.strata_cardinality(model, ladder, k + 1, x) for x in xs]
         strictly_decreasing = all(b < a for a, b in zip(ratios, ratios[1:]))
         ok = ok and strictly_decreasing
         detail.append(f"k={k}: " + " > ".join(f"{r:.3g}" for r in ratios))

@@ -279,7 +279,29 @@ def test_simulate_unknown_config_field(tmp_path):
 def test_load_sim_config_reports_field_values(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("p = 5\nsamples = 100\n")
-    assert load_sim_config(str(cfg)) == {"p": "5", "samples": "100"}
+    assert load_sim_config(str(cfg)) == {"p": ("5", 1), "samples": ("100", 2)}
+
+
+@pytest.mark.parametrize("line,argv,message", [
+    ("k = abc", (), "{cfg}:3: field 'k' must be an integer, got 'abc'"),
+    ("y = nan", (), "{cfg}:3: field 'y' must be a positive finite number or 'exact', got 'nan'"),
+    ("p = 4", (), "{cfg}:3: field 'p' must be a prime, got '4'"),
+    ("flavor = orthogonal", (),
+     "{cfg}:3: field 'flavor' must be 'sym' or 'uni', got 'orthogonal'"),
+    ("shift = notfd:-1", (),
+     "{cfg}:3: field 'shift' must be 'fd' or 'notfd:<r>' with r >= 0, got 'notfd:-1'"),
+    # a bad flag value is reported with the flag, even where the config is valid
+    ("p = 3", ("--p", "4"), "--p must be a prime, got '4'"),
+    ("flavor = uni", ("--flavor", "orthogonal"),
+     "--flavor must be 'sym' or 'uni', got 'orthogonal'"),
+    ("shift = fd", ("--shift", "up:2"),
+     "--shift must be 'fd' or 'notfd:<r>' with r >= 0, got 'up:2'"),
+], ids=["k", "y", "p", "flavor", "shift", "flag-p", "flag-flavor", "flag-shift"])
+def test_simulate_value_error_names_its_source(tmp_path, line, argv, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# header\nk = 2\n{line}\n")
+    code, out, err = run_cli("simulate", str(cfg), *argv)
+    assert (code, out, err) == (1, "", f"error: {message.format(cfg=cfg)}\n")
 
 
 def test_simulate_bad_shift_spec():
@@ -319,6 +341,8 @@ def test_ladder_rejects_cap_beyond_int64():
     (("--x", "inf"), "x must be finite and >= 1, got inf"),
     (("--x", "10", "--exponent", "nan"), "ladder exponent must be finite and >= 1, got nan"),
     (("--x", "10", "--k", "-1"), "k must be non-negative, got -1"),
+    (("--x", "1.5", "--exponent", "1", "--depth", "2", "--k", "1"),
+     "stratum k=2 is empty at x=1.5"),
 ])
 def test_ladder_rejects_bad_input(argv, message):
     code, out, err = run_cli("ladder", *argv)

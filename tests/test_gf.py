@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -47,6 +48,15 @@ def test_build_field_unitary_f9_modulus():
     # -1 is a non-residue mod 3, so the modulus is x^2 + 1; confirm no roots
     assert field.modulus == (0, 1)
     assert all((r * r + 1) % 3 != 0 for r in range(3))
+
+
+def test_unitary_modulus_is_irreducible_over_domain():
+    """For every p <= 2^15 the chosen modulus has no root in F_p, so it is
+    irreducible and F_p[x]/(modulus) is the field F_{p^2}."""
+    for p in DOMAIN_PRIMES:
+        a1, a0 = build_field(p, Flavor.UNITARY).modulus
+        a = np.arange(p, dtype=np.int64)
+        assert ((a * a + a1 * a + a0) % p).all()
 
 
 def test_build_field_rejects_nonprime():

@@ -47,7 +47,7 @@ def test_dist_value_equal_at_rank_one_for_p2_sym():
 def operator_row(field, r, r_max=8):
     """Row r of the transition operator, read through the kernel: the law
     after one step from rank r, with the mass sent past r_max appended."""
-    moved = rd.apply(rd.point_mass(field, r, r_max))
+    moved = rd.apply(rd.RankDistribution(field, np.eye(r_max + 1)[r]))
     return np.append(moved.probs, moved.tail_bound)
 
 
@@ -123,7 +123,7 @@ def test_stationarity_l1():
 
 def test_apply_point_mass():
     field = build_field(2, Flavor.SYMPLECTIC)
-    moved = rd.apply(rd.point_mass(field, 0, 8))
+    moved = rd.apply(rd.RankDistribution(field, np.eye(9)[0]))
     assert moved.probs[0] == 0.5
     assert moved.probs[1] == 0.5
     assert moved.probs[2:].sum() == 0
@@ -136,7 +136,7 @@ def test_apply_preserves_mass():
     probs /= probs.sum()
     dist = rd.RankDistribution(field=field, probs=probs)
     moved = rd.apply(dist)
-    assert moved.total_mass() + moved.tail_bound == pytest.approx(1.0, abs=1e-12)
+    assert moved.probs.sum() + moved.tail_bound == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(derandomize=True, deadline=None)
@@ -164,31 +164,31 @@ def test_operator_rows_and_stationarity_over_domain(p, flavor, r_max):
     assert np.abs(rd.apply(dist).probs - dist.probs).sum() < 1e-10
 
 
-def test_power_iterate_k0_is_identity():
-    field = build_field(2, Flavor.SYMPLECTIC)
-    start = rd.point_mass(field, 3, 16)
-    final, trace = rd.power_iterate(start, 0)
-    assert trace == []
-    assert np.array_equal(final.probs, start.probs)
+def tv_trace(field, r, k, r_max=64):
+    """Total-variation distance to the stationary law after each of k
+    operator steps from rank r, truncated at r_max."""
+    target = rd.stationary_distribution(field, r_max).probs
+    dist = rd.RankDistribution(field, np.eye(r_max + 1)[r])
+    trace = []
+    for _ in range(k):
+        dist = rd.apply(dist)
+        trace.append(0.5 * float(np.abs(dist.probs - target).sum()))
+    return trace
 
 
-def test_power_iterate_converges_from_zero():
-    field = build_field(2, Flavor.SYMPLECTIC)
-    final, trace = rd.power_iterate(rd.point_mass(field, 0, 64), 60)
-    assert trace[-1] < 1e-6
+def test_apply_converges_from_zero():
+    assert tv_trace(build_field(2, Flavor.SYMPLECTIC), 0, 60)[-1] < 1e-6
 
 
-def test_power_iterate_converges_from_five():
-    field = build_field(3, Flavor.UNITARY)
-    final, trace = rd.power_iterate(rd.point_mass(field, 5, 64), 60)
-    assert trace[-1] < 1e-6
+def test_apply_converges_from_five():
+    assert tv_trace(build_field(3, Flavor.UNITARY), 5, 60)[-1] < 1e-6
 
 
 def test_tv_to_stationary_never_increases():
     for p, flavor in ((2, Flavor.SYMPLECTIC), (3, Flavor.UNITARY)):
         field = build_field(p, flavor)
         for r in range(11):
-            _, trace = rd.power_iterate(rd.point_mass(field, r, 64), 100)
+            trace = tv_trace(field, r, 100)
             for earlier, later in zip(trace, trace[1:]):
                 assert later <= earlier + 1e-15
 
@@ -232,14 +232,15 @@ def test_odd_mass_spot_value():
 def test_odd_mass_matches_series():
     for p, flavor in ALL_PAIRS:
         field = build_field(p, flavor)
-        assert abs(rd.odd_mass(field) - rd.odd_mass_by_series(field, 64)) < 1e-8
+        odd_series = rd.stationary_distribution(field, 64).probs[1::2].sum()
+        assert abs(rd.odd_mass(field) - odd_series) < 1e-8
 
 
 def test_normalization_with_tail():
     for p, flavor in ALL_PAIRS:
         field = build_field(p, flavor)
         dist = rd.stationary_distribution(field, 64)
-        assert abs(dist.total_mass() + dist.tail_bound - 1.0) < 1e-12
+        assert abs(dist.probs.sum() + dist.tail_bound - 1.0) < 1e-12
 
 
 def test_tail_bound_certifies_omitted_mass():
@@ -255,8 +256,8 @@ def test_tail_bound_certifies_omitted_mass():
 # ---------------------------------------------------------------------------
 
 def operator_walk(field, k):
-    """point_mass at 0 followed by k operator applications, as a reference."""
-    dist = rd.point_mass(field, 0, k)
+    """The point mass at rank 0 after k operator applications, as a reference."""
+    dist = rd.RankDistribution(field, np.eye(k + 1)[0])
     for _ in range(k):
         dist = rd.apply(dist)
     return dist
@@ -304,7 +305,7 @@ def test_walk_law_tail_bound_covers_truncated_mass():
         for y in (None, 4.0):
             law = rd.walk_law(field, 2000, y=y)
             assert law.tail_bound > 0
-            assert law.total_mass() + law.tail_bound == pytest.approx(1.0, abs=1e-12)
+            assert law.probs.sum() + law.tail_bound == pytest.approx(1.0, abs=1e-12)
             # only the live prefix carries mass; everything past it was dropped
             top = int(np.nonzero(law.probs)[0][-1])
             assert top < 400  # of the 2001 ranks a 2000-step walk could reach

@@ -34,7 +34,7 @@ def test_cross_format_round_trip():
 
 def test_round_trip_with_awkward_strings():
     rng = random.Random(2718)
-    alphabet = string.ascii_letters + string.digits + ',;"\' =|#'
+    alphabet = string.ascii_letters + string.digits + ',;"\' =|#\n\ré'
     for _ in range(50):
         rec = OutputRecord(
             command="".join(rng.choice(alphabet) for _ in range(8)),

@@ -9,14 +9,13 @@ from twistrank import rankdist as rd
 from twistrank.gf import Flavor, build_field
 from twistrank.twistsim import (
     CapExceeded,
+    FanLadder,
     ShiftMode,
     SimConfig,
     build_place_model,
-    fan_ladder,
     micro_transition_law,
     simulate,
     strata_cardinality,
-    strata_cardinality_ratio,
 )
 
 SIX_PAIRS = [(p, flavor) for p in (2, 3, 5, 7, 11, 13) for flavor in Flavor]
@@ -28,29 +27,27 @@ SIX_PAIRS = [(p, flavor) for p in (2, 3, 5, 7, 11, 13) for flavor in Flavor]
 
 def test_place_model_density_one():
     model = build_place_model(10, 1.0, seed=1)
-    assert [place for place in model.places()] == [
-        (2, "P1"), (3, "P1"), (5, "P1"), (7, "P1")
-    ]
+    assert model.norms.tolist() == [2, 3, 5, 7]
+    assert model.labels.tolist() == [2, 2, 2, 2]  # all P1
 
 
 def test_place_model_counts_primes():
     model = build_place_model(100, 0.5, seed=1)
-    assert len(model) == 25
+    assert len(model.norms) == 25
     assert model.norms[0] == 2 and model.norms[-1] == 97
     assert np.all(np.diff(model.norms) > 0)
 
 
 def test_place_model_bad_segment():
     model = build_place_model(30, 1.0, seed=3, n_bad=2)
-    labels = [lab for _, lab in model.places()]
-    assert labels[:2] == ["B", "B"]
-    assert all(lab == "P1" for lab in labels[2:])
+    assert model.labels[:2].tolist() == [0, 0]  # B
+    assert (model.labels[2:] == 2).all()  # P1
 
 
 def test_place_model_p1_fraction_three_sigma():
     density = 0.25
     model = build_place_model(1_400_000, density, seed=7)
-    n = len(model)
+    n = len(model.norms)
     assert n >= 100_000
     frac = (model.labels == 2).mean()
     sigma = math.sqrt(density * (1 - density) / n)
@@ -71,15 +68,15 @@ def test_place_model_validation():
 # ---------------------------------------------------------------------------
 
 def test_ladder_first_levels():
-    ladder = fan_ladder(2.0)
-    assert ladder.level(1, 10) == pytest.approx(100.0, rel=1e-12)
+    first, second = FanLadder(2.0).levels(10, 2)
+    assert first == pytest.approx(100.0, rel=1e-12)
     # L_2(10) = max(L(100), 10*100) = max(10^4, 10^3)
-    assert ladder.level(2, 10) == pytest.approx(10_000.0, rel=1e-12)
+    assert second == pytest.approx(10_000.0, rel=1e-12)
 
 
 def test_ladder_recursion_lower_bound():
     for exponent in (1.0, 2.0, 3.5):
-        ladder = fan_ladder(exponent)
+        ladder = FanLadder(exponent)
         for x in (2.0, 10.0, 100.0):
             levels = ladder.levels(x, 6)
             for i in range(5):
@@ -87,7 +84,7 @@ def test_ladder_recursion_lower_bound():
 
 
 def test_ladder_saturates_to_inf():
-    ladder = fan_ladder(2.0)
+    ladder = FanLadder(2.0)
     levels = ladder.levels(1e10, 40)
     assert levels[-1] == math.inf
     assert all(a <= b or b == math.inf for a, b in zip(levels, levels[1:]))
@@ -96,13 +93,13 @@ def test_ladder_saturates_to_inf():
 def test_ladder_rejects_bad_x():
     for x in (math.nan, math.inf, 0.5):
         with pytest.raises(ValueError, match="x must be finite and >= 1"):
-            fan_ladder(2.0).levels(x, 3)
+            FanLadder(2.0).levels(x, 3)
 
 
 def test_ladder_rejects_bad_exponent():
     for exponent in (0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="exponent must be finite and >= 1"):
-            fan_ladder(exponent)
+            FanLadder(exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -344,15 +341,14 @@ def brute_force_strata(model, ladder, k, x):
 
 def test_strata_k0_is_one_over_d1():
     model = build_place_model(200, 1.0, seed=0)
-    ladder = fan_ladder(2.0)
-    ratio = strata_cardinality_ratio(model, ladder, 0, 10.0)
+    ladder = FanLadder(2.0)
     d1 = strata_cardinality(model, ladder, 1, 10.0)
+    assert strata_cardinality(model, ladder, 0, 10.0) == 1
     assert d1 == len([n for n in model.p1_norms() if n < 100])
-    assert ratio == 1.0 / d1
 
 
 def test_strata_matches_explicit_enumeration_small_universe():
-    ladder = fan_ladder(2.0)
+    ladder = FanLadder(2.0)
     model = build_place_model(300, 1.0, seed=0)
     for k in (1, 2, 3):
         fast = strata_cardinality(model, ladder, k, 4.0)
@@ -361,17 +357,16 @@ def test_strata_matches_explicit_enumeration_small_universe():
 
 
 def test_strata_ratio_matches_explicit_enumeration_x10():
-    ladder = fan_ladder(2.0)
+    ladder = FanLadder(2.0)
     model = build_place_model(10_000, 1.0, seed=0)
     d1 = brute_force_strata(model, ladder, 1, 10.0)
     d2 = brute_force_strata(model, ladder, 2, 10.0)
     assert strata_cardinality(model, ladder, 1, 10.0) == d1
     assert strata_cardinality(model, ladder, 2, 10.0) == d2
-    assert strata_cardinality_ratio(model, ladder, 1, 10.0) == d1 / d2
 
 
 def test_strata_enumeration_with_partial_density():
-    ladder = fan_ladder(2.0)
+    ladder = FanLadder(2.0)
     model = build_place_model(5_000, 0.6, seed=12)
     assert strata_cardinality(model, ladder, 2, 8.0) == brute_force_strata(
         model, ladder, 2, 8.0
@@ -379,10 +374,10 @@ def test_strata_enumeration_with_partial_density():
 
 
 def test_strata_ratio_decreases_under_doubling():
-    ladder = fan_ladder(2.0)
+    ladder = FanLadder(2.0)
     model = build_place_model(110_000, 1.0, seed=0)
     ratios = [
-        strata_cardinality_ratio(model, ladder, 0, x)
+        strata_cardinality(model, ladder, 0, x) / strata_cardinality(model, ladder, 1, x)
         for x in (10.0, 20.0, 40.0, 80.0, 160.0, 320.0)
     ]
     for a, b in zip(ratios, ratios[1:]):
@@ -391,7 +386,7 @@ def test_strata_ratio_decreases_under_doubling():
 
 def test_strata_cap_guard():
     model = build_place_model(10_000, 1.0, seed=0)
-    ladder = fan_ladder(2.0)
+    ladder = FanLadder(2.0)
     with pytest.raises(CapExceeded):
         strata_cardinality(model, ladder, 3, 50.0, cap=1000)
 
@@ -400,14 +395,7 @@ def test_strata_rejects_cap_beyond_int64():
     # the DP counts in int64, so a cap of 2^63 or more cannot guard it
     model = build_place_model(2000, 1.0, seed=0)
     with pytest.raises(ValueError, match="2\\^63"):
-        strata_cardinality(model, fan_ladder(1.0), 15, 2000.0, cap=10**40)
+        strata_cardinality(model, FanLadder(1.0), 15, 2000.0, cap=10**40)
     with pytest.raises(ValueError, match="2\\^63"):
-        strata_cardinality(model, fan_ladder(1.0), 1, 2000.0, cap=2**63)
-    assert strata_cardinality(model, fan_ladder(1.0), 1, 2000.0, cap=2**63 - 1) == 303
-
-
-def test_strata_empty_denominator_raises():
-    model = build_place_model(10, 1.0, seed=0)
-    ladder = fan_ladder(1.0)
-    with pytest.raises(ValueError):
-        strata_cardinality_ratio(model, ladder, 3, 1.0)
+        strata_cardinality(model, FanLadder(1.0), 1, 2000.0, cap=2**63)
+    assert strata_cardinality(model, FanLadder(1.0), 1, 2000.0, cap=2**63 - 1) == 303
