@@ -54,7 +54,7 @@ def rank_zero_density_bound(field: FieldParams) -> float:
 def avg_rank_bound(field: FieldParams, deg_k: int) -> float:
     """Average-rank bound [K:Q] * sum_{i>=0} 1/(1 + q^(i+eps))."""
     if deg_k < 1:
-        raise ValueError("the field degree must be >= 1")
+        raise ValueError(f"deg_k must be >= 1, got {deg_k}")
     return deg_k * rankdist.expected_rank(field)
 
 

@@ -8,6 +8,7 @@ line are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import sys
 from decimal import ROUND_DOWN, Decimal
@@ -45,7 +46,10 @@ def _parse_prime(text: str) -> int:
 
 
 def _parse_prime_list(text: str) -> list[int]:
-    return [_parse_prime(tok) for tok in text.split(",") if tok.strip()]
+    primes = [_parse_prime(tok) for tok in text.split(",") if tok.strip()]
+    if not primes:
+        raise ValueError("no primes given")
+    return primes
 
 
 def _parse_y(text: str) -> float | None:
@@ -180,18 +184,49 @@ def cmd_ladder(x: float, exponent: float, depth: int, k: int | None = None,
     return OutputRecord(command="ladder", params=params, rows=rows)
 
 
-# per simulate field: its parser, its default, and what a valid value is
-SIM_CONFIG_FIELDS = {
-    "p": (_parse_prime, "2", "a prime"),
-    "flavor": (Flavor.parse, "sym", "'sym' or 'uni'"),
-    "n": (int, "1", "an integer"),
-    "k": (int, "0", "an integer"),
-    "samples": (int, "10000", "an integer"),
-    "seed": (int, "0", "an integer"),
-    "shift": (ShiftMode.parse, "notfd:0", "'fd' or 'notfd:<r>' with r >= 0"),
-    "y": (_parse_y, "exact", "a positive finite number or 'exact'"),
-    "threads": (int, "1", "an integer"),
+def _simulate(p, flavor, n, k, samples, seed, shift, y, threads) -> OutputRecord:
+    return cmd_simulate(SimConfig(build_field(p, flavor), n, k, samples, seed, shift, y,
+                                  threads=threads))
+
+
+# each parser with what a valid value is
+PRIME = (_parse_prime, "a prime")
+PRIMES = (_parse_prime_list, "a comma-separated list of primes")
+FLAVOR = (Flavor.parse, "'sym' or 'uni'")
+INT = (int, "an integer")
+NUMBER = (float, "a number")
+SHIFT = (ShiftMode.parse, "'fd' or 'notfd:<r>' with r >= 0")
+Y = (_parse_y, "a positive finite number or 'exact'")
+
+REQUIRED = object()
+
+# per command: its function, its help, and per flag its parser and default
+# (REQUIRED, None for absent, or the text of the value); the flags are in the
+# order of the function's parameters
+COMMANDS = {
+    "table": (cmd_table, "the rank-0/odd/mean grid per prime and flavor",
+              {"p": (PRIMES, ",".join(str(p) for p in TABLE_PRIMES))}),
+    "dist": (cmd_dist, "tabulate the rank distribution",
+             {"p": (PRIME, REQUIRED), "flavor": (FLAVOR, REQUIRED), "rmax": (INT, "10")}),
+    "moments": (cmd_moments, "moments and odd mass of the distribution",
+                {"p": (PRIME, REQUIRED), "flavor": (FLAVOR, REQUIRED)}),
+    "bounds": (cmd_bounds, "density and rank-growth bounds",
+               {"p": (PRIME, REQUIRED), "degK": (INT, "1")}),
+    # simulate's flags are also the keys of its config document
+    "simulate": (_simulate, "run the twisting rank-walk simulator", {
+        "p": (PRIME, "2"), "flavor": (FLAVOR, "sym"), "n": (INT, "1"), "k": (INT, "0"),
+        "samples": (INT, "10000"), "seed": (INT, "0"), "shift": (SHIFT, "notfd:0"),
+        "y": (Y, "exact"), "threads": (INT, "1"),
+    }),
+    "isotropic": (cmd_isotropic, "list the isotropic lines of the local plane",
+                  {"p": (PRIME, REQUIRED), "flavor": (FLAVOR, REQUIRED), "n": (INT, "1")}),
+    "ladder": (cmd_ladder, "norm-threshold ladder and stratum counts", {
+        "x": (NUMBER, REQUIRED), "exponent": (NUMBER, "2.0"), "depth": (INT, "5"),
+        "k": (INT, None), "density": (NUMBER, "1.0"), "seed": (INT, "0"),
+        "cap": (INT, str(10**15)), "sieve-cap": (INT, str(DEFAULT_SIEVE_CAP)),
+    }),
 }
+SIM_CONFIG_FIELDS = COMMANDS["simulate"][2]
 
 
 def load_sim_config(path: str) -> dict[str, tuple[str, int]]:
@@ -201,7 +236,7 @@ def load_sim_config(path: str) -> dict[str, tuple[str, int]]:
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -217,31 +252,41 @@ def load_sim_config(path: str) -> dict[str, tuple[str, int]]:
             )
         if not value:
             raise ConfigError(f"{path}:{lineno}: field {key!r} has no value")
+        if key in options:
+            raise ConfigError(f"{path}:{lineno}: field {key!r} repeats line {options[key][1]}")
         options[key] = (value, lineno)
     return options
 
 
-def _build_sim_config(args) -> SimConfig:
-    """Each field comes from its flag, else the config, else its default; a
-    value that does not parse is reported with the flag or file:line it
-    came from."""
-    options = load_sim_config(args.config) if args.config else {}
-    values = {}
-    for key, (parse, default, expected) in SIM_CONFIG_FIELDS.items():
-        if getattr(args, key) is not None:
-            text, where = str(getattr(args, key)), f"--{key}"
-        elif key in options:
-            text, lineno = options[key]
-            where = f"{args.config}:{lineno}: field {key!r}"
-        else:
-            text, where = default, f"default {key}"
+def run_command(args) -> OutputRecord:
+    """Take each value from its flag, else the config (simulate only), else
+    its default, parse it and call the command. A value that does not parse,
+    and a range error whose message starts with the name of a flag or of its
+    parameter, is reported with the flag or file:line it came from."""
+    func, _, fields = COMMANDS[args.cmd]
+    path = getattr(args, "config", None)
+    options = load_sim_config(path) if path else {}
+    values, sources = [], {}
+    params = inspect.signature(func).parameters
+    for (flag, ((parse, expected), default)), name in zip(fields.items(), params, strict=True):
+        text, where = vars(args)[flag], f"--{flag}"
+        if text is None and flag in options:
+            text, lineno = options[flag]
+            where = f"{path}:{lineno}: field {flag!r}"
+        elif text is None:
+            text = default
+        sources[flag] = sources[name] = where
         try:
-            values[key] = parse(text)
+            values.append(None if text is None else parse(text))
         except ValueError:
-            raise ConfigError(f"{where} must be {expected}, got {text!r}") from None
-    field = build_field(values.pop("p"), values.pop("flavor"))
-    return SimConfig(field=field, shift_mode=values.pop("shift"),
-                     chebotarev_y=values.pop("y"), **values)
+            raise ValueError(f"{where} must be {expected}, got {text!r}") from None
+    try:
+        return func(*values)
+    except ValueError as exc:
+        name, _, rest = str(exc).partition(" ")
+        if name not in sources:
+            raise
+        raise ValueError(f"{sources[name]} {rest}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,78 +300,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", metavar="PATH", default=None,
                         help="write output to PATH instead of stdout")
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    sp = sub.add_parser("table", help="the rank-0/odd/mean grid per prime and flavor")
-    sp.add_argument("--p", default=",".join(str(p) for p in TABLE_PRIMES),
-                    help="comma-separated primes (default: 2,3,5,7,11,13)")
-
-    sp = sub.add_parser("dist", help="tabulate the rank distribution")
-    sp.add_argument("--p", required=True)
-    sp.add_argument("--flavor", required=True)
-    sp.add_argument("--rmax", type=int, default=10)
-
-    sp = sub.add_parser("moments", help="moments and odd mass of the distribution")
-    sp.add_argument("--p", required=True)
-    sp.add_argument("--flavor", required=True)
-
-    sp = sub.add_parser("bounds", help="density and rank-growth bounds")
-    sp.add_argument("--p", required=True)
-    sp.add_argument("--degK", type=int, default=1)
-
-    sp = sub.add_parser("simulate", help="run the twisting rank-walk simulator")
-    sp.add_argument("config", nargs="?", default=None,
-                    help="flat key=value config document")
-    sp.add_argument("--p", default=None)
-    sp.add_argument("--flavor", default=None)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--shift", default=None, help="notfd:<r> or fd")
-    sp.add_argument("--y", default=None, help="positive float or 'exact'")
-    sp.add_argument("--threads", type=int, default=None)
-
-    sp = sub.add_parser("isotropic", help="list the isotropic lines of the local plane")
-    sp.add_argument("--p", required=True)
-    sp.add_argument("--flavor", required=True)
-    sp.add_argument("--n", type=int, default=1)
-
-    sp = sub.add_parser("ladder", help="norm-threshold ladder and stratum counts")
-    sp.add_argument("--x", type=float, required=True)
-    sp.add_argument("--exponent", type=float, default=2.0)
-    sp.add_argument("--depth", type=int, default=5)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--density", type=float, default=1.0)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--cap", type=int, default=10**15)
-    sp.add_argument("--sieve-cap", type=int, default=DEFAULT_SIEVE_CAP)
+    for cmd, (_, help_text, fields) in COMMANDS.items():
+        sp = sub.add_parser(cmd, help=help_text)
+        if cmd == "simulate":
+            sp.add_argument("config", nargs="?", help="flat key=value config document")
+        for flag, ((_, expected), default) in fields.items():
+            if default not in (REQUIRED, None):
+                expected += f" (default: {default})"
+            sp.add_argument(f"--{flag}", dest=flag, required=default is REQUIRED,
+                            help=expected)
     return parser
 
 
-def _dispatch(args) -> OutputRecord:
-    if args.cmd == "table":
-        return cmd_table(_parse_prime_list(args.p))
-    if args.cmd == "dist":
-        return cmd_dist(_parse_prime(args.p), Flavor.parse(args.flavor), args.rmax)
-    if args.cmd == "moments":
-        return cmd_moments(_parse_prime(args.p), Flavor.parse(args.flavor))
-    if args.cmd == "bounds":
-        return cmd_bounds(_parse_prime(args.p), args.degK)
-    if args.cmd == "simulate":
-        return cmd_simulate(_build_sim_config(args))
-    if args.cmd == "isotropic":
-        return cmd_isotropic(_parse_prime(args.p), Flavor.parse(args.flavor), args.n)
-    if args.cmd == "ladder":
-        return cmd_ladder(args.x, args.exponent, args.depth, args.k,
-                          args.density, args.seed, args.cap, args.sieve_cap)
-    raise ValueError(f"unknown command {args.cmd!r}")
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        record = _dispatch(args)
+        record = run_command(args)
     except (ValueError, ArithmeticError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -255,12 +255,12 @@ MAX_FIBER_DIGITS = 4300
 def fiber_size(p: int, n: int) -> int:
     """Number of order-p^n totally ramified characters mapping to one line."""
     if n < 1:
-        raise ValueError(f"character order exponent n must be >= 1, got {n}")
+        raise ValueError(f"n must be >= 1, got {n}")
     # the largest n whose fiber size has at most MAX_FIBER_DIGITS digits,
     # found without building the power
     bound = math.ceil((MAX_FIBER_DIGITS - math.log10(p - 1)) / (2 * math.log10(p)))
     if n > bound:
-        raise ValueError(f"character order exponent n = {n} is too large for p = {p}: "
+        raise ValueError(f"n = {n} is too large for p = {p}: "
                          f"the fiber size p^(2n-2)(p-1) would exceed {MAX_FIBER_DIGITS} "
                          f"digits (n <= {bound})")
     return p ** (2 * n - 2) * (p - 1)

@@ -94,21 +94,23 @@ def primes_up_to(x: int) -> np.ndarray:
     return np.nonzero(sieve)[0].astype(np.int64)
 
 
-def build_place_model(x: float, p1_density: float, seed: int, n_bad: int = 0) -> PlaceModel:
+def build_place_model(x: float, density: float, seed: int, n_bad: int = 0) -> PlaceModel:
     """Places with norms the rational primes <= x; non-B places are P1
-    with probability p1_density under the seeded generator."""
+    with probability density under the seeded generator."""
     if x < 2:
-        raise ValueError("x must be at least 2")
-    if not 0 < p1_density <= 1:
-        raise ValueError("p1_density must lie in (0, 1]")
+        raise ValueError(f"the place model needs x >= 2, got {x}")
+    if not 0 < density <= 1:
+        raise ValueError("density must lie in (0, 1]")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     if n_bad < 0:
         raise ValueError("n_bad must be non-negative")
     norms = primes_up_to(int(x))
     labels = np.zeros(len(norms), dtype=np.int8)
     rng = np.random.default_rng(seed)
     coins = rng.random(len(norms))
-    labels[coins < p1_density] = 2
-    labels[coins >= p1_density] = 1
+    labels[coins < density] = 2
+    labels[coins >= density] = 1
     labels[:n_bad] = 0
     return PlaceModel(norms=norms, labels=labels)
 
@@ -126,7 +128,7 @@ class FanLadder:
 
     def __post_init__(self):
         if not (math.isfinite(self.stand_in_exponent) and self.stand_in_exponent >= 1):
-            raise ValueError(f"ladder exponent must be finite and >= 1, "
+            raise ValueError(f"exponent must be finite and >= 1, "
                              f"got {self.stand_in_exponent!r}")
 
     def _base(self, y: float) -> float:
@@ -210,6 +212,8 @@ class SimConfig:
             raise ValueError("k must be non-negative")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.chebotarev_y is not None and not (
                 math.isfinite(self.chebotarev_y) and self.chebotarev_y > 0):
             raise ValueError("chebotarev_y must be positive and finite")

@@ -3,14 +3,24 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twistrank import rankdist as rd
-from twistrank.cli import cmd_isotropic, load_sim_config, main
+from twistrank.cli import (
+    COMMANDS,
+    SIM_CONFIG_FIELDS,
+    ConfigError,
+    cmd_isotropic,
+    load_sim_config,
+    main,
+)
 from twistrank.gf import Flavor, build_field
 from twistrank.records import OutputRecord
 from twistrank.spaces import evaluate_form, hyperbolic_plane
 
 DATA_DIR = Path(__file__).parent / "data"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run_cli(*argv):
@@ -33,6 +43,13 @@ def test_table_rejects_composite_prime():
     assert code == 1
     assert out == ""
     assert "prime" in err
+
+
+@pytest.mark.parametrize("primes", ["", ","])
+def test_table_rejects_empty_prime_list(primes):
+    code, out, err = run_cli("table", "--p", primes)
+    assert (code, out, err) == (
+        1, "", f"error: --p must be a comma-separated list of primes, got {primes!r}\n")
 
 
 def test_dist_values_non_increasing_with_exact_ratio():
@@ -296,12 +313,151 @@ def test_load_sim_config_reports_field_values(tmp_path):
      "--flavor must be 'sym' or 'uni', got 'orthogonal'"),
     ("shift = fd", ("--shift", "up:2"),
      "--shift must be 'fd' or 'notfd:<r>' with r >= 0, got 'up:2'"),
-], ids=["k", "y", "p", "flavor", "shift", "flag-p", "flag-flavor", "flag-shift"])
+    # range errors found after parsing name their source too
+    ("k = -3", (), "{cfg}:3: field 'k' must be non-negative"),
+    ("p = 65537", (), "{cfg}:3: field 'p' = 65537 exceeds the supported range (p <= 32768)"),
+    ("seed = -1", (), "{cfg}:3: field 'seed' must be non-negative"),
+    ("threads = 2", ("--threads", "0"), "--threads must be >= 1"),
+    ("samples = 9", ("--samples", "0"), "--samples must be >= 1"),
+    ("seed = 3", ("--seed", "-1"), "--seed must be non-negative"),
+], ids=["k", "y", "p", "flavor", "shift", "flag-p", "flag-flavor", "flag-shift",
+        "range-k", "range-p", "range-seed", "range-flag-threads", "range-flag-samples",
+        "range-flag-seed"])
 def test_simulate_value_error_names_its_source(tmp_path, line, argv, message):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"# header\nk = 2\n{line}\n")
+    cfg.write_text(f"# header\nn = 2\n{line}\n")
     code, out, err = run_cli("simulate", str(cfg), *argv)
     assert (code, out, err) == (1, "", f"error: {message.format(cfg=cfg)}\n")
+
+
+def test_config_repeated_key_names_both_lines(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p = 2\nk = 1\np = 3\n")
+    with pytest.raises(ConfigError, match="field 'p' repeats line 1"):
+        load_sim_config(str(cfg))
+    assert run_cli("simulate", str(cfg)) == (
+        1, "", f"error: {cfg}:3: field 'p' repeats line 1\n")
+
+
+def test_config_not_utf8_names_its_path(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"p = 2\nflavor = \xff\n")
+    code, out, err = run_cli("simulate", str(cfg))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read config {str(cfg)!r}: ")
+    assert err.count("\n") == 1
+
+
+CONFIG_LINE = st.tuples(
+    st.sampled_from(["", " ", "#"]),
+    st.sampled_from([*SIM_CONFIG_FIELDS, "walkers", ""]),
+    st.sampled_from(["=", " = ", " ", "=="]),
+    st.text(max_size=8),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+).map("".join)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.one_of(st.binary(max_size=64),
+                 st.lists(CONFIG_LINE, max_size=6).map(lambda lines: "".join(lines).encode())))
+@example(b"\xff")
+@example(b"p = 2\r\nk = 3 # depth\rseed=4")
+def test_load_sim_config_fuzz(tmp_path_factory, document):
+    """Any document gives known keys with non-empty values on their own
+    lines, or a ConfigError; nothing else escapes."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_bytes(document)
+    try:
+        options = load_sim_config(str(path))
+    except ConfigError:
+        return
+    lines = document.decode().replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for key, (value, lineno) in options.items():
+        assert key in SIM_CONFIG_FIELDS
+        assert value and value == value.strip()
+        assert 1 <= lineno <= len(lines)
+        line = lines[lineno - 1].split("#", 1)[0]
+        assert line.split("=", 1)[0].strip() == key
+        assert line.split("=", 1)[1].strip() == value
+
+
+# one bad value per flag of every command: (command, flag, value, what a valid value is)
+BAD_FLAG_VALUES = [
+    ("table", "p", "x", "a comma-separated list of primes"),
+    ("dist", "p", "abc", "a prime"),
+    ("dist", "flavor", "orthogonal", "'sym' or 'uni'"),
+    ("dist", "rmax", "x", "an integer"),
+    ("moments", "p", "4", "a prime"),
+    ("moments", "flavor", "x", "'sym' or 'uni'"),
+    ("bounds", "p", "1.5", "a prime"),
+    ("bounds", "degK", "x", "an integer"),
+    ("simulate", "p", "x", "a prime"),
+    ("simulate", "flavor", "x", "'sym' or 'uni'"),
+    ("simulate", "n", "x", "an integer"),
+    ("simulate", "k", "2.5", "an integer"),
+    ("simulate", "samples", "1e4", "an integer"),
+    ("simulate", "seed", "x", "an integer"),
+    ("simulate", "shift", "x", "'fd' or 'notfd:<r>' with r >= 0"),
+    ("simulate", "y", "x", "a positive finite number or 'exact'"),
+    ("simulate", "threads", "x", "an integer"),
+    ("isotropic", "p", "x", "a prime"),
+    ("isotropic", "flavor", "x", "'sym' or 'uni'"),
+    ("isotropic", "n", "x", "an integer"),
+    ("ladder", "x", "abc", "a number"),
+    ("ladder", "exponent", "x", "a number"),
+    ("ladder", "depth", "x", "an integer"),
+    ("ladder", "k", "x", "an integer"),
+    ("ladder", "density", "x", "a number"),
+    ("ladder", "seed", "1.5", "an integer"),
+    ("ladder", "cap", "1e15", "an integer"),
+    ("ladder", "sieve-cap", "x", "an integer"),
+]
+VALID_REQUIRED = {"dist": ("--p", "2", "--flavor", "sym"),
+                  "moments": ("--p", "2", "--flavor", "sym"), "bounds": ("--p", "2"),
+                  "isotropic": ("--p", "2", "--flavor", "sym"), "ladder": ("--x", "10")}
+
+
+@pytest.mark.parametrize("cmd,flag,value,expected", BAD_FLAG_VALUES,
+                         ids=[f"{cmd}--{flag}" for cmd, flag, *_ in BAD_FLAG_VALUES])
+def test_bad_flag_value_names_the_flag(cmd, flag, value, expected):
+    # a repeated flag takes its last value, so the bad one overrides a valid one
+    argv = (cmd, *VALID_REQUIRED.get(cmd, ()), f"--{flag}", value)
+    assert run_cli(*argv) == (1, "", f"error: --{flag} must be {expected}, got {value!r}\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("table", "--p", "2,65537"), "--p = 65537 exceeds the supported range (p <= 32768)"),
+    (("dist", "--p", "2", "--flavor", "sym", "--rmax", "-1"), "--rmax must be non-negative"),
+    (("bounds", "--p", "3", "--degK", "0"), "--degK must be >= 1, got 0"),
+    (("isotropic", "--p", "3", "--flavor", "uni", "--n", "0"), "--n must be >= 1, got 0"),
+    (("ladder", "--x", "10", "--depth", "0"), "--depth must be >= 1"),
+    (("ladder", "--x", "10", "--exponent", "0.5"), "--exponent must be finite and >= 1, got 0.5"),
+    (("ladder", "--x", "10", "--k", "1", "--density", "2"), "--density must lie in (0, 1]"),
+    (("ladder", "--x", "10", "--k", "1", "--seed", "-1"), "--seed must be non-negative"),
+], ids=["table-p", "dist-rmax", "bounds-degK", "isotropic-n", "ladder-depth",
+        "ladder-exponent", "ladder-density", "ladder-seed"])
+def test_range_error_names_the_flag(argv, message):
+    assert run_cli(*argv) == (1, "", f"error: {message}\n")
+
+
+def test_bad_flag_values_cover_every_flag():
+    declared = {(cmd, flag) for cmd, (_, _, fields) in COMMANDS.items() for flag in fields}
+    assert {(cmd, flag) for cmd, flag, *_ in BAD_FLAG_VALUES} == declared
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    blocks = README.read_text(encoding="utf-8").split("```")[1::2]
+    config = next(block for block in blocks if block.lstrip().startswith("# run.cfg"))
+    (tmp_path / "run.cfg").write_text(config)
+    monkeypatch.chdir(tmp_path)
+    examples = [line.split(" #", 1)[0].split()[1:]
+                for block in blocks for line in block.splitlines()
+                if line.startswith("twistrank ")]
+    assert len(examples) == 9
+    for argv in examples:
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (0, ""), argv
+        assert out.startswith(f"# command: {argv[0]}")
 
 
 def test_simulate_bad_shift_spec():
@@ -339,7 +495,7 @@ def test_ladder_rejects_cap_beyond_int64():
 @pytest.mark.parametrize("argv,message", [
     (("--x", "nan"), "x must be finite and >= 1, got nan"),
     (("--x", "inf"), "x must be finite and >= 1, got inf"),
-    (("--x", "10", "--exponent", "nan"), "ladder exponent must be finite and >= 1, got nan"),
+    (("--x", "10", "--exponent", "nan"), "--exponent must be finite and >= 1, got nan"),
     (("--x", "10", "--k", "-1"), "k must be non-negative, got -1"),
     (("--x", "1.5", "--exponent", "1", "--depth", "2", "--k", "1"),
      "stratum k=2 is empty at x=1.5"),

@@ -61,6 +61,8 @@ def test_place_model_validation():
         build_place_model(10, 0.0, seed=0)
     with pytest.raises(ValueError):
         build_place_model(10, 1.5, seed=0)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        build_place_model(10, 1.0, seed=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +304,8 @@ def test_sim_config_validation():
         SimConfig(field=field, samples=0)
     with pytest.raises(ValueError):
         SimConfig(field=field, k=-1)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        SimConfig(field=field, seed=-1)
     with pytest.raises(ValueError):
         SimConfig(field=field, chebotarev_y=0.0)
     with pytest.raises(ValueError):
