@@ -22,8 +22,6 @@ from .twistsim import CapExceeded, ShiftMode, SimConfig
 
 TABLE_PRIMES = (2, 3, 5, 7, 11, 13)
 
-DEFAULT_SIEVE_CAP = 50_000_000
-
 
 class ConfigError(ValueError):
     """Malformed simulation config document."""
@@ -61,7 +59,7 @@ def _parse_y(text: str) -> float | None:
     return y
 
 
-def cmd_table(p_list) -> OutputRecord:
+def cmd_table(p_list) -> list[tuple[str, str]]:
     """The grid of rank-0 mass, odd mass, and mean rank per prime and flavor."""
     rows = []
     for p in p_list:
@@ -73,41 +71,35 @@ def cmd_table(p_list) -> OutputRecord:
             for flavor in (Flavor.SYMPLECTIC, Flavor.UNITARY):
                 field = build_field(p, flavor)
                 rows.append((f"{stat} {flavor.value} p={p}", fmt_trunc4(func(field))))
-    params = {"p": ",".join(str(p) for p in p_list)}
-    return OutputRecord(command="table", params=params, rows=rows)
+    return rows
 
 
-def cmd_dist(p: int, flavor: Flavor, r_max: int) -> OutputRecord:
+def cmd_dist(p: int, flavor: Flavor, r_max: int) -> list[tuple[str, str]]:
     dist = rankdist.stationary_distribution(build_field(p, flavor), r_max)
-    rows = [(f"D({r})", fmt(value)) for r, value in enumerate(dist.probs)]
-    params = {"p": str(p), "flavor": flavor.value, "rmax": str(r_max)}
-    return OutputRecord(command="dist", params=params, rows=rows)
+    return [(f"D({r})", fmt(value)) for r, value in enumerate(dist.probs)]
 
 
-def cmd_moments(p: int, flavor: Flavor) -> OutputRecord:
+def cmd_moments(p: int, flavor: Flavor) -> list[tuple[str, str]]:
     field = build_field(p, flavor)
-    rows = [
+    return [
         ("expected_rank", fmt(rankdist.expected_rank(field))),
         ("qr_moment_formula", fmt(rankdist.qr_moment(field))),
         ("qr_moment_series", fmt(rankdist.qr_moment_by_series(field))),
         ("odd_mass", fmt(rankdist.odd_mass(field))),
         ("beta", fmt(rankdist.beta(field))),
     ]
-    params = {"p": str(p), "flavor": flavor.value}
-    return OutputRecord(command="moments", params=params, rows=rows)
 
 
-def cmd_bounds(p: int, deg_k: int = 1) -> OutputRecord:
+def cmd_bounds(p: int, deg_k: int) -> list[tuple[str, str]]:
     rows = []
     for report in bounds_mod.reports(p, deg_k):
         label = f"{report.name}[{report.flavor.value}]"
         rows.append((label, fmt(report.value)))
         rows.append((label + ".formula", report.formula))
-    params = {"p": str(p), "degK": str(deg_k)}
-    return OutputRecord(command="bounds", params=params, rows=rows)
+    return rows
 
 
-def cmd_isotropic(p: int, flavor: Flavor, n: int) -> OutputRecord:
+def cmd_isotropic(p: int, flavor: Flavor, n: int) -> list[tuple[str, str]]:
     field = build_field(p, flavor)
     plane = build_local_plane(field)
 
@@ -120,27 +112,15 @@ def cmd_isotropic(p: int, flavor: Flavor, n: int) -> OutputRecord:
         ("unramified", coords(plane.unramified_line)),
     ]
     rows += [(f"ramified[{i}]", coords(line)) for i, line in enumerate(plane.ramified_lines)]
-    params = {"p": str(p), "flavor": flavor.value, "n": str(n)}
-    return OutputRecord(command="isotropic", params=params, rows=rows)
+    return rows
 
 
-def cmd_simulate(config: SimConfig) -> OutputRecord:
+def cmd_simulate(p, flavor, n, k, samples, seed, shift, y, threads) -> list[tuple[str, str]]:
+    config = SimConfig(build_field(p, flavor), n, k, samples, seed, shift, y, threads=threads)
     empirical = twistsim.simulate(config)
-    reference = rankdist.walk_law(config.field, config.k, config.shift_mode.offset,
-                                  config.chebotarev_y)
+    reference = rankdist.walk_law(config.field, k, shift.offset, y)
     tv = empirical.tv_against(reference.probs)
     stat, dof, pvalue = empirical.chi2_against(reference.probs)
-    params = {
-        "p": str(config.field.p),
-        "flavor": config.field.flavor.value,
-        "n": str(config.n),
-        "k": str(config.k),
-        "samples": str(config.samples),
-        "seed": str(config.seed),
-        "shift": str(config.shift_mode),
-        "y": "exact" if config.chebotarev_y is None else fmt(config.chebotarev_y),
-        "threads": str(config.threads),
-    }
     rows = [
         ("tv", fmt(tv)),
         ("chi2", fmt(stat)),
@@ -153,56 +133,49 @@ def cmd_simulate(config: SimConfig) -> OutputRecord:
         rows.append((f"count({r})", str(count)))
         rows.append((f"emp({r})", fmt(e)))
         rows.append((f"ref({r})", fmt(ref)))
-    return OutputRecord(command="simulate", params=params, rows=rows)
+    return rows
 
 
-def cmd_ladder(x: float, exponent: float, depth: int, k: int | None = None,
-               density: float = 1.0, seed: int = 0, cap: int = 10**15,
-               sieve_cap: int = DEFAULT_SIEVE_CAP) -> OutputRecord:
+def cmd_ladder(x: float, exponent: float, depth: int, k: int | None, density: float,
+               seed: int, cap: int, sieve_cap: int) -> list[tuple[str, str]]:
     if k is not None and k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     ladder = twistsim.FanLadder(exponent)
-    levels = ladder.levels(x, depth)
-    params = {"x": fmt(x), "exponent": fmt(exponent), "depth": str(depth)}
-    rows = [(f"L{i + 1}", fmt(level)) for i, level in enumerate(levels)]
-    if k is not None:
-        top = ladder.levels(x, k + 1)[-1]
-        if not top <= sieve_cap:
-            raise CapExceeded(
-                f"stratum k={k + 1} needs places up to {top:.3g}, beyond the "
-                f"sieve cap {sieve_cap}; lower x or k, or raise --sieve-cap"
-            )
-        model = twistsim.build_place_model(top, density, seed)
-        d_k = twistsim.strata_cardinality(model, ladder, k, x, cap)
-        d_k1 = twistsim.strata_cardinality(model, ladder, k + 1, x, cap)
-        params.update({"k": str(k), "density": fmt(density), "seed": str(seed)})
-        rows.append((f"D_{k}", str(d_k)))
-        rows.append((f"D_{k + 1}", str(d_k1)))
-        if d_k1 == 0:
-            raise ValueError(f"stratum k={k + 1} is empty at x={x}; enlarge x")
-        rows.append(("ratio", fmt(d_k / d_k1)))
-    return OutputRecord(command="ladder", params=params, rows=rows)
+    rows = [(f"L{i + 1}", fmt(level)) for i, level in enumerate(ladder.levels(x, depth))]
+    if k is None:
+        return rows
+    if sieve_cap < 2:
+        raise ValueError(f"sieve_cap must be >= 2, got {sieve_cap}")
+    top = ladder.levels(x, k + 1)[-1]
+    if not top <= sieve_cap:
+        raise CapExceeded(
+            f"stratum k={k + 1} needs places up to {top:.3g}, beyond the "
+            f"sieve cap {sieve_cap}; lower x or k, or raise --sieve-cap"
+        )
+    # below 2 there is no place, and every threshold keeps the place 2 out
+    model = twistsim.build_place_model(max(top, 2), density, seed)
+    d_k = twistsim.strata_cardinality(model, ladder, k, x, cap)
+    d_k1 = twistsim.strata_cardinality(model, ladder, k + 1, x, cap)
+    if d_k1 == 0:
+        raise ValueError(f"stratum k={k + 1} is empty at x={x}; enlarge x")
+    return rows + [(f"D_{k}", str(d_k)), (f"D_{k + 1}", str(d_k1)), ("ratio", fmt(d_k / d_k1))]
 
 
-def _simulate(p, flavor, n, k, samples, seed, shift, y, threads) -> OutputRecord:
-    return cmd_simulate(SimConfig(build_field(p, flavor), n, k, samples, seed, shift, y,
-                                  threads=threads))
-
-
-# each parser with what a valid value is
-PRIME = (_parse_prime, "a prime")
-PRIMES = (_parse_prime_list, "a comma-separated list of primes")
-FLAVOR = (Flavor.parse, "'sym' or 'uni'")
-INT = (int, "an integer")
-NUMBER = (float, "a number")
-SHIFT = (ShiftMode.parse, "'fd' or 'notfd:<r>' with r >= 0")
-Y = (_parse_y, "a positive finite number or 'exact'")
+# each parser with what a valid value is and how a parsed value is echoed
+PRIME = (_parse_prime, "a prime", str)
+PRIMES = (_parse_prime_list, "a comma-separated list of primes",
+          lambda primes: ",".join(map(str, primes)))
+FLAVOR = (Flavor.parse, "'sym' or 'uni'", lambda flavor: flavor.value)
+INT = (int, "an integer", str)
+NUMBER = (float, "a number", fmt)
+SHIFT = (ShiftMode.parse, "'fd' or 'notfd:<r>' with r >= 0", str)
+Y = (_parse_y, "a positive finite number or 'exact'", lambda y: "exact" if y is None else fmt(y))
 
 REQUIRED = object()
 
 # per command: its function, its help, and per flag its parser and default
 # (REQUIRED, None for absent, or the text of the value); the flags are in the
-# order of the function's parameters
+# order of the function's parameters and of the echoed params
 COMMANDS = {
     "table": (cmd_table, "the rank-0/odd/mean grid per prime and flavor",
               {"p": (PRIMES, ",".join(str(p) for p in TABLE_PRIMES))}),
@@ -213,7 +186,7 @@ COMMANDS = {
     "bounds": (cmd_bounds, "density and rank-growth bounds",
                {"p": (PRIME, REQUIRED), "degK": (INT, "1")}),
     # simulate's flags are also the keys of its config document
-    "simulate": (_simulate, "run the twisting rank-walk simulator", {
+    "simulate": (cmd_simulate, "run the twisting rank-walk simulator", {
         "p": (PRIME, "2"), "flavor": (FLAVOR, "sym"), "n": (INT, "1"), "k": (INT, "0"),
         "samples": (INT, "10000"), "seed": (INT, "0"), "shift": (SHIFT, "notfd:0"),
         "y": (Y, "exact"), "threads": (INT, "1"),
@@ -223,7 +196,7 @@ COMMANDS = {
     "ladder": (cmd_ladder, "norm-threshold ladder and stratum counts", {
         "x": (NUMBER, REQUIRED), "exponent": (NUMBER, "2.0"), "depth": (INT, "5"),
         "k": (INT, None), "density": (NUMBER, "1.0"), "seed": (INT, "0"),
-        "cap": (INT, str(10**15)), "sieve-cap": (INT, str(DEFAULT_SIEVE_CAP)),
+        "cap": (INT, str(10**15)), "sieve-cap": (INT, str(50_000_000)),
     }),
 }
 SIM_CONFIG_FIELDS = COMMANDS["simulate"][2]
@@ -262,13 +235,15 @@ def run_command(args) -> OutputRecord:
     """Take each value from its flag, else the config (simulate only), else
     its default, parse it and call the command. A value that does not parse,
     and a range error whose message starts with the name of a flag or of its
-    parameter, is reported with the flag or file:line it came from."""
+    parameter, is reported with the flag or file:line it came from. The
+    params echo every flag that has a value, in table order."""
     func, _, fields = COMMANDS[args.cmd]
     path = getattr(args, "config", None)
     options = load_sim_config(path) if path else {}
-    values, sources = [], {}
-    params = inspect.signature(func).parameters
-    for (flag, ((parse, expected), default)), name in zip(fields.items(), params, strict=True):
+    values, params, sources = [], {}, {}
+    names = inspect.signature(func).parameters
+    for (flag, (parser, default)), name in zip(fields.items(), names, strict=True):
+        parse, expected, echo = parser
         text, where = vars(args)[flag], f"--{flag}"
         if text is None and flag in options:
             text, lineno = options[flag]
@@ -276,17 +251,22 @@ def run_command(args) -> OutputRecord:
         elif text is None:
             text = default
         sources[flag] = sources[name] = where
-        try:
-            values.append(None if text is None else parse(text))
-        except ValueError:
-            raise ValueError(f"{where} must be {expected}, got {text!r}") from None
+        value = None
+        if text is not None:
+            try:
+                value = parse(text)
+            except ValueError:
+                raise ValueError(f"{where} must be {expected}, got {text!r}") from None
+            params[flag] = echo(value)
+        values.append(value)
     try:
-        return func(*values)
+        rows = func(*values)
     except ValueError as exc:
         name, _, rest = str(exc).partition(" ")
         if name not in sources:
             raise
         raise ValueError(f"{sources[name]} {rest}") from None
+    return OutputRecord(command=args.cmd, params=params, rows=rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(cmd, help=help_text)
         if cmd == "simulate":
             sp.add_argument("config", nargs="?", help="flat key=value config document")
-        for flag, ((_, expected), default) in fields.items():
+        for flag, ((_, expected, _), default) in fields.items():
             if default not in (REQUIRED, None):
                 expected += f" (default: {default})"
             sp.add_argument(f"--{flag}", dest=flag, required=default is REQUIRED,
@@ -312,8 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         record = run_command(args)
     except (ValueError, ArithmeticError, CapExceeded) as exc:

@@ -199,12 +199,6 @@ class FqElem:
         n_inv = pow((c0 * c0 - a1 * c0 * c1 + a0 * c1 * c1) % p, p - 2, p)
         return FqElem(field, (c0 - a1 * c1) * n_inv % p, -c1 * n_inv % p)
 
-    def __truediv__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return self * b.inv()
-
     def conj(self) -> "FqElem":
         """Frobenius a -> a^p; the identity on the prime field.
 

@@ -80,9 +80,9 @@ def qr_moment(field: FieldParams) -> float:
     return 1.0 + field.q // field.p
 
 
-def qr_moment_by_series(field: FieldParams, r_max: int = R_MAX_DEFAULT) -> float:
-    """The q^r-moment by direct summation of q^r * D(r)."""
-    dist = stationary_distribution(field, r_max)
+def qr_moment_by_series(field: FieldParams) -> float:
+    """The q^r-moment by direct summation of q^r * D(r) up to R_MAX_DEFAULT."""
+    dist = stationary_distribution(field)
     q = float(field.q)
     # ranks whose mass underflowed add nothing, and q^r may overflow there
     return float(sum(q**r * dr for r, dr in enumerate(dist.probs) if dr))

@@ -53,10 +53,6 @@ class Subspace:
                 raise ValueError("vector length does not match the ambient dimension")
         return cls(ambient_dim=ambient_dim, basis=rref(vectors))
 
-    def __str__(self) -> str:
-        rows = ["(" + ", ".join(str(v) for v in row) + ")" for row in self.basis]
-        return "span{" + ", ".join(rows) + "}"
-
 
 @dataclass(frozen=True)
 class HermitianSpace:

@@ -24,6 +24,9 @@ from .spaces import build_local_plane, fiber_size, kummer_line_of_character
 # constant changes simulation output for a given seed.
 CHUNK_SAMPLES = 1 << 14
 
+# chi-squared bins are pooled until each expects at least this many samples
+CHI2_MIN_EXPECTED = 5.0
+
 
 class CapExceeded(RuntimeError):
     """Raised when a stratum count would exceed the configured cap."""
@@ -249,11 +252,11 @@ class EmpiricalDistribution:
         b[: len(reference)] = reference
         return 0.5 * float(np.abs(a - b).sum())
 
-    def chi2_against(self, reference: np.ndarray, min_expected: float = 5.0):
+    def chi2_against(self, reference: np.ndarray):
         """Goodness-of-fit statistic against expected probabilities.
 
         Bins are pooled from the top until each expected count reaches
-        min_expected; structurally empty bins (zero expectation and zero
+        CHI2_MIN_EXPECTED; structurally empty bins (zero expectation and zero
         observation) are dropped. Returns (statistic, dof, p_value).
         """
         n = max(len(self.counts), len(reference))
@@ -266,7 +269,7 @@ class EmpiricalDistribution:
         if (expected == 0).any():
             raise ValueError("observed mass on a zero-probability rank")
         # pool the sparse upper tail
-        while len(expected) > 2 and expected[-1] < min_expected:
+        while len(expected) > 2 and expected[-1] < CHI2_MIN_EXPECTED:
             expected[-2] += expected[-1]
             observed[-2] += observed[-1]
             expected, observed = expected[:-1], observed[:-1]
@@ -337,6 +340,8 @@ def strata_cardinality(model: PlaceModel, ladder: FanLadder, k: int, x: float,
     """
     if k < 0:
         raise ValueError("k must be non-negative")
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
     if cap >= 2**63:
         raise ValueError(f"cap {cap} must be below 2^63: stratum counts are kept in int64")
     if k == 0:

@@ -47,9 +47,9 @@ def report(name: str, passed: bool, detail: str = ""):
 
 def test_criterion_1_table_reproduction():
     start = time.monotonic()
-    record = cmd_table([2, 3, 5, 7, 11, 13])
+    rows = cmd_table([2, 3, 5, 7, 11, 13])
     elapsed = time.monotonic() - start
-    got = dict(record.rows)
+    got = dict(rows)
     mismatches = []
     for p, printed in REFERENCE_TABLE.items():
         labels = [

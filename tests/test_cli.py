@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from twistrank import cli
 from twistrank import rankdist as rd
 from twistrank.cli import (
     COMMANDS,
@@ -166,7 +167,7 @@ def test_isotropic_top_of_domain_unitary():
     """p = 32749 in the unitary flavor: p + 1 lines over F_{p^2}."""
     p = 32749
     field = build_field(p, Flavor.UNITARY)
-    rows = cmd_isotropic(p, Flavor.UNITARY, 1).rows
+    rows = cmd_isotropic(p, Flavor.UNITARY, 1)
     lines = [value for label, value in rows if label.startswith(("unramified", "ramified["))]
     assert len(lines) == p + 1 == int(dict(rows)["lines_total"])
     assert len(set(lines)) == p + 1
@@ -434,8 +435,13 @@ def test_bad_flag_value_names_the_flag(cmd, flag, value, expected):
     (("ladder", "--x", "10", "--exponent", "0.5"), "--exponent must be finite and >= 1, got 0.5"),
     (("ladder", "--x", "10", "--k", "1", "--density", "2"), "--density must lie in (0, 1]"),
     (("ladder", "--x", "10", "--k", "1", "--seed", "-1"), "--seed must be non-negative"),
+    (("ladder", "--x", "10", "--k", "1", "--cap", "-1"), "--cap must be >= 1, got -1"),
+    (("ladder", "--x", "10", "--k", "0", "--cap", "0"), "--cap must be >= 1, got 0"),
+    (("ladder", "--x", "10", "--k", "1", "--sieve-cap", "-5"),
+     "--sieve-cap must be >= 2, got -5"),
 ], ids=["table-p", "dist-rmax", "bounds-degK", "isotropic-n", "ladder-depth",
-        "ladder-exponent", "ladder-density", "ladder-seed"])
+        "ladder-exponent", "ladder-density", "ladder-seed", "ladder-cap-negative",
+        "ladder-cap-zero", "ladder-sieve-cap"])
 def test_range_error_names_the_flag(argv, message):
     assert run_cli(*argv) == (1, "", f"error: {message}\n")
 
@@ -443,6 +449,38 @@ def test_range_error_names_the_flag(argv, message):
 def test_bad_flag_values_cover_every_flag():
     declared = {(cmd, flag) for cmd, (_, _, fields) in COMMANDS.items() for flag in fields}
     assert {(cmd, flag) for cmd, flag, *_ in BAD_FLAG_VALUES} == declared
+
+
+@pytest.mark.parametrize("argv", [
+    *((cmd, *VALID_REQUIRED.get(cmd, ())) for cmd in COMMANDS),
+    ("ladder", "--x", "10", "--k", "1"),
+    ("simulate", "--y", "7.5", "--shift", "fd"),
+], ids=[*COMMANDS, "ladder-k", "simulate-y"])
+def test_params_echo_every_flag_with_a_value(argv):
+    code, out, err = run_cli("--format", "json", *argv)
+    assert (code, err) == (0, "")
+    fields = COMMANDS[argv[0]][2]
+    given = {word[2:] for word in argv if word.startswith("--")}
+    with_value = [flag for flag, (_, default) in fields.items()
+                  if default is not None or flag in given]
+    assert list(OutputRecord.from_json(out).params) == with_value
+
+
+def test_main_does_not_build_a_parser(monkeypatch):
+    def build_parser():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", build_parser)
+    assert run_cli("moments", "--p", "2", "--flavor", "sym")[0] == 0
+
+
+@pytest.mark.parametrize("cmd", COMMANDS)
+def test_command_help_exits_zero(cmd):
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        main([cmd, "--help"])
+    assert exc.value.code == 0
+    assert all(f"--{flag}" in out.getvalue() for flag in COMMANDS[cmd][2])
 
 
 def test_readme_cli_examples_run(tmp_path, monkeypatch):
@@ -499,6 +537,8 @@ def test_ladder_rejects_cap_beyond_int64():
     (("--x", "10", "--k", "-1"), "k must be non-negative, got -1"),
     (("--x", "1.5", "--exponent", "1", "--depth", "2", "--k", "1"),
      "stratum k=2 is empty at x=1.5"),
+    # no place lies below the top level at x = 1
+    (("--x", "1", "--k", "0"), "stratum k=1 is empty at x=1.0"),
 ])
 def test_ladder_rejects_bad_input(argv, message):
     code, out, err = run_cli("ladder", *argv)
