@@ -140,12 +140,15 @@ def cmd_ladder(x: float, exponent: float, depth: int, k: int | None, density: fl
                seed: int, cap: int, sieve_cap: int) -> list[tuple[str, str]]:
     if k is not None and k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
+    if sieve_cap < 2:
+        raise ValueError(f"sieve_cap must be >= 2, got {sieve_cap}")
     ladder = twistsim.FanLadder(exponent)
     rows = [(f"L{i + 1}", fmt(level)) for i, level in enumerate(ladder.levels(x, depth))]
     if k is None:
+        # the empty stratum checks density, seed and cap as the counts below do
+        model = twistsim.build_place_model(2, density, seed)
+        twistsim.strata_cardinality(model, ladder, 0, x, cap)
         return rows
-    if sieve_cap < 2:
-        raise ValueError(f"sieve_cap must be >= 2, got {sieve_cap}")
     top = ladder.levels(x, k + 1)[-1]
     if not top <= sieve_cap:
         raise CapExceeded(

@@ -19,10 +19,9 @@ from .gf import FieldParams
 from .rankdist import _step, _step_coefficients, coin_table
 from .spaces import build_local_plane, fiber_size, kummer_line_of_character
 
-# Samples are split into fixed-size chunks, each driven by its own
-# counter-derived substream, and chunk counts are added up. Changing this
-# constant changes simulation output for a given seed.
-CHUNK_SAMPLES = 1 << 14
+# walk counts are int64, and a step adds disjoint counts, so totals fit
+MAX_SAMPLES = 1 << 62
+CHUNK_SAMPLES = MAX_SAMPLES  # a run is one chunk; kept for perfbench's provenance
 
 # chi-squared bins are pooled until each expects at least this many samples
 CHI2_MIN_EXPECTED = 5.0
@@ -215,6 +214,8 @@ class SimConfig:
             raise ValueError("k must be non-negative")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.samples > MAX_SAMPLES:
+            raise ValueError(f"samples must be <= 2^62, got {self.samples}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.chebotarev_y is not None and not (
@@ -281,24 +282,23 @@ class EmpiricalDistribution:
         return stat, dof, float(_chi2.sf(stat, dof))
 
 
-def _simulate_chunk(config: SimConfig, chunk_index: int, size: int, n_ranks: int) -> np.ndarray:
-    """Rank counts of one chunk of walks, drawn from its own substream.
+def _simulate_chunk(config: SimConfig, n_ranks: int) -> np.ndarray:
+    """Rank counts of all config.samples walks, drawn from one stream.
 
     The walks are i.i.d., so the count per rank is the whole state: each
     step draws, per rank, how many of its walks move up, stay and fall
     (one multinomial over the coin table) and moves those counts with the
     same tridiagonal step as the reference law. The rare moves come first,
-    so the fall is the remainder; ranks with no walks draw nothing.
+    so the fall is the remainder; ranks with no walks draw nothing. The
+    cost is O(k * n_ranks) whatever the number of samples.
     """
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=config.seed, spawn_key=(chunk_index,))
-    )
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(0,)))
     counts = np.zeros(n_ranks, dtype=np.int64)
     if config.initial is None:
-        counts[0] = size
+        counts[0] = config.samples
     else:
         law = np.asarray(config.initial, dtype=np.float64)
-        counts[: len(law)] = rng.multinomial(size, law / law.sum())
+        counts[: len(law)] = rng.multinomial(config.samples, law / law.sum())
     coin = coin_table(config.field, n_ranks, config.chebotarev_y)
     down, stay, up = _step_coefficients(coin, config.field.p)
     moves = np.stack([up, stay, down], axis=1)
@@ -312,18 +312,13 @@ def _simulate_chunk(config: SimConfig, chunk_index: int, size: int, n_ranks: int
 
 
 def simulate(config: SimConfig) -> EmpiricalDistribution:
-    """Run the rank walk for every sample and return the rank counts.
-
-    Output depends only on (seed, samples, k, field, shift, y, initial);
-    config.threads is accepted for existing configs but has no effect.
+    """Run the rank walk for every sample, all from one stream keyed by
+    (seed, 0), and return the rank counts. Output depends only on (seed,
+    samples, k, field, shift, y, initial); config.threads has no effect.
     """
     top_initial = len(config.initial) - 1 if config.initial is not None else 0
     n_ranks = top_initial + config.k + config.shift_mode.offset + 1
-    counts = np.zeros(n_ranks, dtype=np.int64)
-    for index, start in enumerate(range(0, config.samples, CHUNK_SAMPLES)):
-        size = min(CHUNK_SAMPLES, config.samples - start)
-        counts += _simulate_chunk(config, index, size, n_ranks)
-    return EmpiricalDistribution(counts=counts, total=config.samples)
+    return EmpiricalDistribution(counts=_simulate_chunk(config, n_ranks), total=config.samples)
 
 
 def _binomial(n: int, k: int) -> int:

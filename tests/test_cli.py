@@ -219,6 +219,15 @@ def test_simulate_matches_golden_histogram():
     assert out == (DATA_DIR / "simulate_p3_uni_k5_seed11.csv").read_text()
 
 
+def test_simulate_single_chunk_histogram_is_unchanged():
+    """Runs of at most 16384 samples print what they printed when samples were
+    drawn in 16384-sample chunks; this file was pinned by that code."""
+    code, out, err = run_cli("--format", "csv", "simulate", "--p", "2", "--flavor", "sym",
+                             "--k", "20", "--samples", "16384", "--seed", "7")
+    assert code == 0 and err == ""
+    assert out == (DATA_DIR / "simulate_p2_sym_k20_seed7.csv").read_text()
+
+
 def test_simulate_thread_flag_output_invariant():
     base = ("--format", "csv", "simulate", "--p", "2", "--flavor", "sym", "--k", "6",
             "--samples", "50000", "--seed", "21")
@@ -321,9 +330,11 @@ def test_load_sim_config_reports_field_values(tmp_path):
     ("threads = 2", ("--threads", "0"), "--threads must be >= 1"),
     ("samples = 9", ("--samples", "0"), "--samples must be >= 1"),
     ("seed = 3", ("--seed", "-1"), "--seed must be non-negative"),
+    ("samples = 100000000000000000000", (),
+     "{cfg}:3: field 'samples' must be <= 2^62, got 100000000000000000000"),
 ], ids=["k", "y", "p", "flavor", "shift", "flag-p", "flag-flavor", "flag-shift",
         "range-k", "range-p", "range-seed", "range-flag-threads", "range-flag-samples",
-        "range-flag-seed"])
+        "range-flag-seed", "range-samples-cap"])
 def test_simulate_value_error_names_its_source(tmp_path, line, argv, message):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"# header\nn = 2\n{line}\n")
@@ -439,9 +450,16 @@ def test_bad_flag_value_names_the_flag(cmd, flag, value, expected):
     (("ladder", "--x", "10", "--k", "0", "--cap", "0"), "--cap must be >= 1, got 0"),
     (("ladder", "--x", "10", "--k", "1", "--sieve-cap", "-5"),
      "--sieve-cap must be >= 2, got -5"),
+    # without --k no stratum is counted, but every echoed value is checked
+    (("ladder", "--x", "10", "--density", "2"), "--density must lie in (0, 1]"),
+    (("ladder", "--x", "10", "--seed", "-4"), "--seed must be non-negative"),
+    (("ladder", "--x", "10", "--cap", "-1"), "--cap must be >= 1, got -1"),
+    (("ladder", "--x", "10", "--sieve-cap", "0"), "--sieve-cap must be >= 2, got 0"),
+    (("simulate", "--samples", str(2**62 + 1)), f"--samples must be <= 2^62, got {2**62 + 1}"),
 ], ids=["table-p", "dist-rmax", "bounds-degK", "isotropic-n", "ladder-depth",
         "ladder-exponent", "ladder-density", "ladder-seed", "ladder-cap-negative",
-        "ladder-cap-zero", "ladder-sieve-cap"])
+        "ladder-cap-zero", "ladder-sieve-cap", "ladder-density-no-k", "ladder-seed-no-k",
+        "ladder-cap-no-k", "ladder-sieve-cap-no-k", "simulate-samples-cap"])
 def test_range_error_names_the_flag(argv, message):
     assert run_cli(*argv) == (1, "", f"error: {message}\n")
 

@@ -261,6 +261,22 @@ def test_simulate_chi2_grid_does_not_reject():
             assert pvalue > 1e-3, (p, flavor, k, pvalue)
 
 
+@pytest.mark.parametrize("p,flavor", [(2, Flavor.SYMPLECTIC), (3, Flavor.UNITARY)])
+def test_simulate_chi2_at_a_trillion_samples(p, flavor):
+    """At 10^12 samples the chi2 tests the precision of walk_law itself, at
+    the same 1e-3 level."""
+    field = build_field(p, flavor)
+    emp = simulate(SimConfig(field=field, k=20, samples=10**12, seed=p))
+    assert emp.chi2_against(rd.walk_law(field, 20).probs)[2] > 1e-3
+
+
+def test_simulate_samples_at_the_cap():
+    field = build_field(2, Flavor.SYMPLECTIC)
+    emp = simulate(SimConfig(field=field, k=20, samples=2**62, seed=3))
+    assert emp.total == 2**62
+    assert sum(int(c) for c in emp.counts) == 2**62
+
+
 def test_simulate_chi2_grid_bounded_error_mode():
     """The --y walk fits its own k-step law at the 1e-3 level. y = 4 moves
     the coin far enough that the exact law is rejected at k = 20."""
@@ -302,6 +318,8 @@ def test_sim_config_validation():
     field = build_field(2, Flavor.SYMPLECTIC)
     with pytest.raises(ValueError):
         SimConfig(field=field, samples=0)
+    with pytest.raises(ValueError, match=r"samples must be <= 2\^62, got 4611686018427387905"):
+        SimConfig(field=field, samples=2**62 + 1)
     with pytest.raises(ValueError):
         SimConfig(field=field, k=-1)
     with pytest.raises(ValueError, match="seed must be non-negative"):
