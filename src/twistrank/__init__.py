@@ -14,7 +14,7 @@ from .spaces import (
     build_local_plane,
     enumerate_isotropic_lines,
 )
-from .twistsim import EmpiricalDistribution, PlaceModel, ShiftMode, SimConfig, simulate
+from .twistsim import EmpiricalDistribution, ShiftMode, SimConfig, simulate
 
 __all__ = [
     "FieldParams",
@@ -30,7 +30,6 @@ __all__ = [
     "build_local_plane",
     "enumerate_isotropic_lines",
     "EmpiricalDistribution",
-    "PlaceModel",
     "ShiftMode",
     "SimConfig",
     "simulate",

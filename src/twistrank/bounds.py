@@ -12,13 +12,11 @@ from dataclasses import dataclass
 
 from . import rankdist
 from .gf import FieldParams, Flavor, build_field, is_prime
-from .rankdist import PRODUCT_EPS
 
 
 @dataclass(frozen=True)
 class BoundReport:
     name: str
-    p: int
     flavor: Flavor
     value: float
     formula: str
@@ -30,13 +28,9 @@ def fermat_unsolvable_density(p: int) -> float:
     if not is_prime(p) or p < 3:
         raise ValueError(f"the Fermat bound needs an odd prime, got {p}")
     value = 1.0
-    i = 1
-    while True:
-        t = float(p) ** (-i)
-        if t < PRODUCT_EPS:
-            return value
+    for t in rankdist.truncated_terms(lambda i: float(p) ** (-i - 1)):
         value /= 1.0 + t
-        i += 1
+    return value
 
 
 def rank_zero_density_bound(field: FieldParams) -> float:
@@ -75,13 +69,9 @@ def odd_rank_proportion(p: int) -> float:
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     b = 1.0
-    i = 1
-    while True:
-        t = float(p) ** (-i)
-        if t < PRODUCT_EPS:
-            return (1.0 - b) / 2.0
+    for t in rankdist.truncated_terms(lambda i: float(p) ** (-i - 1)):
         b *= (1.0 - t) / (1.0 + t)
-        i += 1
+    return (1.0 - b) / 2.0
 
 
 def reports(p: int, deg_k: int = 1) -> list[BoundReport]:
@@ -91,7 +81,6 @@ def reports(p: int, deg_k: int = 1) -> list[BoundReport]:
         out.append(
             BoundReport(
                 name="fermat_unsolvable_density",
-                p=p,
                 flavor=Flavor.SYMPLECTIC,
                 value=fermat_unsolvable_density(p),
                 formula="prod_{i>=1} (1+p^-i)^-1",
@@ -102,7 +91,6 @@ def reports(p: int, deg_k: int = 1) -> list[BoundReport]:
         out.append(
             BoundReport(
                 name="rank_zero_density",
-                p=p,
                 flavor=flavor,
                 value=rank_zero_density_bound(field),
                 formula="prod_{i>=0} (1+q^(-i-eps))^-1 > 1 - q^(1-eps)/(q-1)",
@@ -111,7 +99,6 @@ def reports(p: int, deg_k: int = 1) -> list[BoundReport]:
         out.append(
             BoundReport(
                 name="avg_rank_bound",
-                p=p,
                 flavor=flavor,
                 value=avg_rank_bound(field, deg_k),
                 formula=f"{deg_k} * sum_{{i>=0}} 1/(1+q^(i+eps))",
@@ -120,7 +107,6 @@ def reports(p: int, deg_k: int = 1) -> list[BoundReport]:
         out.append(
             BoundReport(
                 name="no_growth_proportion",
-                p=p,
                 flavor=flavor,
                 value=no_growth_proportion_bound(field),
                 formula="D(0) if p=2 else (p-1)(D(0)-(p-2)/(p-1))",
@@ -129,7 +115,6 @@ def reports(p: int, deg_k: int = 1) -> list[BoundReport]:
     out.append(
         BoundReport(
             name="odd_rank_proportion",
-            p=p,
             flavor=Flavor.SYMPLECTIC,
             value=odd_rank_proportion(p),
             formula="(1-beta)/2, beta = prod_{i>=1} (1-p^-i)/(1+p^-i)",

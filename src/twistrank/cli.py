@@ -146,8 +146,8 @@ def cmd_ladder(x: float, exponent: float, depth: int, k: int | None, density: fl
     rows = [(f"L{i + 1}", fmt(level)) for i, level in enumerate(ladder.levels(x, depth))]
     if k is None:
         # the empty stratum checks density, seed and cap as the counts below do
-        model = twistsim.build_place_model(2, density, seed)
-        twistsim.strata_cardinality(model, ladder, 0, x, cap)
+        p1_norms = twistsim.build_place_model(2, density, seed)
+        twistsim.strata_cardinality(p1_norms, ladder, 0, x, cap)
         return rows
     top = ladder.levels(x, k + 1)[-1]
     if not top <= sieve_cap:
@@ -156,9 +156,9 @@ def cmd_ladder(x: float, exponent: float, depth: int, k: int | None, density: fl
             f"sieve cap {sieve_cap}; lower x or k, or raise --sieve-cap"
         )
     # below 2 there is no place, and every threshold keeps the place 2 out
-    model = twistsim.build_place_model(max(top, 2), density, seed)
-    d_k = twistsim.strata_cardinality(model, ladder, k, x, cap)
-    d_k1 = twistsim.strata_cardinality(model, ladder, k + 1, x, cap)
+    p1_norms = twistsim.build_place_model(max(top, 2), density, seed)
+    d_k = twistsim.strata_cardinality(p1_norms, ladder, k, x, cap)
+    d_k1 = twistsim.strata_cardinality(p1_norms, ladder, k + 1, x, cap)
     if d_k1 == 0:
         raise ValueError(f"stratum k={k + 1} is empty at x={x}; enlarge x")
     return rows + [(f"D_{k}", str(d_k)), (f"D_{k + 1}", str(d_k1)), ("ratio", fmt(d_k / d_k1))]
@@ -304,6 +304,9 @@ def main(argv=None) -> int:
         record = run_command(args)
     except (ValueError, ArithmeticError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     text = record.render(args.format)
     if args.out:

@@ -22,17 +22,22 @@ PRODUCT_EPS = 1e-16
 R_MAX_DEFAULT = 64
 
 
+def truncated_terms(term):
+    """term(0), term(1), ... up to the first term below PRODUCT_EPS; the
+    terms of every product and series here and in bounds decrease."""
+    i = 0
+    while (t := term(i)) >= PRODUCT_EPS:
+        yield t
+        i += 1
+
+
 def leading_constant(field: FieldParams) -> float:
     """prod_{i>=0} (1 + q^(-i-epsilon))^(-1), the mass at rank 0."""
     q, p = field.q, field.p
     value = 1.0
-    i = 0
-    while True:
-        t = 1.0 / (p * q**i)  # q^(-i-epsilon)
-        if t < PRODUCT_EPS:
-            return value
+    for t in truncated_terms(lambda i: 1.0 / (p * q**i)):  # q^(-i-epsilon)
         value /= 1.0 + t
-        i += 1
+    return value
 
 
 def _stationary_probs(field: FieldParams, r_max: int) -> np.ndarray:
@@ -66,13 +71,9 @@ def expected_rank(field: FieldParams) -> float:
     """sum_{i>=0} 1/(1 + q^(i+epsilon))."""
     q, p = field.q, field.p
     total = 0.0
-    i = 0
-    while True:
-        t = 1.0 / (1.0 + p * q**i)
-        if t < PRODUCT_EPS:
-            return total
+    for t in truncated_terms(lambda i: 1.0 / (1.0 + p * q**i)):
         total += t
-        i += 1
+    return total
 
 
 def qr_moment(field: FieldParams) -> float:
@@ -92,13 +93,9 @@ def beta(field: FieldParams) -> float:
     """prod_{i>=0} (1 - q^(-i-epsilon)) / (1 + q^(-i-epsilon))."""
     q, p = field.q, field.p
     value = 1.0
-    i = 0
-    while True:
-        t = 1.0 / (p * q**i)
-        if t < PRODUCT_EPS:
-            return value
+    for t in truncated_terms(lambda i: 1.0 / (p * q**i)):
         value *= (1.0 - t) / (1.0 + t)
-        i += 1
+    return value
 
 
 def odd_mass(field: FieldParams) -> float:

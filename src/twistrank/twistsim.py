@@ -73,17 +73,6 @@ class ShiftMode:
         return "fd" if self.kind == "fd" else f"notfd:{self.r_gamma}"
 
 
-@dataclass(frozen=True)
-class PlaceModel:
-    """Synthetic places: rational-prime norms with a B/P0/P1 label each."""
-
-    norms: np.ndarray
-    labels: np.ndarray  # 0 = B, 1 = P0, 2 = P1
-
-    def p1_norms(self) -> np.ndarray:
-        return self.norms[self.labels == 2]
-
-
 def primes_up_to(x: int) -> np.ndarray:
     """All primes <= x by a numpy sieve."""
     if x < 2:
@@ -96,25 +85,17 @@ def primes_up_to(x: int) -> np.ndarray:
     return np.nonzero(sieve)[0].astype(np.int64)
 
 
-def build_place_model(x: float, density: float, seed: int, n_bad: int = 0) -> PlaceModel:
-    """Places with norms the rational primes <= x; non-B places are P1
-    with probability density under the seeded generator."""
+def build_place_model(x: float, density: float, seed: int) -> np.ndarray:
+    """Ascending norms of the P1 places: each rational prime <= x is a P1
+    place with probability density under the seeded generator."""
     if x < 2:
         raise ValueError(f"the place model needs x >= 2, got {x}")
     if not 0 < density <= 1:
         raise ValueError("density must lie in (0, 1]")
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    if n_bad < 0:
-        raise ValueError("n_bad must be non-negative")
     norms = primes_up_to(int(x))
-    labels = np.zeros(len(norms), dtype=np.int8)
-    rng = np.random.default_rng(seed)
-    coins = rng.random(len(norms))
-    labels[coins < density] = 2
-    labels[coins >= density] = 1
-    labels[:n_bad] = 0
-    return PlaceModel(norms=norms, labels=labels)
+    return norms[np.random.default_rng(seed).random(len(norms)) < density]
 
 
 @dataclass(frozen=True)
@@ -204,7 +185,6 @@ class SimConfig:
     seed: int = 0
     shift_mode: ShiftMode = ShiftMode("notfd", 0)
     chebotarev_y: float | None = None
-    initial: tuple[float, ...] | None = None
     threads: int = 1
 
     def __post_init__(self):
@@ -223,12 +203,6 @@ class SimConfig:
             raise ValueError("chebotarev_y must be positive and finite")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        if self.initial is not None:
-            arr = np.asarray(self.initial, dtype=np.float64)
-            if arr.ndim != 1 or len(arr) == 0 or not (np.isfinite(arr) & (arr >= 0)).all():
-                raise ValueError("initial law must be a finite non-negative vector")
-            if abs(arr.sum() - 1.0) > 1e-9:
-                raise ValueError("initial law must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -294,15 +268,11 @@ def _simulate_chunk(config: SimConfig, n_ranks: int) -> np.ndarray:
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(0,)))
     counts = np.zeros(n_ranks, dtype=np.int64)
-    if config.initial is None:
-        counts[0] = config.samples
-    else:
-        law = np.asarray(config.initial, dtype=np.float64)
-        counts[: len(law)] = rng.multinomial(config.samples, law / law.sum())
+    counts[0] = config.samples
     coin = coin_table(config.field, n_ranks, config.chebotarev_y)
     down, stay, up = _step_coefficients(coin, config.field.p)
     moves = np.stack([up, stay, down], axis=1)
-    top = int(np.flatnonzero(counts)[-1])  # a step can reach top + 1 < n_ranks
+    top = 0  # highest rank with walks; a step can reach top + 1 < n_ranks
     for _ in range(config.k):
         n = top + 2
         drawn = rng.multinomial(counts[:n], moves[:n])
@@ -314,24 +284,19 @@ def _simulate_chunk(config: SimConfig, n_ranks: int) -> np.ndarray:
 def simulate(config: SimConfig) -> EmpiricalDistribution:
     """Run the rank walk for every sample, all from one stream keyed by
     (seed, 0), and return the rank counts. Output depends only on (seed,
-    samples, k, field, shift, y, initial); config.threads has no effect.
+    samples, k, field, shift, y); config.threads has no effect.
     """
-    top_initial = len(config.initial) - 1 if config.initial is not None else 0
-    n_ranks = top_initial + config.k + config.shift_mode.offset + 1
+    n_ranks = config.k + config.shift_mode.offset + 1
     return EmpiricalDistribution(counts=_simulate_chunk(config, n_ranks), total=config.samples)
 
 
-def _binomial(n: int, k: int) -> int:
-    return math.comb(n, k) if 0 <= k <= n else 0
-
-
-def strata_cardinality(model: PlaceModel, ladder: FanLadder, k: int, x: float,
+def strata_cardinality(p1_norms: np.ndarray, ladder: FanLadder, k: int, x: float,
                        cap: int = 10**15) -> int:
     """Number of squarefree k-tuples of P1 places whose i-th smallest norm
     stays below the i-th ladder threshold at X = x.
 
-    The model's place list is the counting universe, so it must extend to
-    the top threshold for the count to be meaningful.
+    p1_norms (as build_place_model returns them) is the counting universe,
+    so it must extend to the top threshold for the count to be meaningful.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -341,8 +306,8 @@ def strata_cardinality(model: PlaceModel, ladder: FanLadder, k: int, x: float,
         raise ValueError(f"cap {cap} must be below 2^63: stratum counts are kept in int64")
     if k == 0:
         return 1
-    p1 = np.sort(model.p1_norms())
-    if _binomial(len(p1), k) > cap:
+    p1 = np.sort(p1_norms)
+    if math.comb(len(p1), k) > cap:
         raise CapExceeded(
             f"stratum count bound C({len(p1)}, {k}) exceeds the cap {cap}; "
             "raise the cap or shrink the place model"

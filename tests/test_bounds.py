@@ -109,7 +109,6 @@ def test_density_reports_lie_in_unit_interval():
             if report.name != "avg_rank_bound":
                 assert 0.0 <= report.value <= 1.0
             assert report.formula
-            assert report.p == p
 
 
 def test_bounds_cross_check_against_distribution_routes():

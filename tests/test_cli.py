@@ -464,6 +464,18 @@ def test_range_error_names_the_flag(argv, message):
     assert run_cli(*argv) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("dist", "--p", "2", "--flavor", "sym", "--rmax", str(10**17)),
+    ("simulate", "--k", str(10**17)),
+    ("simulate", "--k", "3", "--shift", f"notfd:{10**17}"),
+], ids=["dist-rmax", "simulate-k", "simulate-shift"])
+def test_out_of_memory_is_one_error_line(argv):
+    # each needs an array of about 711 PiB, more than any address space holds
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
+
 def test_bad_flag_values_cover_every_flag():
     declared = {(cmd, flag) for cmd, (_, _, fields) in COMMANDS.items() for flag in fields}
     assert {(cmd, flag) for cmd, flag, *_ in BAD_FLAG_VALUES} == declared

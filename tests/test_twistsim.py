@@ -14,6 +14,7 @@ from twistrank.twistsim import (
     SimConfig,
     build_place_model,
     micro_transition_law,
+    primes_up_to,
     simulate,
     strata_cardinality,
 )
@@ -25,31 +26,32 @@ SIX_PAIRS = [(p, flavor) for p in (2, 3, 5, 7, 11, 13) for flavor in Flavor]
 # place model
 # ---------------------------------------------------------------------------
 
+def p1_norms(x, density, seed):
+    """build_place_model's P1 norms, checked to be ascending primes <= x."""
+    norms = build_place_model(x, density, seed)
+    assert np.all(np.diff(norms) > 0)
+    assert np.isin(norms, primes_up_to(int(x))).all()
+    return norms
+
+
 def test_place_model_density_one():
-    model = build_place_model(10, 1.0, seed=1)
-    assert model.norms.tolist() == [2, 3, 5, 7]
-    assert model.labels.tolist() == [2, 2, 2, 2]  # all P1
+    assert p1_norms(10, 1.0, seed=1).tolist() == [2, 3, 5, 7]  # all P1
 
 
 def test_place_model_counts_primes():
-    model = build_place_model(100, 0.5, seed=1)
-    assert len(model.norms) == 25
-    assert model.norms[0] == 2 and model.norms[-1] == 97
-    assert np.all(np.diff(model.norms) > 0)
-
-
-def test_place_model_bad_segment():
-    model = build_place_model(30, 1.0, seed=3, n_bad=2)
-    assert model.labels[:2].tolist() == [0, 0]  # B
-    assert (model.labels[2:] == 2).all()  # P1
+    primes = primes_up_to(100)
+    assert len(primes) == 25
+    assert primes[0] == 2 and primes[-1] == 97
+    # each prime is kept by its own coin of the seeded generator
+    coins = np.random.default_rng(1).random(len(primes))
+    assert np.array_equal(p1_norms(100, 0.5, seed=1), primes[coins < 0.5])
 
 
 def test_place_model_p1_fraction_three_sigma():
     density = 0.25
-    model = build_place_model(1_400_000, density, seed=7)
-    n = len(model.norms)
+    n = len(primes_up_to(1_400_000))
     assert n >= 100_000
-    frac = (model.labels == 2).mean()
+    frac = len(p1_norms(1_400_000, density, seed=7)) / n
     sigma = math.sqrt(density * (1 - density) / n)
     assert abs(frac - density) <= 3 * sigma
 
@@ -108,47 +110,55 @@ def test_ladder_rejects_bad_exponent():
 # rank steps
 # ---------------------------------------------------------------------------
 
-def one_step_counts(field, r, samples, seed, y=None):
-    """Rank counts after one kernel step of every sample from rank r."""
-    initial = (0.0,) * r + (1.0,)
-    config = SimConfig(field=field, k=1, samples=samples, seed=seed, initial=initial,
-                       chebotarev_y=y)
+def walk_counts(field, k, samples, seed, y=None):
+    """Rank counts after k kernel steps of every sample from rank 0."""
+    config = SimConfig(field=field, k=k, samples=samples, seed=seed, chebotarev_y=y)
     return simulate(config).counts
+
+
+def assert_within_three_sigma(counts, law):
+    """Every rank's frequency lies within 3 sigma of its probability."""
+    n = counts.sum()
+    sigma = np.sqrt(law * (1 - law) / n)
+    assert (np.abs(counts / n - law) <= 3 * sigma).all()
 
 
 def test_step_never_below_zero():
     field = build_field(2, Flavor.SYMPLECTIC)
     for y in (None, 3.0):
         # a rank below 0 would make the histogram's bincount raise
-        counts = one_step_counts(field, 0, 5000, seed=0, y=y)
+        counts = walk_counts(field, 1, 5000, seed=0, y=y)
         assert len(counts) == 2 and counts.sum() == 5000
 
 
 def test_step_up_frequency_q2_rank0():
     field = build_field(2, Flavor.SYMPLECTIC)
     n = 1_000_000
-    ups = one_step_counts(field, 0, n, seed=42)[1]
+    ups = walk_counts(field, 1, n, seed=42)[1]
     sigma = math.sqrt(0.5 * 0.5 / n)
     assert abs(ups / n - 0.5) <= 3 * sigma
 
 
 def test_step_down_frequency_q4_rank1():
+    # from rank 0 the second step falls from rank 1 with probability 3/4,
+    # so every k=2 frequency depends on that fall
     field = build_field(2, Flavor.UNITARY)
-    n = 1_000_000
-    downs = one_step_counts(field, 1, n, seed=43)[0]
-    sigma = math.sqrt(0.75 * 0.25 / n)
-    assert abs(downs / n - 0.75) <= 3 * sigma
+    law = rd.walk_law(field, 2).probs
+    assert law[0] == 0.5 * 0.5 + 0.5 * 0.75
+    assert_within_three_sigma(walk_counts(field, 2, 1_000_000, seed=43), law)
 
 
 def test_step_bounded_error_mode():
     field = build_field(2, Flavor.SYMPLECTIC)
     y = 50.0
     n = 1_000_000
-    for r in (0, 1, 2):
-        t_zero = one_step_counts(field, r, n, seed=100 + r, y=y)[r:].sum()
-        target = field.q ** (-r) if r else 1.0
-        sigma = math.sqrt(0.25 / n)
-        assert abs(t_zero / n - target) <= 1 / y + 3 * sigma
+    t_zero = walk_counts(field, 1, n, seed=100, y=y).sum()
+    sigma = math.sqrt(0.25 / n)
+    assert abs(t_zero / n - 1.0) <= 1 / y + 3 * sigma
+    # ranks 1 and 2 are reached in two steps from rank 0
+    law = rd.walk_law(field, 2, y=y).probs
+    for r in (1, 2):
+        assert_within_three_sigma(walk_counts(field, 2, n, seed=100 + r, y=y), law)
 
 
 def test_micro_law_exact_equivalence_with_operator():
@@ -236,14 +246,6 @@ def test_simulate_fd_mode_offsets_by_one():
     assert np.array_equal(emp.counts[1:], plain.counts)
 
 
-def test_simulate_custom_initial_law():
-    field = build_field(2, Flavor.SYMPLECTIC)
-    emp = simulate(SimConfig(field=field, k=0, samples=50_000, seed=31,
-                             initial=(0.25, 0.0, 0.75)))
-    assert emp.counts[1] == 0
-    assert abs(emp.counts[2] / 50_000 - 0.75) < 0.01
-
-
 def test_simulate_reference_law(samples=1_000_000):
     field = build_field(2, Flavor.SYMPLECTIC)
     emp = simulate(SimConfig(field=field, k=20, samples=samples, seed=42))
@@ -326,14 +328,9 @@ def test_sim_config_validation():
         SimConfig(field=field, seed=-1)
     with pytest.raises(ValueError):
         SimConfig(field=field, chebotarev_y=0.0)
-    with pytest.raises(ValueError):
-        SimConfig(field=field, initial=(0.5, 0.2))
     for y in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             SimConfig(field=field, chebotarev_y=y)
-    for initial in ((math.nan, 1.0), (math.inf, 1.0), (0.5, -math.inf)):
-        with pytest.raises(ValueError, match="finite"):
-            SimConfig(field=field, initial=initial)
     with pytest.raises(ValueError):
         ShiftMode("notfd", -1)
     with pytest.raises(ValueError):
@@ -348,9 +345,9 @@ def test_sim_config_validation():
 # strata counting
 # ---------------------------------------------------------------------------
 
-def brute_force_strata(model, ladder, k, x):
+def brute_force_strata(norms, ladder, k, x):
     """Direct enumeration over sorted P1 norm tuples."""
-    norms = sorted(int(v) for v in model.p1_norms())
+    norms = sorted(int(v) for v in norms)
     thresholds = ladder.levels(x, k) if k else []
     from itertools import combinations
 
@@ -362,44 +359,44 @@ def brute_force_strata(model, ladder, k, x):
 
 
 def test_strata_k0_is_one_over_d1():
-    model = build_place_model(200, 1.0, seed=0)
+    norms = p1_norms(200, 1.0, seed=0)
     ladder = FanLadder(2.0)
-    d1 = strata_cardinality(model, ladder, 1, 10.0)
-    assert strata_cardinality(model, ladder, 0, 10.0) == 1
-    assert d1 == len([n for n in model.p1_norms() if n < 100])
+    d1 = strata_cardinality(norms, ladder, 1, 10.0)
+    assert strata_cardinality(norms, ladder, 0, 10.0) == 1
+    assert d1 == len([n for n in norms if n < 100])
 
 
 def test_strata_matches_explicit_enumeration_small_universe():
     ladder = FanLadder(2.0)
-    model = build_place_model(300, 1.0, seed=0)
+    norms = p1_norms(300, 1.0, seed=0)
     for k in (1, 2, 3):
-        fast = strata_cardinality(model, ladder, k, 4.0)
-        slow = brute_force_strata(model, ladder, k, 4.0)
+        fast = strata_cardinality(norms, ladder, k, 4.0)
+        slow = brute_force_strata(norms, ladder, k, 4.0)
         assert fast == slow
 
 
 def test_strata_ratio_matches_explicit_enumeration_x10():
     ladder = FanLadder(2.0)
-    model = build_place_model(10_000, 1.0, seed=0)
-    d1 = brute_force_strata(model, ladder, 1, 10.0)
-    d2 = brute_force_strata(model, ladder, 2, 10.0)
-    assert strata_cardinality(model, ladder, 1, 10.0) == d1
-    assert strata_cardinality(model, ladder, 2, 10.0) == d2
+    norms = p1_norms(10_000, 1.0, seed=0)
+    d1 = brute_force_strata(norms, ladder, 1, 10.0)
+    d2 = brute_force_strata(norms, ladder, 2, 10.0)
+    assert strata_cardinality(norms, ladder, 1, 10.0) == d1
+    assert strata_cardinality(norms, ladder, 2, 10.0) == d2
 
 
 def test_strata_enumeration_with_partial_density():
     ladder = FanLadder(2.0)
-    model = build_place_model(5_000, 0.6, seed=12)
-    assert strata_cardinality(model, ladder, 2, 8.0) == brute_force_strata(
-        model, ladder, 2, 8.0
+    norms = p1_norms(5_000, 0.6, seed=12)
+    assert strata_cardinality(norms, ladder, 2, 8.0) == brute_force_strata(
+        norms, ladder, 2, 8.0
     )
 
 
 def test_strata_ratio_decreases_under_doubling():
     ladder = FanLadder(2.0)
-    model = build_place_model(110_000, 1.0, seed=0)
+    norms = p1_norms(110_000, 1.0, seed=0)
     ratios = [
-        strata_cardinality(model, ladder, 0, x) / strata_cardinality(model, ladder, 1, x)
+        strata_cardinality(norms, ladder, 0, x) / strata_cardinality(norms, ladder, 1, x)
         for x in (10.0, 20.0, 40.0, 80.0, 160.0, 320.0)
     ]
     for a, b in zip(ratios, ratios[1:]):
@@ -407,17 +404,17 @@ def test_strata_ratio_decreases_under_doubling():
 
 
 def test_strata_cap_guard():
-    model = build_place_model(10_000, 1.0, seed=0)
+    norms = p1_norms(10_000, 1.0, seed=0)
     ladder = FanLadder(2.0)
     with pytest.raises(CapExceeded):
-        strata_cardinality(model, ladder, 3, 50.0, cap=1000)
+        strata_cardinality(norms, ladder, 3, 50.0, cap=1000)
 
 
 def test_strata_rejects_cap_beyond_int64():
     # the DP counts in int64, so a cap of 2^63 or more cannot guard it
-    model = build_place_model(2000, 1.0, seed=0)
+    norms = p1_norms(2000, 1.0, seed=0)
     with pytest.raises(ValueError, match="2\\^63"):
-        strata_cardinality(model, FanLadder(1.0), 15, 2000.0, cap=10**40)
+        strata_cardinality(norms, FanLadder(1.0), 15, 2000.0, cap=10**40)
     with pytest.raises(ValueError, match="2\\^63"):
-        strata_cardinality(model, FanLadder(1.0), 1, 2000.0, cap=2**63)
-    assert strata_cardinality(model, FanLadder(1.0), 1, 2000.0, cap=2**63 - 1) == 303
+        strata_cardinality(norms, FanLadder(1.0), 1, 2000.0, cap=2**63)
+    assert strata_cardinality(norms, FanLadder(1.0), 1, 2000.0, cap=2**63 - 1) == 303
