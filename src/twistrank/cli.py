@@ -13,6 +13,8 @@ import math
 import sys
 from decimal import ROUND_DOWN, Decimal
 
+import numpy as np
+
 from . import bounds as bounds_mod
 from . import rankdist, twistsim
 from .gf import Flavor, build_field, is_prime
@@ -127,9 +129,11 @@ def cmd_simulate(p, flavor, n, k, samples, seed, shift, y, threads) -> list[tupl
         ("chi2_dof", str(dof)),
         ("chi2_pvalue", fmt(pvalue)),
     ]
-    # both laws span ranks 0..k+offset
-    columns = zip(empirical.counts, empirical.probs(), reference.probs, strict=True)
-    for r, (count, e, ref) in enumerate(columns):
+    # ranks through the last one where the count or the reference is non-zero
+    ranks = 1 + max(np.flatnonzero(a)[-1] for a in (empirical.counts, reference.probs))
+    columns = (np.pad(a, (0, ranks))[:ranks]
+               for a in (empirical.counts, empirical.probs(), reference.probs))
+    for r, (count, e, ref) in enumerate(zip(*columns)):
         rows.append((f"count({r})", str(count)))
         rows.append((f"emp({r})", fmt(e)))
         rows.append((f"ref({r})", fmt(ref)))

@@ -225,35 +225,74 @@ def apply(dist: RankDistribution) -> RankDistribution:
 WALK_LAW_FLOOR = 1e-300
 
 
+def _walk_states(field: FieldParams, y: float | None):
+    """The live prefix of the law after each step of the walk from rank 0,
+    with the masses dropped at that step, top rank first: after a step the
+    top rank is dropped while it holds less than WALK_LAW_FLOOR (rank 0
+    always stays). The coin table grows by doubling with the live width."""
+    law = np.ones(1)
+    down = stay = up = law[:0]
+    while True:
+        n = len(law) + 1
+        if n > len(down):
+            down, stay, up = _step_coefficients(coin_table(field, max(2 * n, 64), y), field.p)
+        live = np.zeros(n)
+        live[:-1] = law
+        law = _step(live * down[:n], live * stay[:n], live * up[:n])
+        while n > 1 and law[n - 1] < WALK_LAW_FLOOR:
+            n -= 1
+        yield law[:n], law[n:][::-1].tolist()
+        law = law[:n]
+
+
 def walk_law(field: FieldParams, k: int, offset: int = 0,
              y: float | None = None) -> RankDistribution:
     """Law of the rank after k steps of the walk from rank 0, shifted up by
-    offset, over ranks 0..k+offset (the ranks a k-step walk can print).
+    offset, over ranks 0..offset+W-1 for the live width W <= k+1.
 
     y selects the bounded-error coin as in coin_table. Only the live prefix
-    of ranks is stepped: whenever the mass at the top live rank falls below
-    WALK_LAW_FLOOR it is dropped and added to tail_bound, which therefore
-    bounds the total-variation distance to the untruncated law. The cost is
-    O(k * R) for a live width R, where the full operator walk is O(k^2).
+    is stepped, and mass dropped past it (see _walk_states) is added to
+    tail_bound, which therefore bounds the total-variation distance to the
+    untruncated law.
+
+    A step is a function of the live prefix alone, so once a prefix
+    repeats bitwise (a float fixed point, or rarely a short float cycle,
+    found by Brent's method) every later prefix is known, and the loop
+    stops: the law is bitwise the one the full k-step loop gives, for any
+    k. Each float addition of a dropped mass d raises the loop's running
+    sum by at most 2d, so adding twice the cycle's largest per-step drop
+    for every skipped step keeps tail_bound at least the loop's value.
     """
     if k < 0:
         raise ValueError("step count must be non-negative")
     if offset < 0:
         raise ValueError("offset must be non-negative")
-    down, stay, up = _step_coefficients(coin_table(field, k + 1, y), field.p)
-    probs = np.zeros(k + 1 + offset, dtype=np.float64)
-    law = probs[offset:]
-    law[0] = 1.0
-    top = 0  # highest rank with mass; a step can reach top + 1 <= k
-    leaked = 0.0
-    for _ in range(k):
-        n = top + 2
-        live = law[:n]
-        law[:n] = _step(live * down[:n], live * stay[:n], live * up[:n])
-        top += 1
-        while top > 0 and law[top] < WALK_LAW_FLOOR:
-            leaked += float(law[top])
-            law[top] = 0.0
-            top -= 1
+    states = _walk_states(field, y)
+    law, leaked = np.ones(1), 0.0
+    state = law.tobytes()
+    checkpoint, since, power, cycle_drop = state, 0, 1, 0.0
+    for step in range(1, k + 1):
+        previous = state
+        law, dropped = next(states)
+        state = law.tobytes()
+        drop = 0.0
+        for mass in dropped:
+            leaked += mass
+            drop += mass
+        since += 1
+        cycle_drop = max(cycle_drop, drop)
+        if state == previous:
+            period, cycle_drop = 1, drop
+        elif state == checkpoint:
+            period = since
+        else:
+            if since == power:
+                checkpoint, since, power, cycle_drop = state, 0, 2 * power, 0.0
+            continue
+        skipped = k - step
+        for _ in range(skipped % period):
+            law, _ = next(states)
+        leaked = float(Fraction(leaked) + 2 * skipped * Fraction(cycle_drop))
+        break
+    probs = np.concatenate([np.zeros(offset), law])
     return RankDistribution(field=field, probs=probs, tail_bound=leaked)
-

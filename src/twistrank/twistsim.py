@@ -16,12 +16,16 @@ import numpy as np
 from scipy.stats import chi2 as _chi2
 
 from .gf import FieldParams
-from .rankdist import _step, _step_coefficients, coin_table
+from .rankdist import _step_coefficients, coin_table
 from .spaces import build_local_plane, fiber_size, kummer_line_of_character
 
 # walk counts are int64, and a step adds disjoint counts, so totals fit
 MAX_SAMPLES = 1 << 62
 CHUNK_SAMPLES = MAX_SAMPLES  # a run is one chunk; kept for perfbench's provenance
+
+# a run raises, because a walk left the truncated kernel, with probability
+# at most this
+LEAK_BOUND = 2.0**-64
 
 # chi-squared bins are pooled until each expects at least this many samples
 CHI2_MIN_EXPECTED = 5.0
@@ -243,11 +247,15 @@ class EmpiricalDistribution:
         observed, expected = observed[keep], expected[keep]
         if (expected == 0).any():
             raise ValueError("observed mass on a zero-probability rank")
-        # pool the sparse upper tail
-        while len(expected) > 2 and expected[-1] < CHI2_MIN_EXPECTED:
-            expected[-2] += expected[-1]
-            observed[-2] += observed[-1]
-            expected, observed = expected[:-1], observed[:-1]
+        if len(expected) > 2:
+            # pool bins top..end into bin top, the highest top >= 1 whose
+            # tail expects CHI2_MIN_EXPECTED
+            tail = np.cumsum(expected[::-1])[::-1]
+            qualified = np.flatnonzero(tail[1:] >= CHI2_MIN_EXPECTED)
+            top = int(qualified[-1]) + 1 if len(qualified) else 1
+            observed_tail = np.cumsum(observed[::-1])[::-1]
+            expected = np.append(expected[:top], tail[top])
+            observed = np.append(observed[:top], observed_tail[top])
         stat = float(((observed - expected) ** 2 / expected).sum())
         dof = len(expected) - 1
         if dof == 0:
@@ -256,38 +264,86 @@ class EmpiricalDistribution:
         return stat, dof, float(_chi2.sf(stat, dof))
 
 
-def _simulate_chunk(config: SimConfig, n_ranks: int) -> np.ndarray:
-    """Rank counts of all config.samples walks, drawn from one stream.
+def truncated_kernel(field: FieldParams, width: int, y: float | None = None) -> np.ndarray:
+    """One step of the walk on ranks 0..width-1 as a (width+1)-square
+    matrix whose last state, exit, is absorbing and takes every move up
+    from rank width-1. y selects the coin as in coin_table."""
+    down, stay, up = _step_coefficients(coin_table(field, width, y), field.p)
+    return (np.diag(np.append(down[1:], 0.0), -1) + np.diag(np.append(stay, 1.0))
+            + np.diag(up, 1))
 
-    The walks are i.i.d., so the count per rank is the whole state: each
-    step draws, per rank, how many of its walks move up, stay and fall
-    (one multinomial over the coin table) and moves those counts with the
-    same tridiagonal step as the reference law. The rare moves come first,
-    so the fall is the remainder; ranks with no walks draw nothing. The
-    cost is O(k * n_ranks) whatever the number of samples.
+
+def _leaps(kernel: np.ndarray, k: int):
+    """kernel^(2^i) for each set bit i of k, lowest first; together they
+    compose kernel^k. Every row is renormalised after each squaring, so
+    that float rounding never lets it sum above 1."""
+    power = kernel
+    while k:
+        if k & 1:
+            yield power
+        k >>= 1
+        if k:
+            power = power @ power
+            power /= power.sum(axis=1, keepdims=True)
+
+
+def exit_probability(kernel: np.ndarray, k: int) -> float:
+    """Probability that a k-step walk from rank 0 leaves the kernel's ranks:
+    the exit entry of row 0 of kernel^k."""
+    row = np.eye(len(kernel))[0]
+    for power in _leaps(kernel, k):
+        row = row @ power
+    return float(row[-1])
+
+
+def leap_kernel(config: SimConfig) -> np.ndarray:
+    """The truncated kernel that config's walks leap through: its width
+    starts at min(k + 1, 16) and doubles until samples * exit_probability
+    <= LEAK_BOUND. At width k + 1 no k-step walk can leave, so small k
+    needs no doubling; the rule is the same for both coins."""
+    width = min(config.k + 1, 16)
+    while True:
+        kernel = truncated_kernel(config.field, width, config.chebotarev_y)
+        if config.samples * exit_probability(kernel, config.k) <= LEAK_BOUND:
+            return kernel
+        width *= 2
+
+
+def _simulate_chunk(config: SimConfig, kernel: np.ndarray) -> np.ndarray:
+    """Rank counts of all config.samples walks after config.k steps through
+    kernel, drawn from one stream.
+
+    The walks are i.i.d., so the count per rank is the whole state, and the
+    counts m steps later are sum_r Multinomial(counts[r], kernel^m[r, .]),
+    exact in law. The walk leaps through the binary powers of the kernel,
+    one row-broadcast multinomial per set bit of k: O(R^3 log k) for R
+    ranks, whatever the number of samples. The multinomial draws the
+    columns from exit downward, so the rare high ranks get their own
+    binomials and float rounding of the row lands in the lowest rank.
+    A walk that reaches exit raises; leap_kernel makes that a
+    LEAK_BOUND-rare event.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(0,)))
-    counts = np.zeros(n_ranks, dtype=np.int64)
+    counts = np.zeros(len(kernel), dtype=np.int64)
     counts[0] = config.samples
-    coin = coin_table(config.field, n_ranks, config.chebotarev_y)
-    down, stay, up = _step_coefficients(coin, config.field.p)
-    moves = np.stack([up, stay, down], axis=1)
-    top = 0  # highest rank with walks; a step can reach top + 1 < n_ranks
-    for _ in range(config.k):
-        n = top + 2
-        drawn = rng.multinomial(counts[:n], moves[:n])
-        counts[:n] = _step(drawn[:, 2], drawn[:, 1], drawn[:, 0])
-        top = int(np.flatnonzero(counts[:n])[-1])
-    return np.roll(counts, config.shift_mode.offset)
+    for power in _leaps(kernel, config.k):
+        n = int(np.flatnonzero(counts)[-1]) + 1
+        counts = rng.multinomial(counts[:n], power[:n, ::-1]).sum(axis=0)[::-1]
+        if counts[-1]:
+            raise ArithmeticError(
+                f"{counts[-1]} walks left ranks 0..{len(kernel) - 2} of the truncated kernel")
+    return counts[:-1]
 
 
 def simulate(config: SimConfig) -> EmpiricalDistribution:
     """Run the rank walk for every sample, all from one stream keyed by
-    (seed, 0), and return the rank counts. Output depends only on (seed,
-    samples, k, field, shift, y); config.threads has no effect.
+    (seed, 0), and return the rank counts, shifted by the shift mode's
+    offset. Output depends only on (seed, samples, k, field, shift, y);
+    config.threads has no effect.
     """
-    n_ranks = config.k + config.shift_mode.offset + 1
-    return EmpiricalDistribution(counts=_simulate_chunk(config, n_ranks), total=config.samples)
+    counts = _simulate_chunk(config, leap_kernel(config))
+    counts = np.concatenate([np.zeros(config.shift_mode.offset, dtype=np.int64), counts])
+    return EmpiricalDistribution(counts=counts, total=config.samples)
 
 
 def strata_cardinality(p1_norms: np.ndarray, ladder: FanLadder, k: int, x: float,

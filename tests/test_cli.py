@@ -219,13 +219,24 @@ def test_simulate_matches_golden_histogram():
     assert out == (DATA_DIR / "simulate_p3_uni_k5_seed11.csv").read_text()
 
 
-def test_simulate_single_chunk_histogram_is_unchanged():
-    """Runs of at most 16384 samples print what they printed when samples were
-    drawn in 16384-sample chunks; this file was pinned by that code."""
+def test_simulate_matches_golden_histogram_k20():
+    """A second pinned run, deeper than the first: every rank 0..20 prints."""
     code, out, err = run_cli("--format", "csv", "simulate", "--p", "2", "--flavor", "sym",
                              "--k", "20", "--samples", "16384", "--seed", "7")
     assert code == 0 and err == ""
     assert out == (DATA_DIR / "simulate_p2_sym_k20_seed7.csv").read_text()
+
+
+@pytest.mark.parametrize("k", [1000, 10**17, 10**18])
+def test_simulate_prints_through_the_last_nonzero_rank(k):
+    code, out, err = run_cli("--format", "json", "simulate", "--p", "2", "--flavor", "sym",
+                             "--k", str(k), "--samples", "100000", "--seed", "2")
+    assert (code, err) == (0, "")
+    rows = OutputRecord.from_json(out).rows
+    counts = [value for label, value in rows if label.startswith("count(")]
+    refs = [value for label, value in rows if label.startswith("ref(")]
+    assert len(counts) < 100
+    assert refs[-1] != "0" and float(refs[-1]) > 0
 
 
 def test_simulate_thread_flag_output_invariant():
@@ -466,9 +477,8 @@ def test_range_error_names_the_flag(argv, message):
 
 @pytest.mark.parametrize("argv", [
     ("dist", "--p", "2", "--flavor", "sym", "--rmax", str(10**17)),
-    ("simulate", "--k", str(10**17)),
     ("simulate", "--k", "3", "--shift", f"notfd:{10**17}"),
-], ids=["dist-rmax", "simulate-k", "simulate-shift"])
+], ids=["dist-rmax", "simulate-shift"])
 def test_out_of_memory_is_one_error_line(argv):
     # each needs an array of about 711 PiB, more than any address space holds
     code, out, err = run_cli(*argv)

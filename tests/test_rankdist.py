@@ -269,14 +269,64 @@ def test_walk_law_equals_operator_walk():
         for k in (1, 5, 20, 1000):
             law = rd.walk_law(field, k)
             reference = operator_walk(field, k)
-            assert len(law.probs) == k + 1
-            diff = np.abs(law.probs - reference.probs)
+            # the law spans its live width, at most the k + 1 ranks of the walk
+            assert 1 <= len(law.probs) <= k + 1
+            probs = np.pad(law.probs, (0, k + 1 - len(law.probs)))
+            diff = np.abs(probs - reference.probs)
             assert diff.max() < 5e-17
             # the two differ only at truncated ranks, and tail_bound covers them
             assert diff.sum() <= law.tail_bound < 1e-290
             big = reference.probs > 1e-250
-            assert np.array_equal(law.probs[big], reference.probs[big])
+            assert np.array_equal(probs[big], reference.probs[big])
         assert law.tail_bound > 0
+
+
+def stepped_walk_law(field, k, y):
+    """The k-step loop walk_law ran before it stopped at a repeated state:
+    (probs over ranks 0..k, tail_bound)."""
+    down, stay, up = rd._step_coefficients(rd.coin_table(field, k + 1, y), field.p)
+    law = np.zeros(k + 1)
+    law[0] = 1.0
+    top, leaked = 0, 0.0
+    for _ in range(k):
+        n = top + 2
+        live = law[:n]
+        law[:n] = rd._step(live * down[:n], live * stay[:n], live * up[:n])
+        top += 1
+        while top > 0 and law[top] < rd.WALK_LAW_FLOOR:
+            leaked += float(law[top])
+            law[top] = 0.0
+            top -= 1
+    return law, leaked
+
+
+@pytest.mark.parametrize("p,flavor,y", [
+    (p, flavor, y) for p in (2, 3, 32749) for flavor in Flavor for y in (None, 50.0, 2.0)
+] + [(2, Flavor.UNITARY, 3.0)])  # from step 351 this walk alternates between two states
+def test_walk_law_is_bitwise_the_stepped_loop(p, flavor, y):
+    field = build_field(p, flavor)
+    for k in (0, 1, 20, 1000):
+        law = rd.walk_law(field, k, y=y)
+        probs, leaked = stepped_walk_law(field, k, y)
+        width = len(law.probs)
+        assert law.probs.tobytes() == probs[:width].tobytes()
+        assert not probs[width:].any()
+        assert law.tail_bound >= leaked
+
+
+def test_walk_law_any_k_repeats_the_cycle():
+    """Past the step where the live prefix repeats, walk_law(k) depends only
+    on the phase of k in the cycle, and tail_bound grows with k."""
+    for p, flavor, y, period in ((2, Flavor.SYMPLECTIC, None, 1),
+                                 (2, Flavor.UNITARY, 3.0, 2)):
+        field = build_field(p, flavor)
+        law = rd.walk_law(field, 1000, y=y)
+        for k in (1000 + period, 10**18):
+            far = rd.walk_law(field, k, y=y)
+            assert far.probs.tobytes() == law.probs.tobytes()
+            assert law.tail_bound <= far.tail_bound < 1e-250
+        if period == 2:
+            assert rd.walk_law(field, 1001, y=y).probs.tobytes() != law.probs.tobytes()
 
 
 def test_walk_law_k0_is_point_mass():

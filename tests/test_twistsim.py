@@ -8,15 +8,22 @@ from scipy.stats import kstest
 from twistrank import rankdist as rd
 from twistrank.gf import Flavor, build_field
 from twistrank.twistsim import (
+    CHI2_MIN_EXPECTED,
+    LEAK_BOUND,
     CapExceeded,
+    EmpiricalDistribution,
     FanLadder,
     ShiftMode,
     SimConfig,
+    _simulate_chunk,
     build_place_model,
+    exit_probability,
+    leap_kernel,
     micro_transition_law,
     primes_up_to,
     simulate,
     strata_cardinality,
+    truncated_kernel,
 )
 
 SIX_PAIRS = [(p, flavor) for p in (2, 3, 5, 7, 11, 13) for flavor in Flavor]
@@ -159,6 +166,12 @@ def test_step_bounded_error_mode():
     law = rd.walk_law(field, 2, y=y).probs
     for r in (1, 2):
         assert_within_three_sigma(walk_counts(field, 2, n, seed=100 + r, y=y), law)
+    # at y = 50 the coin is exact below rank 6; at y = 2 coin(2) moves from
+    # 0.25 to 0.28125, which shifts the k = 3 law by up to 0.0039 (8 sigma)
+    counts = walk_counts(field, 3, n, seed=103, y=2.0)
+    assert_within_three_sigma(counts, rd.walk_law(field, 3, y=2.0).probs)
+    with pytest.raises(AssertionError):
+        assert_within_three_sigma(counts, rd.walk_law(field, 3).probs)
 
 
 def test_micro_law_exact_equivalence_with_operator():
@@ -296,16 +309,73 @@ def test_simulate_chi2_grid_bounded_error_mode():
 
 def test_simulate_chi2_pvalues_uniform_across_seeds():
     """Under the right law the chi2 p-values of independent runs are uniform,
-    which one seeded run cannot show: 200 seeds per case, KS test at 1e-3."""
-    for p, flavor, y in ((2, Flavor.SYMPLECTIC, None), (7, Flavor.UNITARY, 4.0)):
+    which one seeded run cannot show: 200 seeds per case, KS test at 1e-3.
+    The reference is the step-by-step law, the sample the kernel-power leaps."""
+    for p, flavor, k, y in ((2, Flavor.SYMPLECTIC, 20, None), (7, Flavor.UNITARY, 20, 4.0),
+                            (2, Flavor.SYMPLECTIC, 1000, None), (3, Flavor.UNITARY, 20, 50.0)):
         field = build_field(p, flavor)
-        law = rd.walk_law(field, 20, y=y).probs
+        law = rd.walk_law(field, k, y=y).probs
         pvalues = [
-            simulate(SimConfig(field=field, k=20, samples=20_000, seed=seed,
+            simulate(SimConfig(field=field, k=k, samples=20_000, seed=seed,
                                chebotarev_y=y)).chi2_against(law)[2]
             for seed in range(200)
         ]
-        assert kstest(pvalues, "uniform").pvalue > 1e-3, (p, flavor, y)
+        assert kstest(pvalues, "uniform").pvalue > 1e-3, (p, flavor, k, y)
+
+
+@pytest.mark.parametrize("y", [None, 0.5])
+def test_leap_kernel_bounds_the_exit_at_the_top_of_the_domain(y):
+    field = build_field(2, Flavor.SYMPLECTIC)
+    config = SimConfig(field=field, k=10**18, samples=2**62, seed=1, chebotarev_y=y)
+    kernel = leap_kernel(config)
+    assert config.samples * exit_probability(kernel, config.k) <= LEAK_BOUND
+    # the width doubled from 16 because half of it did not bound the exit
+    width = len(kernel) - 1
+    assert width > 16
+    half = truncated_kernel(field, width // 2, y)
+    assert config.samples * exit_probability(half, config.k) > LEAK_BOUND
+    emp = simulate(config)
+    assert emp.chi2_against(rd.walk_law(field, config.k, y=y).probs)[2] > 1e-3
+
+
+def test_leap_kernel_small_k_needs_no_exit():
+    field = build_field(3, Flavor.UNITARY)
+    for k in range(16):
+        kernel = leap_kernel(SimConfig(field=field, k=k, samples=2**62))
+        assert len(kernel) == k + 2  # ranks 0..k and exit
+        assert exit_probability(kernel, k) == 0.0
+
+
+def test_walk_leaving_the_kernel_raises():
+    # a 5-step walk reaches rank 2, the exit of ranks 0..1, more often than 1 in 10
+    field = build_field(2, Flavor.SYMPLECTIC)
+    kernel = truncated_kernel(field, 2)
+    assert exit_probability(kernel, 5) > 0.1
+    with pytest.raises(ArithmeticError, match="left ranks 0..1"):
+        _simulate_chunk(SimConfig(field=field, k=5, samples=1000, seed=1), kernel)
+
+
+def pooled_by_loop(observed, expected):
+    """The bin pooling chi2_against did one bin at a time."""
+    while len(expected) > 2 and expected[-1] < CHI2_MIN_EXPECTED:
+        expected[-2] += expected[-1]
+        observed[-2] += observed[-1]
+        expected, observed = expected[:-1], observed[:-1]
+    return observed, expected
+
+
+def test_chi2_pooling_is_bitwise_the_one_bin_loop():
+    rng = np.random.default_rng(8)
+    for trial in range(400):
+        n = int(rng.integers(1, 30))
+        counts = rng.integers(0, [1, 50, 10**6, 2**40][trial % 4], n) + (np.arange(n) == 0)
+        law = rng.random(n) ** rng.uniform(1, 40)
+        law /= law.sum()
+        emp = EmpiricalDistribution(counts=counts, total=int(counts.sum()))
+        stat, dof, _ = emp.chi2_against(law)
+        observed, expected = pooled_by_loop(counts.astype(float), law * emp.total)
+        want = float(((observed - expected) ** 2 / expected).sum())
+        assert (stat, dof) == (want, len(expected) - 1)
 
 
 def test_simulate_bounded_error_mode_stays_close():
