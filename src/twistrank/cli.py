@@ -129,8 +129,9 @@ def cmd_simulate(p, flavor, n, k, samples, seed, shift, y, threads) -> list[tupl
         ("chi2_dof", str(dof)),
         ("chi2_pvalue", fmt(pvalue)),
     ]
-    # ranks through the last one where the count or the reference is non-zero
-    ranks = 1 + max(np.flatnonzero(a)[-1] for a in (empirical.counts, reference.probs))
+    # the ranks the sampler can reach; beyond them the reference holds at
+    # most LEAK_BOUND / samples
+    ranks = len(empirical.counts)
     columns = (np.pad(a, (0, ranks))[:ranks]
                for a in (empirical.counts, empirical.probs(), reference.probs))
     for r, (count, e, ref) in enumerate(zip(*columns)):

@@ -273,65 +273,51 @@ def truncated_kernel(field: FieldParams, width: int, y: float | None = None) -> 
             + np.diag(up, 1))
 
 
-def _leaps(kernel: np.ndarray, k: int):
-    """kernel^(2^i) for each set bit i of k, lowest first; together they
-    compose kernel^k. Every row is renormalised after each squaring, so
-    that float rounding never lets it sum above 1."""
+def k_step_row(kernel: np.ndarray, k: int) -> np.ndarray:
+    """Row 0 of kernel^k: the law of a k-step walk from rank 0, folded
+    through the binary powers kernel^(2^i) of the set bits of k. Every row
+    is renormalised after each squaring, so that float rounding never lets
+    it sum above 1."""
+    row = np.eye(len(kernel))[0]
     power = kernel
     while k:
         if k & 1:
-            yield power
+            row = row @ power
         k >>= 1
         if k:
             power = power @ power
             power /= power.sum(axis=1, keepdims=True)
+    return row
 
 
-def exit_probability(kernel: np.ndarray, k: int) -> float:
-    """Probability that a k-step walk from rank 0 leaves the kernel's ranks:
-    the exit entry of row 0 of kernel^k."""
-    row = np.eye(len(kernel))[0]
-    for power in _leaps(kernel, k):
-        row = row @ power
-    return float(row[-1])
-
-
-def leap_kernel(config: SimConfig) -> np.ndarray:
-    """The truncated kernel that config's walks leap through: its width
-    starts at min(k + 1, 16) and doubles until samples * exit_probability
-    <= LEAK_BOUND. At width k + 1 no k-step walk can leave, so small k
-    needs no doubling; the rule is the same for both coins."""
+def leap_law(config: SimConfig) -> np.ndarray:
+    """The law of config's walks after k steps on ranks 0..R-1 plus exit,
+    the chance of passing rank R-1. R starts at min(k + 1, 16) and doubles
+    until samples * exit <= LEAK_BOUND. At R = k + 1 no k-step walk can
+    leave, so small k needs no doubling; the rule is the same for both
+    coins. The cost is O(R^3 log k) at any sample count."""
     width = min(config.k + 1, 16)
     while True:
         kernel = truncated_kernel(config.field, width, config.chebotarev_y)
-        if config.samples * exit_probability(kernel, config.k) <= LEAK_BOUND:
-            return kernel
+        law = k_step_row(kernel, config.k)
+        if config.samples * law[-1] <= LEAK_BOUND:
+            return law
         width *= 2
 
 
-def _simulate_chunk(config: SimConfig, kernel: np.ndarray) -> np.ndarray:
-    """Rank counts of all config.samples walks after config.k steps through
-    kernel, drawn from one stream.
-
-    The walks are i.i.d., so the count per rank is the whole state, and the
-    counts m steps later are sum_r Multinomial(counts[r], kernel^m[r, .]),
-    exact in law. The walk leaps through the binary powers of the kernel,
-    one row-broadcast multinomial per set bit of k: O(R^3 log k) for R
-    ranks, whatever the number of samples. The multinomial draws the
-    columns from exit downward, so the rare high ranks get their own
-    binomials and float rounding of the row lands in the lowest rank.
-    A walk that reaches exit raises; leap_kernel makes that a
-    LEAK_BOUND-rare event.
+def _simulate_chunk(config: SimConfig, law: np.ndarray) -> np.ndarray:
+    """Rank counts of all config.samples walks after config.k steps, drawn
+    from one stream as one Multinomial(samples, law): the walks are i.i.d.
+    from rank 0, so this is exact in law. The draw takes the columns from
+    exit downward, so the rare high ranks get their own binomials and float
+    rounding of the law lands in rank 0. A walk that reaches exit raises;
+    leap_law makes that a LEAK_BOUND-rare event.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(0,)))
-    counts = np.zeros(len(kernel), dtype=np.int64)
-    counts[0] = config.samples
-    for power in _leaps(kernel, config.k):
-        n = int(np.flatnonzero(counts)[-1]) + 1
-        counts = rng.multinomial(counts[:n], power[:n, ::-1]).sum(axis=0)[::-1]
-        if counts[-1]:
-            raise ArithmeticError(
-                f"{counts[-1]} walks left ranks 0..{len(kernel) - 2} of the truncated kernel")
+    counts = rng.multinomial(config.samples, law[::-1])[::-1]
+    if counts[-1]:
+        raise ArithmeticError(
+            f"{counts[-1]} walks left ranks 0..{len(law) - 2} of the truncated kernel")
     return counts[:-1]
 
 
@@ -339,9 +325,10 @@ def simulate(config: SimConfig) -> EmpiricalDistribution:
     """Run the rank walk for every sample, all from one stream keyed by
     (seed, 0), and return the rank counts, shifted by the shift mode's
     offset. Output depends only on (seed, samples, k, field, shift, y);
-    config.threads has no effect.
+    config.threads has no effect. At R >= 128 the BLAS thread count can
+    move the law's last bits, and so the counts.
     """
-    counts = _simulate_chunk(config, leap_kernel(config))
+    counts = _simulate_chunk(config, leap_law(config))
     counts = np.concatenate([np.zeros(config.shift_mode.offset, dtype=np.int64), counts])
     return EmpiricalDistribution(counts=counts, total=config.samples)
 

