@@ -120,20 +120,21 @@ def cmd_isotropic(p: int, flavor: Flavor, n: int) -> list[tuple[str, str]]:
 def cmd_simulate(p, flavor, n, k, samples, seed, shift, y, threads) -> list[tuple[str, str]]:
     config = SimConfig(build_field(p, flavor), n, k, samples, seed, shift, y, threads=threads)
     empirical = twistsim.simulate(config)
-    reference = rankdist.walk_law(config.field, k, shift.offset, y)
-    tv = empirical.tv_against(reference.probs)
-    stat, dof, pvalue = empirical.chi2_against(reference.probs)
+    reference = empirical.reference
+    tv = empirical.tv_against(reference)
+    stat, dof, pvalue = empirical.chi2_against(reference)
     rows = [
         ("tv", fmt(tv)),
         ("chi2", fmt(stat)),
         ("chi2_dof", str(dof)),
         ("chi2_pvalue", fmt(pvalue)),
     ]
-    # the ranks the sampler can reach; beyond them the reference holds at
-    # most LEAK_BOUND / samples
-    ranks = len(empirical.counts)
-    columns = (np.pad(a, (0, ranks))[:ranks]
-               for a in (empirical.counts, empirical.probs(), reference.probs))
+    # through the last rank a count reached, or the last whose tail (the
+    # mass at or above it) exceeds LEAK_BOUND / samples, whichever is higher
+    tail = np.cumsum(reference[::-1])[::-1]
+    ranks = 1 + max(np.flatnonzero(empirical.counts)[-1],
+                    np.flatnonzero(samples * tail > twistsim.LEAK_BOUND)[-1])
+    columns = (a[:ranks] for a in (empirical.counts, empirical.probs(), reference))
     for r, (count, e, ref) in enumerate(zip(*columns)):
         rows.append((f"count({r})", str(count)))
         rows.append((f"emp({r})", fmt(e)))

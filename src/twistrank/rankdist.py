@@ -261,7 +261,8 @@ def walk_law(field: FieldParams, k: int, offset: int = 0,
     stops: the law is bitwise the one the full k-step loop gives, for any
     k. Each float addition of a dropped mass d raises the loop's running
     sum by at most 2d, so adding twice the cycle's largest per-step drop
-    for every skipped step keeps tail_bound at least the loop's value.
+    for every skipped step keeps tail_bound at least the loop's value; it
+    is capped at 1, which bounds every total-variation distance.
     """
     if k < 0:
         raise ValueError("step count must be non-negative")
@@ -292,7 +293,7 @@ def walk_law(field: FieldParams, k: int, offset: int = 0,
         skipped = k - step
         for _ in range(skipped % period):
             law, _ = next(states)
-        leaked = float(Fraction(leaked) + 2 * skipped * Fraction(cycle_drop))
+        leaked = float(min(1, Fraction(leaked) + 2 * skipped * Fraction(cycle_drop)))
         break
     probs = np.concatenate([np.zeros(offset), law])
     return RankDistribution(field=field, probs=probs, tail_bound=leaked)

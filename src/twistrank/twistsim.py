@@ -16,15 +16,15 @@ import numpy as np
 from scipy.stats import chi2 as _chi2
 
 from .gf import FieldParams
-from .rankdist import _step_coefficients, coin_table
+from .rankdist import walk_law
 from .spaces import build_local_plane, fiber_size, kummer_line_of_character
 
-# walk counts are int64, and a step adds disjoint counts, so totals fit
+# counts are int64 and sum to samples, so totals fit
 MAX_SAMPLES = 1 << 62
 CHUNK_SAMPLES = MAX_SAMPLES  # a run is one chunk; kept for perfbench's provenance
 
-# a run raises, because a walk left the truncated kernel, with probability
-# at most this
+# a run raises unless a sample falls outside the certified part of the
+# k-step law with probability at most this
 LEAK_BOUND = 2.0**-64
 
 # chi-squared bins are pooled until each expects at least this many samples
@@ -211,10 +211,12 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
-    """Observed rank counts from a simulation run."""
+    """Observed rank counts from a simulation run, with the law they were
+    drawn from."""
 
     counts: np.ndarray
     total: int
+    reference: np.ndarray
 
     def __post_init__(self):
         if int(self.counts.sum()) != self.total:
@@ -264,73 +266,40 @@ class EmpiricalDistribution:
         return stat, dof, float(_chi2.sf(stat, dof))
 
 
-def truncated_kernel(field: FieldParams, width: int, y: float | None = None) -> np.ndarray:
-    """One step of the walk on ranks 0..width-1 as a (width+1)-square
-    matrix whose last state, exit, is absorbing and takes every move up
-    from rank width-1. y selects the coin as in coin_table."""
-    down, stay, up = _step_coefficients(coin_table(field, width, y), field.p)
-    return (np.diag(np.append(down[1:], 0.0), -1) + np.diag(np.append(stay, 1.0))
-            + np.diag(up, 1))
-
-
-def k_step_row(kernel: np.ndarray, k: int) -> np.ndarray:
-    """Row 0 of kernel^k: the law of a k-step walk from rank 0, folded
-    through the binary powers kernel^(2^i) of the set bits of k. Every row
-    is renormalised after each squaring, so that float rounding never lets
-    it sum above 1."""
-    row = np.eye(len(kernel))[0]
-    power = kernel
-    while k:
-        if k & 1:
-            row = row @ power
-        k >>= 1
-        if k:
-            power = power @ power
-            power /= power.sum(axis=1, keepdims=True)
-    return row
-
-
-def leap_law(config: SimConfig) -> np.ndarray:
-    """The law of config's walks after k steps on ranks 0..R-1 plus exit,
-    the chance of passing rank R-1. R starts at min(k + 1, 16) and doubles
-    until samples * exit <= LEAK_BOUND. At R = k + 1 no k-step walk can
-    leave, so small k needs no doubling; the rule is the same for both
-    coins. The cost is O(R^3 log k) at any sample count."""
-    width = min(config.k + 1, 16)
-    while True:
-        kernel = truncated_kernel(config.field, width, config.chebotarev_y)
-        law = k_step_row(kernel, config.k)
-        if config.samples * law[-1] <= LEAK_BOUND:
-            return law
-        width *= 2
-
-
 def _simulate_chunk(config: SimConfig, law: np.ndarray) -> np.ndarray:
     """Rank counts of all config.samples walks after config.k steps, drawn
-    from one stream as one Multinomial(samples, law): the walks are i.i.d.
-    from rank 0, so this is exact in law. The draw takes the columns from
-    exit downward, so the rare high ranks get their own binomials and float
-    rounding of the law lands in rank 0. A walk that reaches exit raises;
-    leap_law makes that a LEAK_BOUND-rare event.
+    from one stream as one Multinomial(samples, law), law being the
+    unshifted k-step law: the walks are i.i.d. from rank 0, so this is
+    exact in law. The draw takes the columns from the top rank downward, so
+    the rare high ranks get their own binomials and float rounding of the
+    law lands in rank 0.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(0,)))
-    counts = rng.multinomial(config.samples, law[::-1])[::-1]
-    if counts[-1]:
-        raise ArithmeticError(
-            f"{counts[-1]} walks left ranks 0..{len(law) - 2} of the truncated kernel")
-    return counts[:-1]
+    return rng.multinomial(config.samples, law[::-1])[::-1]
 
 
 def simulate(config: SimConfig) -> EmpiricalDistribution:
     """Run the rank walk for every sample, all from one stream keyed by
-    (seed, 0), and return the rank counts, shifted by the shift mode's
-    offset. Output depends only on (seed, samples, k, field, shift, y);
-    config.threads has no effect. At R >= 128 the BLAS thread count can
-    move the law's last bits, and so the counts.
+    (seed, 0), and return the rank counts with the law they were drawn
+    from (rankdist.walk_law), both shifted by the shift mode's offset.
+    Output depends only on (seed, samples, k, field, shift, y);
+    config.threads has no effect.
+
+    walk_law certifies its law only to total variation tail_bound, so a
+    run raises unless samples * tail_bound <= LEAK_BOUND: then a sample
+    falls where the truncated law differs from the true one with
+    probability at most LEAK_BOUND.
     """
-    counts = _simulate_chunk(config, leap_law(config))
-    counts = np.concatenate([np.zeros(config.shift_mode.offset, dtype=np.int64), counts])
-    return EmpiricalDistribution(counts=counts, total=config.samples)
+    offset = config.shift_mode.offset
+    law = walk_law(config.field, config.k, offset, config.chebotarev_y)
+    if config.samples * law.tail_bound > LEAK_BOUND:
+        raise ArithmeticError(
+            f"k={config.k}, samples={config.samples}: the k-step law is certified only to "
+            f"total variation {law.tail_bound:.3g}, so a sample leaves it with "
+            "probability above 2^-64")
+    counts = _simulate_chunk(config, law.probs[offset:])
+    counts = np.concatenate([np.zeros(offset, dtype=np.int64), counts])
+    return EmpiricalDistribution(counts=counts, total=config.samples, reference=law.probs)
 
 
 def strata_cardinality(p1_norms: np.ndarray, ladder: FanLadder, k: int, x: float,

@@ -1,13 +1,19 @@
 import io
+import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twistrank import cli
 from twistrank import rankdist as rd
+from twistrank import twistsim
 from twistrank.cli import (
     COMMANDS,
     SIM_CONFIG_FIELDS,
@@ -19,7 +25,7 @@ from twistrank.cli import (
 from twistrank.gf import Flavor, build_field
 from twistrank.records import OutputRecord
 from twistrank.spaces import evaluate_form, hyperbolic_plane
-from twistrank.twistsim import SimConfig, leap_law
+from twistrank.twistsim import LEAK_BOUND
 
 DATA_DIR = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
@@ -221,8 +227,8 @@ def test_simulate_matches_golden_histogram():
 
 
 def test_simulate_matches_golden_histogram_k20():
-    """A second pinned run, deeper than the first: ranks 0..15, the width
-    the sampler can reach, print."""
+    """A second pinned run, deeper than the first: ranks 0..12 print, through
+    the last whose tail exceeds 2^-64 / samples."""
     code, out, err = run_cli("--format", "csv", "simulate", "--p", "2", "--flavor", "sym",
                              "--k", "20", "--samples", "16384", "--seed", "7")
     assert code == 0 and err == ""
@@ -235,9 +241,60 @@ def test_simulate_prints_the_ranks_the_sampler_can_reach(k):
                              "--k", str(k), "--samples", "100000", "--seed", "2")
     assert (code, err) == (0, "")
     rows = OutputRecord.from_json(out).rows
-    counts = [value for label, value in rows if label.startswith("count(")]
-    config = SimConfig(build_field(2, Flavor.SYMPLECTIC), k=k, samples=100000, seed=2)
-    assert len(counts) == len(leap_law(config)) - 1
+    counts = [int(value) for label, value in rows if label.startswith("count(")]
+    # the last printed rank is the higher of the last with a count and the
+    # last whose tail (the reference mass at or above it) exceeds
+    # LEAK_BOUND / samples
+    law = rd.walk_law(build_field(2, Flavor.SYMPLECTIC), k).probs
+    tail = np.cumsum(law[::-1])[::-1]
+    reach = int(np.flatnonzero(100000 * tail > LEAK_BOUND)[-1])
+    assert len(counts) == 1 + max(reach, max(r for r, c in enumerate(counts) if c))
+    assert len(counts) < len(law)
+
+
+def test_simulate_computes_the_k_step_law_once(monkeypatch):
+    """The printed reference is the law the sample was drawn from, so the
+    command steps walk_law once."""
+    calls, walk_law = [], rd.walk_law
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return walk_law(*args, **kwargs)
+
+    monkeypatch.setattr(twistsim, "walk_law", counted)
+    monkeypatch.setattr(rd, "walk_law", counted)
+    code, _, _ = run_cli("simulate", "--p", "2", "--flavor", "sym", "--k", "20")
+    assert code == 0 and len(calls) == 1
+
+
+def test_simulate_beyond_the_certified_depth_is_one_error_line():
+    k = 10**700
+    code, out, err = run_cli("simulate", "--p", "2", "--flavor", "sym", "--k", str(k))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: k={k}, samples=10000: ") and err.count("\n") == 1
+
+
+def test_simulate_independent_of_blas_threads():
+    """The k-step law is stepped in numpy elementwise, with no BLAS call, so
+    one and two OpenBLAS threads give bitwise the same counts and law."""
+    script = (
+        "import json\n"
+        "from twistrank.gf import Flavor, build_field\n"
+        "from twistrank.twistsim import SimConfig, simulate\n"
+        "emp = simulate(SimConfig(build_field(2, Flavor.SYMPLECTIC), k=10**18,"
+        " samples=2**62, seed=1, chebotarev_y=0.5))\n"
+        "print(json.dumps([emp.counts.tolist(), [x.hex() for x in emp.reference]]))\n"
+    )
+    src = str(Path(__file__).parent.parent / "src")
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True)
+        runs.append(json.loads(done.stdout))
+    assert runs[0] == runs[1]
+    assert sum(runs[0][0]) == 2**62
 
 
 def test_simulate_thread_flag_output_invariant():

@@ -329,6 +329,16 @@ def test_walk_law_any_k_repeats_the_cycle():
             assert rd.walk_law(field, 1001, y=y).probs.tobytes() != law.probs.tobytes()
 
 
+def test_walk_law_tail_bound_is_capped_at_one():
+    """The per-step drop bound, summed over 10^700 skipped steps, passes 1
+    and any float range; the bound is capped at 1, and the law is the one
+    every k past the repeat gives."""
+    field = build_field(2, Flavor.SYMPLECTIC)
+    far = rd.walk_law(field, 10**700)
+    assert far.tail_bound == 1.0
+    assert far.probs.tobytes() == rd.walk_law(field, 10**18).probs.tobytes()
+
+
 def test_walk_law_k0_is_point_mass():
     field = build_field(3, Flavor.UNITARY)
     law = rd.walk_law(field, 0)

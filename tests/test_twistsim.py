@@ -15,15 +15,11 @@ from twistrank.twistsim import (
     FanLadder,
     ShiftMode,
     SimConfig,
-    _simulate_chunk,
     build_place_model,
-    k_step_row,
-    leap_law,
     micro_transition_law,
     primes_up_to,
     simulate,
     strata_cardinality,
-    truncated_kernel,
 )
 
 SIX_PAIRS = [(p, flavor) for p in (2, 3, 5, 7, 11, 13) for flavor in Flavor]
@@ -278,8 +274,9 @@ def test_simulate_chi2_grid_does_not_reject():
 
 @pytest.mark.parametrize("p,flavor", [(2, Flavor.SYMPLECTIC), (3, Flavor.UNITARY)])
 def test_simulate_chi2_at_a_trillion_samples(p, flavor):
-    """At 10^12 samples the chi2 tests the precision of walk_law itself, at
-    the same 1e-3 level."""
+    """At 10^12 samples the chi2 resolves relative errors of about 1e-6 in
+    the commonest ranks, so it tests that the one top-down draw reproduces
+    walk_law that closely, at the same 1e-3 level."""
     field = build_field(p, flavor)
     emp = simulate(SimConfig(field=field, k=20, samples=10**12, seed=p))
     assert emp.chi2_against(rd.walk_law(field, 20).probs)[2] > 1e-3
@@ -310,8 +307,7 @@ def test_simulate_chi2_grid_bounded_error_mode():
 def test_simulate_chi2_pvalues_uniform_across_seeds():
     """Under the right law the chi2 p-values of independent runs are uniform,
     which one seeded run cannot show: 200 seeds per case, KS test at 1e-3.
-    The reference is the step-by-step law, the sample one draw from the
-    leap-composed law."""
+    Each sample is one draw from walk_law, tested against that same law."""
     for p, flavor, k, y in ((2, Flavor.SYMPLECTIC, 20, None), (7, Flavor.UNITARY, 20, 4.0),
                             (2, Flavor.SYMPLECTIC, 1000, None), (3, Flavor.UNITARY, 20, 50.0)):
         field = build_field(p, flavor)
@@ -324,56 +320,61 @@ def test_simulate_chi2_pvalues_uniform_across_seeds():
         assert kstest(pvalues, "uniform").pvalue > 1e-3, (p, flavor, k, y)
 
 
-@pytest.mark.parametrize("y", [None, 0.5])
-def test_leap_kernel_bounds_the_exit_at_the_top_of_the_domain(y):
-    field = build_field(2, Flavor.SYMPLECTIC)
+TOP_OF_DOMAIN = pytest.mark.parametrize("flavor, y", [
+    (Flavor.SYMPLECTIC, None), (Flavor.SYMPLECTIC, 0.5), (Flavor.UNITARY, 0.3),
+], ids=["sym-exact", "sym-y0.5", "uni-y0.3"])
+
+
+@TOP_OF_DOMAIN
+def test_leak_guard_holds_at_the_top_of_the_domain(flavor, y):
+    """At k = 10^18 and 2^62 samples walk_law's tail bound keeps a sample
+    outside the certified law below LEAK_BOUND, so simulate answers."""
+    field = build_field(2, flavor)
     config = SimConfig(field=field, k=10**18, samples=2**62, seed=1, chebotarev_y=y)
-    law = leap_law(config)
-    assert config.samples * law[-1] <= LEAK_BOUND
-    # the width doubled from 16 because half of it did not bound the exit
-    width = len(law) - 1
-    assert width > 16
-    half = k_step_row(truncated_kernel(field, width // 2, y), config.k)
-    assert config.samples * half[-1] > LEAK_BOUND
+    law = rd.walk_law(field, config.k, y=y)
+    assert config.samples * law.tail_bound <= LEAK_BOUND
     emp = simulate(config)
-    assert emp.chi2_against(rd.walk_law(field, config.k, y=y).probs)[2] > 1e-3
+    np.testing.assert_array_equal(emp.reference, law.probs)
+    assert emp.chi2_against(emp.reference)[2] > 1e-3
 
 
-def test_leap_kernel_small_k_needs_no_exit():
-    field = build_field(3, Flavor.UNITARY)
-    for k in range(16):
-        law = leap_law(SimConfig(field=field, k=k, samples=2**62))
-        assert len(law) == k + 2  # ranks 0..k and exit
-        assert law[-1] == 0.0
+@TOP_OF_DOMAIN
+def test_leak_guard_fires_past_the_certified_depth(flavor, y):
+    """At k = 10^300 the bound on the mass dropped at each skipped step adds
+    up past LEAK_BOUND / 2^62, so simulate raises rather than draw."""
+    config = SimConfig(field=build_field(2, flavor), k=10**300, samples=2**62,
+                       seed=1, chebotarev_y=y)
+    with pytest.raises(ArithmeticError, match=f"k={10**300}, samples={2**62}: "):
+        simulate(config)
 
 
-def test_walk_leaving_the_kernel_raises():
-    # a 5-step walk reaches rank 2, the exit of ranks 0..1, more often than 1 in 10
-    field = build_field(2, Flavor.SYMPLECTIC)
-    law = k_step_row(truncated_kernel(field, 2), 5)
-    assert law[-1] > 0.1
-    with pytest.raises(ArithmeticError, match="left ranks 0..1"):
-        _simulate_chunk(SimConfig(field=field, k=5, samples=1000, seed=1), law)
+def exact_walk_law(field, k):
+    """Row 0 of P^k in Fractions, P's entries from markov_entry_exact."""
+    law = [Fraction(1)]
+    for _ in range(k):
+        nxt = [Fraction(0)] * (len(law) + 1)
+        for r, mass in enumerate(law):
+            for s in range(max(0, r - 1), r + 2):
+                nxt[s] += mass * rd.markov_entry_exact(field, r, s)
+        law = nxt
+    return law
 
 
-def test_leap_law_certifies_walk_law():
-    """Squaring the kernel and stepping the operator are independent routes
-    to the k-step law. The leap law drops only its exit mass, so it is
-    within 2 * exit of walk_law in l1, walk_law's ranks past R included."""
-    for p in (2, 3, 5, 32749):
+def test_walk_law_certified_by_exact_rationals():
+    """walk_law, which simulate draws from, agrees with the exact k-step law
+    at every rank to k * 2^-52 relative, a budget of two roundings of 2^-53
+    per step. The worst case here, (5, sym, k = 12, rank 9), is 1.004e-15,
+    under half of that budget."""
+    for p in (2, 3, 5):
         for flavor in Flavor:
             field = build_field(p, flavor)
-            for y in (None, 50.0, 2.0, 0.5):
-                for k in (0, 1, 5, 20, 1000, 10**6, 10**18):
-                    b = rd.walk_law(field, k, y=y).probs
-                    for samples in (1, 4096, 2**62):
-                        law = leap_law(SimConfig(field=field, k=k, samples=samples,
-                                                 chebotarev_y=y))
-                        exit_mass, law = law[-1], law[:-1]
-                        n = max(len(law), len(b))
-                        l1 = np.abs(np.pad(law, (0, n - len(law)))
-                                    - np.pad(b, (0, n - len(b)))).sum()
-                        assert l1 <= 2 * exit_mass + 1e-12, (p, flavor, y, k, samples, l1)
+            for k in range(13):
+                exact = exact_walk_law(field, k)
+                law = rd.walk_law(field, k)
+                assert law.tail_bound == 0.0 and len(law.probs) == k + 1
+                for r, (got, want) in enumerate(zip(law.probs, exact)):
+                    error = abs(Fraction(got) - want) / want
+                    assert error <= Fraction(k, 2**52), (p, flavor, k, r, float(error))
 
 
 @pytest.mark.parametrize("k, samples, shift, y", [
@@ -383,14 +384,18 @@ def test_leap_law_certifies_walk_law():
     (10**18, 4096, ShiftMode("notfd", 0), 50.0),
 ])
 def test_simulate_is_one_multinomial_draw(k, samples, shift, y):
-    """simulate is a single Multinomial(samples, leap_law) draw on the
-    (seed, 0) stream, columns taken from exit downward."""
+    """simulate is a single Multinomial(samples, walk_law) draw on the
+    (seed, 0) stream from the unshifted law, columns taken from the top
+    rank downward, and it returns that law, shifted like the counts."""
     config = SimConfig(field=build_field(3, Flavor.UNITARY), k=k, samples=samples, seed=9,
                        shift_mode=shift, chebotarev_y=y)
+    law = rd.walk_law(config.field, k, y=y).probs
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
-    draw = rng.multinomial(samples, leap_law(config)[::-1])[::-1][:-1]
-    expected = np.concatenate([np.zeros(shift.offset, dtype=np.int64), draw])
-    np.testing.assert_array_equal(simulate(config).counts, expected)
+    draw = rng.multinomial(samples, law[::-1])[::-1]
+    emp = simulate(config)
+    zeros = np.zeros(shift.offset, dtype=np.int64)
+    np.testing.assert_array_equal(emp.counts, np.concatenate([zeros, draw]))
+    np.testing.assert_array_equal(emp.reference, np.concatenate([zeros, law]))
 
 
 def pooled_by_loop(observed, expected):
@@ -409,7 +414,7 @@ def test_chi2_pooling_is_bitwise_the_one_bin_loop():
         counts = rng.integers(0, [1, 50, 10**6, 2**40][trial % 4], n) + (np.arange(n) == 0)
         law = rng.random(n) ** rng.uniform(1, 40)
         law /= law.sum()
-        emp = EmpiricalDistribution(counts=counts, total=int(counts.sum()))
+        emp = EmpiricalDistribution(counts=counts, total=int(counts.sum()), reference=law)
         stat, dof, _ = emp.chi2_against(law)
         observed, expected = pooled_by_loop(counts.astype(float), law * emp.total)
         want = float(((observed - expected) ** 2 / expected).sum())
