@@ -360,6 +360,18 @@ def exact_walk_law(field, k):
     return law
 
 
+def test_walk_law_small_k_drops_no_rank():
+    """Below the depth where any step's mass falls under the cut, walk_law
+    keeps every rank 0..k and reports no truncated tail."""
+    for p in (2, 3, 5):
+        for flavor in Flavor:
+            field = build_field(p, flavor)
+            for k in range(16):
+                law = rd.walk_law(field, k)
+                assert law.tail_bound == 0.0, (p, flavor, k)
+                assert len(law.probs) == k + 1, (p, flavor, k)
+
+
 def test_walk_law_certified_by_exact_rationals():
     """walk_law, which simulate draws from, agrees with the exact k-step law
     at every rank to k * 2^-52 relative, a budget of two roundings of 2^-53
@@ -371,7 +383,7 @@ def test_walk_law_certified_by_exact_rationals():
             for k in range(13):
                 exact = exact_walk_law(field, k)
                 law = rd.walk_law(field, k)
-                assert law.tail_bound == 0.0 and len(law.probs) == k + 1
+                assert len(law.probs) == len(exact), (p, flavor, k)
                 for r, (got, want) in enumerate(zip(law.probs, exact)):
                     error = abs(Fraction(got) - want) / want
                     assert error <= Fraction(k, 2**52), (p, flavor, k, r, float(error))
