@@ -49,7 +49,11 @@ def avg_rank_bound(field: FieldParams, deg_k: int) -> float:
     """Average-rank bound [K:Q] * sum_{i>=0} 1/(1 + q^(i+eps))."""
     if deg_k < 1:
         raise ValueError(f"deg_k must be >= 1, got {deg_k}")
-    return deg_k * rankdist.expected_rank(field)
+    try:
+        return deg_k * rankdist.expected_rank(field)
+    except OverflowError:
+        raise ValueError(f"deg_k is too large for a float, got a {deg_k.bit_length()}-bit "
+                         "integer") from None
 
 
 def no_growth_proportion_bound(field: FieldParams) -> float:

@@ -20,7 +20,7 @@ from . import rankdist, twistsim
 from .gf import Flavor, build_field, is_prime
 from .records import OutputRecord
 from .spaces import build_local_plane, fiber_size
-from .twistsim import CapExceeded, ShiftMode, SimConfig
+from .twistsim import CapExceeded, SimConfig
 
 TABLE_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -59,6 +59,17 @@ def _parse_y(text: str) -> float | None:
     if not (math.isfinite(y) and y > 0):
         raise ValueError(f"y = {y} is not positive and finite")
     return y
+
+
+def _parse_shift(text: str) -> int:
+    """The rank shift: 'fd' is 1, 'notfd' is 0 and 'notfd:<r>' is r >= 0."""
+    kind, colon, r = text.strip().lower().partition(":")
+    if kind == "fd" and not colon:
+        return 1
+    shift = int(r) if colon else 0
+    if kind != "notfd" or shift < 0:
+        raise ValueError(f"bad shift spec {text!r}")
+    return shift
 
 
 def cmd_table(p_list) -> list[tuple[str, str]]:
@@ -117,8 +128,9 @@ def cmd_isotropic(p: int, flavor: Flavor, n: int) -> list[tuple[str, str]]:
     return rows
 
 
-def cmd_simulate(p, flavor, n, k, samples, seed, shift, y, threads) -> list[tuple[str, str]]:
-    config = SimConfig(build_field(p, flavor), n, k, samples, seed, shift, y, threads=threads)
+def cmd_simulate(p, flavor, k, samples, seed, shift, y, threads) -> list[tuple[str, str]]:
+    config = SimConfig(field=build_field(p, flavor), k=k, samples=samples, seed=seed,
+                       shift=shift, chebotarev_y=y, threads=threads)
     empirical = twistsim.simulate(config)
     reference = empirical.reference
     tv = empirical.tv_against(reference)
@@ -155,12 +167,16 @@ def cmd_ladder(x: float, exponent: float, depth: int, k: int | None, density: fl
         p1_norms = twistsim.build_place_model(2, density, seed)
         twistsim.strata_cardinality(p1_norms, ladder, 0, x, cap)
         return rows
-    top = ladder.levels(x, k + 1)[-1]
-    if not top <= sieve_cap:
-        raise CapExceeded(
-            f"stratum k={k + 1} needs places up to {top:.3g}, beyond the "
-            f"sieve cap {sieve_cap}; lower x or k, or raise --sieve-cap"
-        )
+    # the levels never decrease, so the first past the sieve cap fails the
+    # top one; at x = 1 they are all 1
+    for i, top in enumerate(ladder.iter_levels(x), start=1):
+        if not top <= sieve_cap:
+            raise CapExceeded(
+                f"stratum k={k + 1} needs places up to at least {top:.3g}, beyond the "
+                f"sieve cap {sieve_cap}; lower x or k, or raise --sieve-cap"
+            )
+        if i == k + 1 or x == 1:
+            break
     # below 2 there is no place, and every threshold keeps the place 2 out
     p1_norms = twistsim.build_place_model(max(top, 2), density, seed)
     d_k = twistsim.strata_cardinality(p1_norms, ladder, k, x, cap)
@@ -177,7 +193,7 @@ PRIMES = (_parse_prime_list, "a comma-separated list of primes",
 FLAVOR = (Flavor.parse, "'sym' or 'uni'", lambda flavor: flavor.value)
 INT = (int, "an integer", str)
 NUMBER = (float, "a number", fmt)
-SHIFT = (ShiftMode.parse, "'fd' or 'notfd:<r>' with r >= 0", str)
+SHIFT = (_parse_shift, "'fd' or 'notfd:<r>' with r >= 0", lambda r: f"notfd:{r}")
 Y = (_parse_y, "a positive finite number or 'exact'", lambda y: "exact" if y is None else fmt(y))
 
 REQUIRED = object()
@@ -196,7 +212,7 @@ COMMANDS = {
                {"p": (PRIME, REQUIRED), "degK": (INT, "1")}),
     # simulate's flags are also the keys of its config document
     "simulate": (cmd_simulate, "run the twisting rank-walk simulator", {
-        "p": (PRIME, "2"), "flavor": (FLAVOR, "sym"), "n": (INT, "1"), "k": (INT, "0"),
+        "p": (PRIME, "2"), "flavor": (FLAVOR, "sym"), "k": (INT, "0"),
         "samples": (INT, "10000"), "seed": (INT, "0"), "shift": (SHIFT, "notfd:0"),
         "y": (Y, "exact"), "threads": (INT, "1"),
     }),
@@ -216,7 +232,7 @@ def load_sim_config(path: str) -> dict[str, tuple[str, int]]:
     key -> (value, line number)."""
     options: dict[str, tuple[str, int]] = {}
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             lines = handle.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None

@@ -40,6 +40,15 @@ def leading_constant(field: FieldParams) -> float:
     return value
 
 
+def zeros(n: int, dtype=np.float64) -> np.ndarray:
+    """np.zeros(n, dtype), raising MemoryError also where numpy rejects n as
+    larger than any address space (it raises ValueError there)."""
+    try:
+        return np.zeros(n, dtype)
+    except ValueError as exc:
+        raise MemoryError(str(exc)) from None
+
+
 def _stationary_probs(field: FieldParams, r_max: int) -> np.ndarray:
     """D(0..r_max) by the running product D(r) = D(r-1) * q^(1-epsilon)/(q^r - 1).
 
@@ -48,7 +57,7 @@ def _stationary_probs(field: FieldParams, r_max: int) -> np.ndarray:
     """
     q = field.q
     up = float(q // field.p)  # q^(1-epsilon)
-    probs = np.zeros(r_max + 1, dtype=np.float64)
+    probs = zeros(r_max + 1)
     value = leading_constant(field)
     q_next = 1
     for r in range(r_max + 1):
@@ -245,10 +254,9 @@ def _walk_states(field: FieldParams, y: float | None):
         law = law[:n]
 
 
-def walk_law(field: FieldParams, k: int, offset: int = 0,
-             y: float | None = None) -> RankDistribution:
-    """Law of the rank after k steps of the walk from rank 0, shifted up by
-    offset, over ranks 0..offset+W-1 for the live width W <= k+1.
+def walk_law(field: FieldParams, k: int, *, y: float | None = None) -> RankDistribution:
+    """Law of the rank after k steps of the walk from rank 0, over ranks
+    0..W-1 for the live width W <= k+1.
 
     y selects the bounded-error coin as in coin_table. Only the live prefix
     is stepped, and mass dropped past it (see _walk_states) is added to
@@ -266,8 +274,6 @@ def walk_law(field: FieldParams, k: int, offset: int = 0,
     """
     if k < 0:
         raise ValueError("step count must be non-negative")
-    if offset < 0:
-        raise ValueError("offset must be non-negative")
     states = _walk_states(field, y)
     law, leaked = np.ones(1), 0.0
     state = law.tobytes()
@@ -295,5 +301,4 @@ def walk_law(field: FieldParams, k: int, offset: int = 0,
             law, _ = next(states)
         leaked = float(min(1, Fraction(leaked) + 2 * skipped * Fraction(cycle_drop)))
         break
-    probs = np.concatenate([np.zeros(offset), law])
-    return RankDistribution(field=field, probs=probs, tail_bound=leaked)
+    return RankDistribution(field=field, probs=law, tail_bound=leaked)

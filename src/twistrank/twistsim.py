@@ -16,7 +16,7 @@ import numpy as np
 from scipy.stats import chi2 as _chi2
 
 from .gf import FieldParams
-from .rankdist import walk_law
+from .rankdist import walk_law, zeros
 from .spaces import build_local_plane, fiber_size, kummer_line_of_character
 
 # counts are int64 and sum to samples, so totals fit
@@ -33,48 +33,6 @@ CHI2_MIN_EXPECTED = 5.0
 
 class CapExceeded(RuntimeError):
     """Raised when a stratum count would exceed the configured cap."""
-
-
-@dataclass(frozen=True)
-class ShiftMode:
-    """Rank shift applied after the walk.
-
-    kind 'notfd' adds the constant contributor dimension r_gamma;
-    kind 'fd' models the regime where every rank is offset by one.
-    """
-
-    kind: str
-    r_gamma: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("notfd", "fd"):
-            raise ValueError(f"unknown shift mode {self.kind!r}")
-        if self.kind == "notfd" and self.r_gamma < 0:
-            raise ValueError("r_gamma must be non-negative")
-        if self.kind == "fd" and self.r_gamma != 0:
-            raise ValueError("the 'fd' mode carries no r_gamma")
-
-    @property
-    def offset(self) -> int:
-        return self.r_gamma if self.kind == "notfd" else 1
-
-    @classmethod
-    def parse(cls, text: str) -> "ShiftMode":
-        text = text.strip().lower()
-        if text == "fd":
-            return cls("fd")
-        if text == "notfd":
-            return cls("notfd", 0)
-        if text.startswith("notfd:"):
-            try:
-                r_gamma = int(text.split(":", 1)[1])
-            except ValueError:
-                raise ValueError(f"bad shift spec {text!r}: expected notfd:<int>") from None
-            return cls("notfd", r_gamma)
-        raise ValueError(f"bad shift spec {text!r}: expected 'fd' or 'notfd:<int>'")
-
-    def __str__(self) -> str:
-        return "fd" if self.kind == "fd" else f"notfd:{self.r_gamma}"
 
 
 def primes_up_to(x: int) -> np.ndarray:
@@ -129,16 +87,16 @@ class FanLadder:
             raise ValueError(f"x must be finite and >= 1, got {x!r}")
         if depth < 1:
             raise ValueError("depth must be >= 1")
-        out: list[float] = []
-        prod = 1.0
-        for i in range(depth):
-            if i == 0:
-                level = self._base(x)
-            else:
-                level = max(self._base(prod), x * out[-1])
-            out.append(level)
+        return [level for _, level in zip(range(depth), self.iter_levels(x))]
+
+    def iter_levels(self, x: float):
+        """L_1(x), L_2(x), ... without end, for an x that levels accepts.
+        They never decrease, and at x = 1 they are all 1."""
+        level, prod = self._base(x), 1.0
+        while True:
+            yield level
             prod = prod * level
-        return out
+            level = max(self._base(prod), x * level)
 
 
 def micro_transition_law(field: FieldParams, r: int, n: int) -> dict[int, Fraction]:
@@ -172,28 +130,25 @@ def micro_transition_law(field: FieldParams, r: int, n: int) -> dict[int, Fracti
     return {s: w for s, w in law.items() if w != 0}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SimConfig:
     """Configuration of one simulation run.
 
-    The walk is n-independent (character fibers are balanced), so n is
-    carried only for bookkeeping surfaces. chebotarev_y = None means the
-    exact-probability regime. threads is validated and echoed so that
-    existing configs keep parsing, but the simulator ignores it.
+    shift is the constant added to every walked rank: r_gamma, or 1 in the
+    'fd' regime. chebotarev_y = None means the exact-probability regime.
+    threads is validated and echoed so that existing configs keep parsing,
+    but the simulator ignores it.
     """
 
     field: FieldParams
-    n: int = 1
     k: int = 0
     samples: int = 1
     seed: int = 0
-    shift_mode: ShiftMode = ShiftMode("notfd", 0)
+    shift: int = 0
     chebotarev_y: float | None = None
     threads: int = 1
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
         if self.k < 0:
             raise ValueError("k must be non-negative")
         if self.samples < 1:
@@ -202,6 +157,8 @@ class SimConfig:
             raise ValueError(f"samples must be <= 2^62, got {self.samples}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.shift < 0:
+            raise ValueError("shift must be non-negative")
         if self.chebotarev_y is not None and not (
                 math.isfinite(self.chebotarev_y) and self.chebotarev_y > 0):
             raise ValueError("chebotarev_y must be positive and finite")
@@ -281,25 +238,25 @@ def _simulate_chunk(config: SimConfig, law: np.ndarray) -> np.ndarray:
 def simulate(config: SimConfig) -> EmpiricalDistribution:
     """Run the rank walk for every sample, all from one stream keyed by
     (seed, 0), and return the rank counts with the law they were drawn
-    from (rankdist.walk_law), both shifted by the shift mode's offset.
-    Output depends only on (seed, samples, k, field, shift, y);
-    config.threads has no effect.
+    from (rankdist.walk_law), both shifted up by config.shift. Output
+    depends only on (seed, samples, k, field, shift, y); config.threads has
+    no effect.
 
     walk_law certifies its law only to total variation tail_bound, so a
     run raises unless samples * tail_bound <= LEAK_BOUND: then a sample
     falls where the truncated law differs from the true one with
     probability at most LEAK_BOUND.
     """
-    offset = config.shift_mode.offset
-    law = walk_law(config.field, config.k, offset, config.chebotarev_y)
+    law = walk_law(config.field, config.k, y=config.chebotarev_y)
     if config.samples * law.tail_bound > LEAK_BOUND:
         raise ArithmeticError(
             f"k={config.k}, samples={config.samples}: the k-step law is certified only to "
             f"total variation {law.tail_bound:.3g}, so a sample leaves it with "
             "probability above 2^-64")
-    counts = _simulate_chunk(config, law.probs[offset:])
-    counts = np.concatenate([np.zeros(offset, dtype=np.int64), counts])
-    return EmpiricalDistribution(counts=counts, total=config.samples, reference=law.probs)
+    counts = _simulate_chunk(config, law.probs)
+    shift = zeros(config.shift, np.int64)
+    return EmpiricalDistribution(counts=np.concatenate([shift, counts]), total=config.samples,
+                                 reference=np.concatenate([shift, law.probs]))
 
 
 def strata_cardinality(p1_norms: np.ndarray, ladder: FanLadder, k: int, x: float,
@@ -318,6 +275,8 @@ def strata_cardinality(p1_norms: np.ndarray, ladder: FanLadder, k: int, x: float
         raise ValueError(f"cap {cap} must be below 2^63: stratum counts are kept in int64")
     if k == 0:
         return 1
+    if k > len(p1_norms):
+        return 0
     p1 = np.sort(p1_norms)
     if math.comb(len(p1), k) > cap:
         raise CapExceeded(

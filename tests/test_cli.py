@@ -281,7 +281,7 @@ def test_simulate_independent_of_blas_threads():
         "import json\n"
         "from twistrank.gf import Flavor, build_field\n"
         "from twistrank.twistsim import SimConfig, simulate\n"
-        "emp = simulate(SimConfig(build_field(2, Flavor.SYMPLECTIC), k=10**18,"
+        "emp = simulate(SimConfig(field=build_field(2, Flavor.SYMPLECTIC), k=10**18,"
         " samples=2**62, seed=1, chebotarev_y=0.5))\n"
         "print(json.dumps([emp.counts.tolist(), [x.hex() for x in emp.reference]]))\n"
     )
@@ -347,6 +347,17 @@ def test_simulate_with_config_file(tmp_path):
     assert dict(rec.rows)["count(0)"] == "0"  # shifted off rank 0
 
 
+@pytest.mark.parametrize("spelling,canonical", [("fd", "notfd:1"), ("notfd", "notfd:0")])
+def test_simulate_shift_spellings_agree(spelling, canonical):
+    """Each spelling is an integer shift, echoed as notfd:<r>, so the echo
+    is itself a valid --shift."""
+    argv = ("--format", "csv", "simulate", "--p", "3", "--flavor", "uni", "--k", "6",
+            "--samples", "5000", "--seed", "4", "--shift")
+    out = run_cli(*argv, spelling)
+    assert out == run_cli(*argv, canonical)
+    assert out[0] == 0 and f"param,shift,{canonical}\n" in out[1]
+
+
 def test_simulate_flag_overrides_config(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("p = 2\nflavor = sym\nk = 4\nsamples = 5000\nseed = 13\n")
@@ -366,10 +377,14 @@ def test_simulate_malformed_config_line(tmp_path):
 
 def test_simulate_unknown_config_field(tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("p = 2\nwalkers = 5\n")
-    code, _, err = run_cli("simulate", str(cfg))
-    assert code == 1
-    assert "bad.cfg:2" in err and "walkers" in err
+    # n, the character order exponent, is no simulate key: the walk does not
+    # depend on it, so an old config that sets it fails by name
+    for key in ("walkers", "n"):
+        cfg.write_text(f"p = 2\n{key} = 1\n")
+        code, out, err = run_cli("simulate", str(cfg))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {cfg}:2: unknown field {key!r} (known fields: p, ")
+        assert err.count("\n") == 1
 
 
 def test_load_sim_config_reports_field_values(tmp_path):
@@ -392,6 +407,12 @@ def test_load_sim_config_reports_field_values(tmp_path):
      "--flavor must be 'sym' or 'uni', got 'orthogonal'"),
     ("shift = fd", ("--shift", "up:2"),
      "--shift must be 'fd' or 'notfd:<r>' with r >= 0, got 'up:2'"),
+    ("shift = fd", ("--shift", "fd:1"),
+     "--shift must be 'fd' or 'notfd:<r>' with r >= 0, got 'fd:1'"),
+    ("shift = fd", ("--shift", "notfd:"),
+     "--shift must be 'fd' or 'notfd:<r>' with r >= 0, got 'notfd:'"),
+    ("shift = fd", ("--shift", "notfd:x"),
+     "--shift must be 'fd' or 'notfd:<r>' with r >= 0, got 'notfd:x'"),
     # range errors found after parsing name their source too
     ("k = -3", (), "{cfg}:3: field 'k' must be non-negative"),
     ("p = 65537", (), "{cfg}:3: field 'p' = 65537 exceeds the supported range (p <= 32768)"),
@@ -402,11 +423,12 @@ def test_load_sim_config_reports_field_values(tmp_path):
     ("samples = 100000000000000000000", (),
      "{cfg}:3: field 'samples' must be <= 2^62, got 100000000000000000000"),
 ], ids=["k", "y", "p", "flavor", "shift", "flag-p", "flag-flavor", "flag-shift",
-        "range-k", "range-p", "range-seed", "range-flag-threads", "range-flag-samples",
-        "range-flag-seed", "range-samples-cap"])
+        "flag-shift-fd-r", "flag-shift-no-r", "flag-shift-bad-r", "range-k", "range-p",
+        "range-seed", "range-flag-threads", "range-flag-samples", "range-flag-seed",
+        "range-samples-cap"])
 def test_simulate_value_error_names_its_source(tmp_path, line, argv, message):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"# header\nn = 2\n{line}\n")
+    cfg.write_text(f"# header\n\n{line}\n")
     code, out, err = run_cli("simulate", str(cfg), *argv)
     assert (code, out, err) == (1, "", f"error: {message.format(cfg=cfg)}\n")
 
@@ -418,6 +440,16 @@ def test_config_repeated_key_names_both_lines(tmp_path):
         load_sim_config(str(cfg))
     assert run_cli("simulate", str(cfg)) == (
         1, "", f"error: {cfg}:3: field 'p' repeats line 1\n")
+
+
+def test_config_with_utf8_bom_parses_like_plain(tmp_path):
+    text = "p = 3\n# comment\nshift = fd\n"
+    plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text(text, encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    options = load_sim_config(str(bom))
+    assert options == load_sim_config(str(plain)) == {"p": ("3", 1), "shift": ("fd", 3)}
 
 
 def test_config_not_utf8_names_its_path(tmp_path):
@@ -474,7 +506,6 @@ BAD_FLAG_VALUES = [
     ("bounds", "degK", "x", "an integer"),
     ("simulate", "p", "x", "a prime"),
     ("simulate", "flavor", "x", "'sym' or 'uni'"),
-    ("simulate", "n", "x", "an integer"),
     ("simulate", "k", "2.5", "an integer"),
     ("simulate", "samples", "1e4", "an integer"),
     ("simulate", "seed", "x", "an integer"),
@@ -510,6 +541,8 @@ def test_bad_flag_value_names_the_flag(cmd, flag, value, expected):
     (("table", "--p", "2,65537"), "--p = 65537 exceeds the supported range (p <= 32768)"),
     (("dist", "--p", "2", "--flavor", "sym", "--rmax", "-1"), "--rmax must be non-negative"),
     (("bounds", "--p", "3", "--degK", "0"), "--degK must be >= 1, got 0"),
+    (("bounds", "--p", "3", "--degK", str(10**400)),
+     "--degK is too large for a float, got a 1329-bit integer"),
     (("isotropic", "--p", "3", "--flavor", "uni", "--n", "0"), "--n must be >= 1, got 0"),
     (("ladder", "--x", "10", "--depth", "0"), "--depth must be >= 1"),
     (("ladder", "--x", "10", "--exponent", "0.5"), "--exponent must be finite and >= 1, got 0.5"),
@@ -525,8 +558,8 @@ def test_bad_flag_value_names_the_flag(cmd, flag, value, expected):
     (("ladder", "--x", "10", "--cap", "-1"), "--cap must be >= 1, got -1"),
     (("ladder", "--x", "10", "--sieve-cap", "0"), "--sieve-cap must be >= 2, got 0"),
     (("simulate", "--samples", str(2**62 + 1)), f"--samples must be <= 2^62, got {2**62 + 1}"),
-], ids=["table-p", "dist-rmax", "bounds-degK", "isotropic-n", "ladder-depth",
-        "ladder-exponent", "ladder-density", "ladder-seed", "ladder-cap-negative",
+], ids=["table-p", "dist-rmax", "bounds-degK", "bounds-degK-float-range", "isotropic-n",
+        "ladder-depth", "ladder-exponent", "ladder-density", "ladder-seed", "ladder-cap-negative",
         "ladder-cap-zero", "ladder-sieve-cap", "ladder-density-no-k", "ladder-seed-no-k",
         "ladder-cap-no-k", "ladder-sieve-cap-no-k", "simulate-samples-cap"])
 def test_range_error_names_the_flag(argv, message):
@@ -536,9 +569,12 @@ def test_range_error_names_the_flag(argv, message):
 @pytest.mark.parametrize("argv", [
     ("dist", "--p", "2", "--flavor", "sym", "--rmax", str(10**17)),
     ("simulate", "--k", "3", "--shift", f"notfd:{10**17}"),
-], ids=["dist-rmax", "simulate-shift"])
+    ("dist", "--p", "2", "--flavor", "sym", "--rmax", str(10**30)),
+    ("simulate", "--k", "3", "--shift", f"notfd:{10**30}"),
+], ids=["dist-rmax", "simulate-shift", "dist-rmax-past-intp", "simulate-shift-past-intp"])
 def test_out_of_memory_is_one_error_line(argv):
-    # each needs an array of about 711 PiB, more than any address space holds
+    # each needs an array of about 711 PiB or more, more than any address
+    # space holds; past 2^63 elements numpy rejects the shape itself
     code, out, err = run_cli(*argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: out of memory: ") and err.count("\n") == 1
@@ -619,6 +655,35 @@ def test_ladder_sieve_cap_diagnostic():
     assert code == 1
     assert out == ""
     assert "sieve cap" in err
+
+
+def test_ladder_cost_bounded_in_k():
+    """k = 10^30 fails in under a second: the top threshold passes the sieve
+    cap within a few levels, and at x = 1 no stratum above the places is
+    counted. A subprocess with a timeout and a 2 GiB address space makes a
+    cost linear in k fail rather than hang or exhaust memory."""
+    script = (
+        "import io, json, resource, time\n"
+        "from contextlib import redirect_stderr\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from twistrank.cli import main\n"
+        "for argv in (['--x', '10'], ['--x', '1', '--exponent', '1']):\n"
+        "    err, start = io.StringIO(), time.perf_counter()\n"
+        "    with redirect_stderr(err):\n"
+        "        code = main(['ladder', *argv, '--k', str(10**30)])\n"
+        "    print(json.dumps([code, time.perf_counter() - start, err.getvalue()]))\n"
+    )
+    src = str(Path(__file__).parent.parent / "src")
+    # one OpenBLAS thread, so the import's reserved buffers do not grow with the core count
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    runs = [json.loads(line) for line in done.stdout.splitlines()]
+    assert len(runs) == 2
+    for code, seconds, err in runs:
+        assert code == 1 and seconds < 1.0, (code, seconds, err)
+        assert err.startswith("error: stratum k=") and err.count("\n") == 1, err
 
 
 def test_ladder_rejects_cap_beyond_int64():

@@ -344,19 +344,11 @@ def test_walk_law_k0_is_point_mass():
     law = rd.walk_law(field, 0)
     assert law.probs.tolist() == [1.0]
     assert law.tail_bound == 0.0
-    assert rd.walk_law(field, 0, offset=2).probs.tolist() == [0.0, 0.0, 1.0]
-
-
-def test_walk_law_offset_shifts_every_rank():
-    field = build_field(2, Flavor.SYMPLECTIC)
-    plain = rd.walk_law(field, 7)
-    for offset in (1, 3):
-        shifted = rd.walk_law(field, 7, offset=offset)
-        assert np.array_equal(shifted.probs, np.concatenate([np.zeros(offset), plain.probs]))
-    with pytest.raises(ValueError):
-        rd.walk_law(field, 7, offset=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="step count must be non-negative"):
         rd.walk_law(field, -1)
+    # y is keyword-only, so a third positional argument cannot pass for it
+    with pytest.raises(TypeError):
+        rd.walk_law(field, 7, 2.0)
 
 
 def test_walk_law_tail_bound_covers_truncated_mass():

@@ -13,7 +13,6 @@ from twistrank.twistsim import (
     CapExceeded,
     EmpiricalDistribution,
     FanLadder,
-    ShiftMode,
     SimConfig,
     build_place_model,
     micro_transition_law,
@@ -238,18 +237,14 @@ def test_simulate_thread_count_invariance():
 def test_simulate_shift_equals_postcomposed_shift():
     field = build_field(2, Flavor.SYMPLECTIC)
     plain = simulate(SimConfig(field=field, k=6, samples=30_000, seed=9))
-    shifted = simulate(
-        SimConfig(field=field, k=6, samples=30_000, seed=9,
-                  shift_mode=ShiftMode("notfd", 2))
-    )
+    shifted = simulate(SimConfig(field=field, k=6, samples=30_000, seed=9, shift=2))
     assert np.array_equal(shifted.counts[2:], plain.counts)
     assert shifted.counts[:2].sum() == 0
 
 
 def test_simulate_fd_mode_offsets_by_one():
     field = build_field(2, Flavor.SYMPLECTIC)
-    emp = simulate(SimConfig(field=field, k=6, samples=30_000, seed=9,
-                             shift_mode=ShiftMode("fd")))
+    emp = simulate(SimConfig(field=field, k=6, samples=30_000, seed=9, shift=1))
     assert emp.counts[0] == 0
     plain = simulate(SimConfig(field=field, k=6, samples=30_000, seed=9))
     assert np.array_equal(emp.counts[1:], plain.counts)
@@ -389,23 +384,25 @@ def test_walk_law_certified_by_exact_rationals():
                     assert error <= Fraction(k, 2**52), (p, flavor, k, r, float(error))
 
 
-@pytest.mark.parametrize("k, samples, shift, y", [
-    (0, 1, ShiftMode("notfd", 0), None),
-    (5, 20_000, ShiftMode("fd"), None),
-    (20, 2**62, ShiftMode("notfd", 3), 0.5),
-    (10**18, 4096, ShiftMode("notfd", 0), 50.0),
-])
+DRAW_CASES = [(0, 1, 0, None), (5, 20_000, 1, None), (20, 2**62, 3, 0.5),
+              (10**18, 4096, 0, 50.0)]
+
+
+# the shift part of each id is the case's index
+@pytest.mark.parametrize("k, samples, shift, y", DRAW_CASES,
+                         ids=[f"{k}-{samples}-shift{i}-{y}"
+                              for i, (k, samples, _, y) in enumerate(DRAW_CASES)])
 def test_simulate_is_one_multinomial_draw(k, samples, shift, y):
     """simulate is a single Multinomial(samples, walk_law) draw on the
     (seed, 0) stream from the unshifted law, columns taken from the top
     rank downward, and it returns that law, shifted like the counts."""
     config = SimConfig(field=build_field(3, Flavor.UNITARY), k=k, samples=samples, seed=9,
-                       shift_mode=shift, chebotarev_y=y)
+                       shift=shift, chebotarev_y=y)
     law = rd.walk_law(config.field, k, y=y).probs
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
     draw = rng.multinomial(samples, law[::-1])[::-1]
     emp = simulate(config)
-    zeros = np.zeros(shift.offset, dtype=np.int64)
+    zeros = np.zeros(shift, dtype=np.int64)
     np.testing.assert_array_equal(emp.counts, np.concatenate([zeros, draw]))
     np.testing.assert_array_equal(emp.reference, np.concatenate([zeros, law]))
 
@@ -456,14 +453,11 @@ def test_sim_config_validation():
     for y in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             SimConfig(field=field, chebotarev_y=y)
-    with pytest.raises(ValueError):
-        ShiftMode("notfd", -1)
-    with pytest.raises(ValueError):
-        ShiftMode.parse("sideways")
-    with pytest.raises(ValueError, match="r_gamma must be non-negative"):
-        ShiftMode.parse("notfd:-1")
-    with pytest.raises(ValueError, match="expected notfd:<int>"):
-        ShiftMode.parse("notfd:two")
+    with pytest.raises(ValueError, match="shift must be non-negative"):
+        SimConfig(field=field, shift=-1)
+    # keyword-only, so an old positional (field, n, k, ...) call cannot read n as k
+    with pytest.raises(TypeError):
+        SimConfig(field, 1, 3)
 
 
 # ---------------------------------------------------------------------------
