@@ -328,7 +328,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        # a MemoryError raised by the allocator itself carries no message
+        reason = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{reason}", file=sys.stderr)
         return 1
     text = record.render(args.format)
     if args.out:

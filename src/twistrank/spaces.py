@@ -116,16 +116,21 @@ def metabolic_space(field: FieldParams, blocks: int) -> HermitianSpace:
 
 
 def evaluate_form(space: HermitianSpace, x, y) -> FqElem:
-    """h(x, y), linear in x and conjugate-linear in y."""
+    """h(x, y), linear in x and conjugate-linear in y.
+
+    Zero coordinates and zero Gram entries are skipped, so on a metabolic
+    Gram matrix, with one non-zero entry per row, a pairing costs at most
+    dim products.
+    """
     if len(x) != space.dim or len(y) != space.dim:
         raise ValueError("vector length does not match the space dimension")
     acc = space.field.zero()
-    for i, xi in enumerate(x):
+    for xi, row in zip(x, space.gram):
         if not xi:
             continue
-        for j, yj in enumerate(y):
-            if yj:
-                acc = acc + xi * space.gram[i][j] * yj.conj()
+        for g, yj in zip(row, y):
+            if g and yj:
+                acc = acc + xi * g * yj.conj()
     return acc
 
 
@@ -165,7 +170,19 @@ def orthogonal_complement(space: HermitianSpace, sub: Subspace) -> Subspace:
 
 
 def is_maximal_isotropic(space: HermitianSpace, sub: Subspace) -> bool:
-    return sub == orthogonal_complement(space, sub)
+    """Whether sub equals its orthogonal complement (a Lagrangian).
+
+    The form is non-degenerate, so dim L^perp = dim V - dim L, and L = L^perp
+    exactly when 2 dim L = dim V and h(x, y) = 0 for basis vectors x before
+    or at y; h(y, x) = +-conj h(x, y) covers the other pairs. The basis rows
+    must be linearly independent, as an echelon basis is, but need not be
+    in echelon form.
+    """
+    if sub.ambient_dim != space.dim:
+        raise ValueError("subspace does not live in this space")
+    basis = sub.basis
+    return 2 * len(basis) == space.dim and not any(
+        evaluate_form(space, basis[i], y) for i in range(len(basis)) for y in basis[i:])
 
 
 def _roots_mod_p(a2: int, a1: int, a0: int, p: int, sqrt: dict[int, int]) -> list[int]:

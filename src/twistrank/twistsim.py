@@ -8,7 +8,9 @@ The marginal one-step law equals the rank-transition operator exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +28,10 @@ CHUNK_SAMPLES = MAX_SAMPLES  # a run is one chunk; kept for perfbench's provenan
 # a run raises unless a sample falls outside the certified part of the
 # k-step law with probability at most this
 LEAK_BOUND = 2.0**-64
+
+# `ladder` prints one row per level; a deeper request is refused before any
+# level is built, so memory and time stay bounded whatever --depth says
+MAX_LADDER_DEPTH = 10_000
 
 # chi-squared bins are pooled until each expects at least this many samples
 CHI2_MIN_EXPECTED = 5.0
@@ -83,15 +89,22 @@ class FanLadder:
             return math.inf
 
     def levels(self, x: float, depth: int) -> list[float]:
-        if not (math.isfinite(x) and x >= 1):
-            raise ValueError(f"x must be finite and >= 1, got {x!r}")
+        """L_1(x), ..., L_depth(x), for 1 <= depth <= MAX_LADDER_DEPTH."""
+        climb = self.iter_levels(x)
         if depth < 1:
             raise ValueError("depth must be >= 1")
-        return [level for _, level in zip(range(depth), self.iter_levels(x))]
+        if depth > MAX_LADDER_DEPTH:
+            raise ValueError(f"depth must be <= {MAX_LADDER_DEPTH}, got {depth}")
+        return list(itertools.islice(climb, depth))
 
-    def iter_levels(self, x: float):
-        """L_1(x), L_2(x), ... without end, for an x that levels accepts.
-        They never decrease, and at x = 1 they are all 1."""
+    def iter_levels(self, x: float) -> Iterator[float]:
+        """L_1(x), L_2(x), ... without end. They never decrease, and at x = 1
+        they are all 1."""
+        if not (math.isfinite(x) and x >= 1):
+            raise ValueError(f"x must be finite and >= 1, got {x!r}")
+        return self._climb(x)
+
+    def _climb(self, x: float) -> Iterator[float]:
         level, prod = self._base(x), 1.0
         while True:
             yield level
@@ -283,13 +296,12 @@ def strata_cardinality(p1_norms: np.ndarray, ladder: FanLadder, k: int, x: float
             f"stratum count bound C({len(p1)}, {k}) exceeds the cap {cap}; "
             "raise the cap or shrink the place model"
         )
-    thresholds = ladder.levels(x, k)
     # valid[m](t) = number of m-subsets of the first t places obeying the
     # first m thresholds; a place enters as the m-th pick only if its norm
-    # is under thresholds[m-1].
+    # is under L_m(x). k is bounded by the places, not by MAX_LADDER_DEPTH.
     current = np.ones(len(p1) + 1, dtype=np.int64)
-    for m in range(1, k + 1):
-        usable = p1 < thresholds[m - 1]
+    for threshold in itertools.islice(ladder.iter_levels(x), k):
+        usable = p1 < threshold
         contrib = np.where(usable, current[:-1], 0)
         current = np.concatenate(([0], np.cumsum(contrib)))
     return int(current[-1])

@@ -25,7 +25,7 @@ from twistrank.cli import (
 from twistrank.gf import Flavor, build_field
 from twistrank.records import OutputRecord
 from twistrank.spaces import evaluate_form, hyperbolic_plane
-from twistrank.twistsim import LEAK_BOUND
+from twistrank.twistsim import LEAK_BOUND, MAX_LADDER_DEPTH
 
 DATA_DIR = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
@@ -545,6 +545,8 @@ def test_bad_flag_value_names_the_flag(cmd, flag, value, expected):
      "--degK is too large for a float, got a 1329-bit integer"),
     (("isotropic", "--p", "3", "--flavor", "uni", "--n", "0"), "--n must be >= 1, got 0"),
     (("ladder", "--x", "10", "--depth", "0"), "--depth must be >= 1"),
+    (("ladder", "--x", "10", "--depth", str(MAX_LADDER_DEPTH + 1)),
+     f"--depth must be <= {MAX_LADDER_DEPTH}, got {MAX_LADDER_DEPTH + 1}"),
     (("ladder", "--x", "10", "--exponent", "0.5"), "--exponent must be finite and >= 1, got 0.5"),
     (("ladder", "--x", "10", "--k", "1", "--density", "2"), "--density must lie in (0, 1]"),
     (("ladder", "--x", "10", "--k", "1", "--seed", "-1"), "--seed must be non-negative"),
@@ -559,9 +561,9 @@ def test_bad_flag_value_names_the_flag(cmd, flag, value, expected):
     (("ladder", "--x", "10", "--sieve-cap", "0"), "--sieve-cap must be >= 2, got 0"),
     (("simulate", "--samples", str(2**62 + 1)), f"--samples must be <= 2^62, got {2**62 + 1}"),
 ], ids=["table-p", "dist-rmax", "bounds-degK", "bounds-degK-float-range", "isotropic-n",
-        "ladder-depth", "ladder-exponent", "ladder-density", "ladder-seed", "ladder-cap-negative",
-        "ladder-cap-zero", "ladder-sieve-cap", "ladder-density-no-k", "ladder-seed-no-k",
-        "ladder-cap-no-k", "ladder-sieve-cap-no-k", "simulate-samples-cap"])
+        "ladder-depth", "ladder-depth-bound", "ladder-exponent", "ladder-density", "ladder-seed",
+        "ladder-cap-negative", "ladder-cap-zero", "ladder-sieve-cap", "ladder-density-no-k",
+        "ladder-seed-no-k", "ladder-cap-no-k", "ladder-sieve-cap-no-k", "simulate-samples-cap"])
 def test_range_error_names_the_flag(argv, message):
     assert run_cli(*argv) == (1, "", f"error: {message}\n")
 
@@ -578,6 +580,16 @@ def test_out_of_memory_is_one_error_line(argv):
     code, out, err = run_cli(*argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
+
+def test_out_of_memory_without_a_reason_is_one_plain_line(monkeypatch):
+    # the allocator raises a bare MemoryError, so there is no reason to print
+    def exhausted(p, flavor):
+        raise MemoryError()
+
+    _, help_text, fields = COMMANDS["moments"]
+    monkeypatch.setitem(COMMANDS, "moments", (exhausted, help_text, fields))
+    assert run_cli("moments", "--p", "2", "--flavor", "sym") == (1, "", "error: out of memory\n")
 
 
 def test_bad_flag_values_cover_every_flag():
@@ -684,6 +696,41 @@ def test_ladder_cost_bounded_in_k():
     for code, seconds, err in runs:
         assert code == 1 and seconds < 1.0, (code, seconds, err)
         assert err.startswith("error: stratum k=") and err.count("\n") == 1, err
+
+
+def test_ladder_depth_bounded():
+    """A depth past MAX_LADDER_DEPTH fails in under a second, before any
+    level is built. A subprocess with a timeout and a 1 GiB address space
+    makes a cost linear in depth fail rather than hang or exhaust memory."""
+    script = (
+        "import io, json, resource, time\n"
+        "from contextlib import redirect_stderr\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from twistrank.cli import main\n"
+        "err, start = io.StringIO(), time.perf_counter()\n"
+        "with redirect_stderr(err):\n"
+        "    code = main(['ladder', '--x', '10', '--depth', str(10**30)])\n"
+        "print(json.dumps([code, time.perf_counter() - start, err.getvalue()]))\n"
+    )
+    src = str(Path(__file__).parent.parent / "src")
+    # one OpenBLAS thread, so the import's reserved buffers do not grow with the core count
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    code, seconds, err = json.loads(done.stdout)
+    assert code == 1 and seconds < 1.0, (code, seconds, err)
+    assert err.startswith("error: --depth must be <= ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("x", ["10", "1"])
+def test_ladder_prints_every_level_up_to_the_depth_bound(x):
+    code, out, err = run_cli("--format", "csv", "ladder", "--x", x,
+                             "--depth", str(MAX_LADDER_DEPTH))
+    assert (code, err) == (0, "")
+    rows = OutputRecord.from_csv(out).rows
+    assert [label for label, _ in rows] == [f"L{i}" for i in range(1, MAX_LADDER_DEPTH + 1)]
+    assert rows[-1][1] == ("inf" if x == "10" else "1")
 
 
 def test_ladder_rejects_cap_beyond_int64():

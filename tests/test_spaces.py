@@ -250,6 +250,60 @@ def test_maximal_isotropic_dim4_two_blocks():
     assert is_maximal_isotropic(space, lagrangian)
 
 
+def test_maximal_isotropic_rejects_a_foreign_subspace():
+    field = build_field(3, Flavor.SYMPLECTIC)
+    line = Subspace.from_vectors([basis_vector(field, 2, 0)], 2)
+    with pytest.raises(ValueError, match="does not live in this space"):
+        is_maximal_isotropic(metabolic_space(field, 2), line)
+
+
+# (p, flavor, Lagrangians of two hyperbolic planes): (p+1)(p^2+1) for sym,
+# (p+1)(p^3+1) for uni
+LAGRANGIAN_COUNTS = [(2, Flavor.SYMPLECTIC, 15), (2, Flavor.UNITARY, 27),
+                     (3, Flavor.SYMPLECTIC, 40)]
+
+
+@pytest.mark.parametrize("p,flavor,count", LAGRANGIAN_COUNTS)
+def test_maximal_isotropic_agrees_with_the_complement(p, flavor, count):
+    """The pairing test against the complement route, on every subspace of
+    every dimension 0..4 of two hyperbolic planes."""
+    field = build_field(p, flavor)
+    space = metabolic_space(field, 2)
+    found = 0
+    for sub in all_subspaces(field, 4):
+        hit = is_maximal_isotropic(space, sub)
+        assert hit == (sub == orthogonal_complement(space, sub)), sub
+        found += hit
+    expected = (p + 1) * (p**2 + 1) if flavor is Flavor.SYMPLECTIC else (p + 1) * (p**3 + 1)
+    assert found == expected == count
+
+
+def test_lagrangian_census_of_three_hyperbolic_planes():
+    """(p+1)(p^2+1)(p^3+1) = 135 of the 1395 3-dim subspaces of F_2^6."""
+    field = build_field(2, Flavor.SYMPLECTIC)
+    space = metabolic_space(field, 3)
+    planes = [sub for sub in all_subspaces(field, 6) if len(sub.basis) == 3]
+    hits = [is_maximal_isotropic(space, sub) for sub in planes]
+    assert hits == [sub == orthogonal_complement(space, sub) for sub in planes]
+    assert (sum(hits), len(planes)) == (135, 1395)
+
+
+@pytest.mark.parametrize("p,flavor", [(p, flavor) for p, flavor, _ in LAGRANGIAN_COUNTS])
+def test_maximal_isotropic_needs_no_echelon_basis(p, flavor):
+    """Every Lagrangian, given by the basis (b0 + b1, b1) that is not in
+    reduced echelon form, still tests True."""
+    field = build_field(p, flavor)
+    space = metabolic_space(field, 2)
+    lagrangians = [sub for sub in all_subspaces(field, 4)
+                   if len(sub.basis) == 2 and sub == orthogonal_complement(space, sub)]
+    assert lagrangians
+    for sub in lagrangians:
+        b0, b1 = sub.basis
+        mixed = Subspace(ambient_dim=4, basis=(tuple(a + b for a, b in zip(b0, b1)), b1))
+        assert mixed != sub and Subspace.from_vectors(mixed.basis, 4) == sub
+        assert is_maximal_isotropic(space, mixed)
+
+
 def brute_force_isotropic_lines(space):
     """Independent census: span every isotropic nonzero vector."""
     field = space.field

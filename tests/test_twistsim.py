@@ -10,6 +10,7 @@ from twistrank.gf import Flavor, build_field
 from twistrank.twistsim import (
     CHI2_MIN_EXPECTED,
     LEAK_BOUND,
+    MAX_LADDER_DEPTH,
     CapExceeded,
     EmpiricalDistribution,
     FanLadder,
@@ -100,6 +101,16 @@ def test_ladder_rejects_bad_x():
     for x in (math.nan, math.inf, 0.5):
         with pytest.raises(ValueError, match="x must be finite and >= 1"):
             FanLadder(2.0).levels(x, 3)
+
+
+def test_ladder_depth_bounded_before_any_level_is_built():
+    ladder = FanLadder(2.0)
+    for depth in (MAX_LADDER_DEPTH + 1, 10**30):
+        with pytest.raises(ValueError, match=f"^depth must be <= {MAX_LADDER_DEPTH}, got {depth}$"):
+            ladder.levels(10, depth)
+    # x is checked first, as before the bound
+    with pytest.raises(ValueError, match="x must be finite and >= 1"):
+        ladder.levels(math.nan, 10**30)
 
 
 def test_ladder_rejects_bad_exponent():
@@ -527,6 +538,13 @@ def test_strata_cap_guard():
     ladder = FanLadder(2.0)
     with pytest.raises(CapExceeded):
         strata_cardinality(norms, ladder, 3, 50.0, cap=1000)
+
+
+def test_strata_count_past_the_ladder_depth_bound():
+    # the count walks its k thresholds without the bound on printed levels;
+    # here every threshold is at least 10^6, so the one k-tuple of all places counts
+    k = MAX_LADDER_DEPTH + 1
+    assert strata_cardinality(np.arange(2, 2 + k), FanLadder(1.0), k, 1e6) == 1
 
 
 def test_strata_rejects_cap_beyond_int64():
