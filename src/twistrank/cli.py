@@ -117,7 +117,7 @@ def cmd_isotropic(p: int, flavor: Flavor, n: int) -> list[tuple[str, str]]:
     plane = build_local_plane(field)
 
     def coords(line):
-        return "(" + ", ".join(str(v) for v in line.basis[0]) + ")"
+        return "(" + ", ".join(map(str, line.basis[0])) + ")"
 
     rows = [
         ("lines_total", str(p + 1)),

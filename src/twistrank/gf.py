@@ -110,7 +110,7 @@ def build_field(p: int, flavor: Flavor) -> FieldParams:
     return FieldParams(p=p, flavor=flavor, q=p * p, modulus=modulus)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FqElem:
     """Element c0 + c1*x of k, with coordinates reduced mod p."""
 
@@ -197,8 +197,6 @@ class FqElem:
         return FqElem(self.field, (self.c0 - self.field.modulus[0] * self.c1) % p, -self.c1 % p)
 
     def __str__(self) -> str:
-        if self.field.flavor is Flavor.SYMPLECTIC:
-            return str(self.c0)
         if self.c1 == 0:
             return str(self.c0)
         xs = "x" if self.c1 == 1 else f"{self.c1}x"

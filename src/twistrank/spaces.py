@@ -6,6 +6,7 @@ unique representation and equality is structural comparison.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -38,7 +39,7 @@ def rref(rows: list[list[FqElem]]) -> Matrix:
     return tuple(tuple(r) for r in rows[:piv])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subspace:
     """A subspace of k^ambient_dim given by its canonical echelon basis."""
 
@@ -61,11 +62,17 @@ class HermitianSpace:
     Symplectic flavor: the form is alternating (zero diagonal plus
     skew-symmetry, which is the correct condition also when p = 2).
     Unitary flavor: the Gram matrix is hermitian under conjugation.
+
+    `entries` holds the non-zero Gram entries g_ij = g0 + g1*x as int
+    tuples (i, j, g0, g1), for `evaluate_form`; it is derived from `gram`,
+    so equality and repr leave it out.
     """
 
     field: FieldParams
     dim: int
     gram: Matrix
+    entries: tuple[tuple[int, int, int, int], ...] = dataclasses.field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1 or len(self.gram) != self.dim:
@@ -87,6 +94,9 @@ class HermitianSpace:
                 for j in range(self.dim):
                     if self.gram[j][i] != self.gram[i][j].conj():
                         raise ValueError("unitary Gram matrix must be hermitian")
+        object.__setattr__(self, "entries", tuple(
+            (i, j, g.c0, g.c1) for i, row in enumerate(self.gram)
+            for j, g in enumerate(row) if g))
 
 
 def hyperbolic_plane(field: FieldParams) -> HermitianSpace:
@@ -116,22 +126,34 @@ def metabolic_space(field: FieldParams, blocks: int) -> HermitianSpace:
 
 
 def evaluate_form(space: HermitianSpace, x, y) -> FqElem:
-    """h(x, y), linear in x and conjugate-linear in y.
+    """h(x, y) = sum of x_i * g_ij * conj(y_j), linear in x and
+    conjugate-linear in y; the coordinates of x and y lie in space.field.
 
-    Zero coordinates and zero Gram entries are skipped, so on a metabolic
-    Gram matrix, with one non-zero entry per row, a pairing costs at most
-    dim products.
+    The sum runs over the non-zero Gram entries only, in integer
+    coordinates, and builds one FqElem at the end: on a metabolic Gram
+    matrix, with one non-zero entry per row, a pairing costs dim products.
     """
     if len(x) != space.dim or len(y) != space.dim:
         raise ValueError("vector length does not match the space dimension")
-    acc = space.field.zero()
-    for xi, row in zip(x, space.gram):
-        if not xi:
-            continue
-        for g, yj in zip(row, y):
-            if g and yj:
-                acc = acc + xi * g * yj.conj()
-    return acc
+    field = space.field
+    p = field.p
+    if field.modulus is None:
+        return FqElem(field, sum(x[i].c0 * g0 * y[j].c0
+                                 for i, j, g0, _ in space.entries) % p, 0)
+    # with x^2 = -a1*x - a0: u = x_i * g_ij, then u * conj(y_j), where
+    # conj(d0 + d1*x) = (d0 - a1*d1) - d1*x
+    a1, a0 = field.modulus
+    s0 = s1 = 0
+    for i, j, g0, g1 in space.entries:
+        c0, c1, d0, d1 = x[i].c0, x[i].c1, y[j].c0, y[j].c1
+        cross = c1 * g1
+        u0 = (c0 * g0 - a0 * cross) % p
+        u1 = (c0 * g1 + c1 * g0 - a1 * cross) % p
+        e0, e1 = d0 - a1 * d1, -d1
+        cross = u1 * e1
+        s0 += u0 * e0 - a0 * cross
+        s1 += u0 * e1 + u1 * e0 - a1 * cross
+    return FqElem(field, s0 % p, s1 % p)
 
 
 def _null_space(constraints: list[list[FqElem]], field: FieldParams, dim: int) -> Subspace:
@@ -223,9 +245,9 @@ def enumerate_isotropic_lines(space: HermitianSpace) -> list[Subspace]:
     one, zero = field.one(), field.zero()
 
     def line(t: FqElem) -> Subspace:
-        return Subspace(ambient_dim=2, basis=((one, t),))
+        return Subspace(2, ((one, t),))
 
-    axis = Subspace(ambient_dim=2, basis=((zero, one),))
+    axis = Subspace(2, ((zero, one),))
     if field.flavor is Flavor.SYMPLECTIC:
         return [axis] + [line(FqElem(field, a, 0)) for a in range(p)]
     (g00, _), (g10, g11) = space.gram

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -188,6 +189,27 @@ def test_mixed_field_arithmetic_rejected():
         f.gen() * build_field(5, Flavor.SYMPLECTIC).one()
     with pytest.raises(ValueError):
         f.gen() - build_field(7, Flavor.UNITARY).gen()
+
+
+def test_field_element_is_a_slotted_frozen_value():
+    a = build_field(5, Flavor.UNITARY).elem(2, 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.c0 = 1
+    assert not hasattr(a, "__dict__")
+    # equal elements of one field built twice are equal and hash equal
+    b = build_field(5, Flavor.UNITARY).elem(2, 3)
+    assert a == b and hash(a) == hash(b)
+    # equal coordinates in different fields are different elements
+    assert build_field(3, Flavor.SYMPLECTIC).elem(1) != build_field(5, Flavor.SYMPLECTIC).elem(1)
+    assert build_field(3, Flavor.SYMPLECTIC).one() != build_field(3, Flavor.UNITARY).one()
+    assert a != build_field(7, Flavor.UNITARY).elem(2, 3)
+
+
+def test_str_of_field_elements():
+    f4, f9 = build_field(2, Flavor.UNITARY), build_field(3, Flavor.UNITARY)
+    assert [str(a) for a in f4.elements()] == ["0", "1", "x", "x+1"]
+    assert [str(a) for a in f9.elements()][3:] == ["x", "x+1", "x+2", "2x", "2x+1", "2x+2"]
+    assert str(build_field(7, Flavor.SYMPLECTIC).elem(6)) == "6"
 
 
 @settings(derandomize=True, deadline=None)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import combinations, product
 
@@ -128,6 +129,94 @@ def test_sesquilinearity_seeded_random():
                 h = evaluate_form(space, x, y)
                 assert evaluate_form(space, ax, y) == a * h
                 assert evaluate_form(space, x, ay) == a.conj() * h
+
+
+def dense_form(space, x, y):
+    """sum_ij x_i * g_ij * conj(y_j) with FqElem operators, over every
+    Gram entry."""
+    acc = space.field.zero()
+    for xi, row in zip(x, space.gram):
+        for g, yj in zip(row, y):
+            acc = acc + xi * g * yj.conj()
+    return acc
+
+
+@pytest.mark.parametrize("p,flavor", [(2, Flavor.SYMPLECTIC), (3, Flavor.SYMPLECTIC),
+                                      (2, Flavor.UNITARY)])
+def test_form_matches_the_dense_sum_on_two_hyperbolic_planes(p, flavor):
+    """Every pair of vectors of metabolic_space(field, 2)."""
+    field = build_field(p, flavor)
+    space = metabolic_space(field, 2)
+    vectors = all_vectors(field, 4)
+    # x^T G and conj(y) once per vector keep the dense sum affordable
+    x_gram = [tuple(sum((xi * row[j] for xi, row in zip(x, space.gram)), field.zero())
+                    for j in range(4)) for x in vectors]
+    y_conj = [tuple(yj.conj() for yj in y) for y in vectors]
+    for x, w in zip(vectors, x_gram):
+        for y, c in zip(vectors, y_conj):
+            expected = sum((a * b for a, b in zip(w, c)), field.zero())
+            assert evaluate_form(space, x, y) == expected, (x, y)
+
+
+def random_element(field, rng):
+    unitary = field.flavor is Flavor.UNITARY
+    return field.elem(rng.randrange(field.p), rng.randrange(field.p) if unitary else 0)
+
+
+def random_gram_space(field, rng):
+    """A seeded random non-degenerate space of dimension 2 or 4
+    (symplectic) or 1 to 4 (unitary, with non-zero F_p diagonal
+    entries)."""
+    unitary = field.flavor is Flavor.UNITARY
+    while True:
+        dim = rng.randint(1, 4) if unitary else rng.choice((2, 4))
+        gram = [[field.zero()] * dim for _ in range(dim)]
+        for i in range(dim):
+            if unitary:
+                gram[i][i] = field.elem(rng.randrange(1, field.p))
+            for j in range(i + 1, dim):
+                g = random_element(field, rng)
+                gram[i][j] = g
+                gram[j][i] = g.conj() if unitary else -g
+        try:
+            return HermitianSpace(field=field, dim=dim, gram=tuple(map(tuple, gram)))
+        except ValueError:
+            continue
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 32749])
+@pytest.mark.parametrize("flavor", list(Flavor))
+def test_form_matches_the_dense_sum_on_random_gram_matrices(p, flavor):
+    field = build_field(p, flavor)
+    rng = random.Random(f"{p}/{flavor.value}")
+    for _ in range(20):
+        space = random_gram_space(field, rng)
+        for _ in range(20):
+            x, y = (tuple(random_element(field, rng) for _ in range(space.dim))
+                    for _ in range(2))
+            assert evaluate_form(space, x, y) == dense_form(space, x, y), (space, x, y)
+
+
+def test_cached_gram_entries_stay_out_of_equality_and_repr():
+    field = build_field(3, Flavor.UNITARY)
+    space = metabolic_space(field, 2)
+    assert space.entries == ((0, 1, 1, 0), (1, 0, 1, 0), (2, 3, 1, 0), (3, 2, 1, 0))
+    other = metabolic_space(field, 2)
+    object.__setattr__(other, "entries", ())
+    assert space == other and hash(space) == hash(other)
+    assert repr(space) == repr(other) and "entries" not in repr(space)
+
+
+def test_subspace_is_a_slotted_frozen_value():
+    field = build_field(3, Flavor.SYMPLECTIC)
+    line = Subspace.from_vectors([basis_vector(field, 2, 0)], 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        line.basis = ()
+    assert not hasattr(line, "__dict__")
+    again = Subspace.from_vectors([basis_vector(build_field(3, Flavor.SYMPLECTIC), 2, 0)], 2)
+    assert line == again and hash(line) == hash(again)
+    other = Subspace.from_vectors([basis_vector(build_field(3, Flavor.UNITARY), 2, 0)], 2)
+    assert line != other
 
 
 def test_degenerate_gram_rejected():

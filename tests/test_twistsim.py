@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import kstest
 
 from twistrank import rankdist as rd
-from twistrank.gf import Flavor, build_field
+from twistrank.gf import Flavor, build_field, is_prime
 from twistrank.twistsim import (
     CHI2_MIN_EXPECTED,
     LEAK_BOUND,
@@ -39,6 +39,16 @@ def p1_norms(x, density, seed):
 
 def test_place_model_density_one():
     assert p1_norms(10, 1.0, seed=1).tolist() == [2, 3, 5, 7]  # all P1
+
+
+def test_primes_up_to_matches_trial_division():
+    """The odd-only sieve returns exactly the primes <= x, as int64."""
+    expected = [n for n in range(2001) if is_prime(n)]
+    for x in range(2001):
+        primes = primes_up_to(x)
+        assert primes.dtype == np.int64
+        assert primes.tolist() == [n for n in expected if n <= x], x
+    assert [primes_up_to(x).tolist() for x in range(5)] == [[], [], [2], [2, 3], [2, 3]]
 
 
 def test_place_model_counts_primes():
