@@ -24,6 +24,10 @@ from .twistsim import CapExceeded, SimConfig
 
 TABLE_PRIMES = (2, 3, 5, 7, 11, 13)
 
+# simulate prints every rank that holds a count, and every rank at or above
+# which the run expects more than this many samples
+LEAK_BOUND = 2.0**-64
+
 
 class ConfigError(ValueError):
     """Malformed simulation config document."""
@@ -145,7 +149,7 @@ def cmd_simulate(p, flavor, k, samples, seed, shift, y, threads) -> list[tuple[s
     # mass at or above it) exceeds LEAK_BOUND / samples, whichever is higher
     tail = np.cumsum(reference[::-1])[::-1]
     ranks = 1 + max(np.flatnonzero(empirical.counts)[-1],
-                    np.flatnonzero(samples * tail > twistsim.LEAK_BOUND)[-1])
+                    np.flatnonzero(samples * tail > LEAK_BOUND)[-1])
     columns = (a[:ranks] for a in (empirical.counts, empirical.probs(), reference))
     for r, (count, e, ref) in enumerate(zip(*columns)):
         rows.append((f"count({r})", str(count)))

@@ -229,16 +229,11 @@ def apply(dist: RankDistribution) -> RankDistribution:
     return RankDistribution(field=dist.field, probs=out, tail_bound=dist.tail_bound + leaked)
 
 
-# walk_law drops a rank once its mass falls below this; the dropped mass
-# and everything it would have fed are then far below any printed digit.
-WALK_LAW_FLOOR = 1e-300
-
-
 def _walk_states(field: FieldParams, y: float | None):
-    """The live prefix of the law after each step of the walk from rank 0,
-    with the masses dropped at that step, top rank first: after a step the
-    top rank is dropped while it holds less than WALK_LAW_FLOOR (rank 0
-    always stays). The coin table grows by doubling with the live width."""
+    """The law after each step of the walk from rank 0, without its trailing
+    exact zeros (rank 0 always stays). A zero adds exactly nothing to any
+    later step, so each law is bitwise the full (k+1)-wide loop's, cut after
+    its last non-zero rank. The coin table grows by doubling with the width."""
     law = np.ones(1)
     down = stay = up = law[:0]
     while True:
@@ -248,57 +243,45 @@ def _walk_states(field: FieldParams, y: float | None):
         live = np.zeros(n)
         live[:-1] = law
         law = _step(live * down[:n], live * stay[:n], live * up[:n])
-        while n > 1 and law[n - 1] < WALK_LAW_FLOOR:
+        while n > 1 and law[n - 1] == 0.0:
             n -= 1
-        yield law[:n], law[n:][::-1].tolist()
         law = law[:n]
+        yield law
 
 
 def walk_law(field: FieldParams, k: int, *, y: float | None = None) -> RankDistribution:
     """Law of the rank after k steps of the walk from rank 0, over ranks
-    0..W-1 for the live width W <= k+1.
+    0..W-1 for the last non-zero rank W-1 <= k.
 
-    y selects the bounded-error coin as in coin_table. Only the live prefix
-    is stepped, and mass dropped past it (see _walk_states) is added to
-    tail_bound, which therefore bounds the total-variation distance to the
-    untruncated law.
+    y selects the bounded-error coin as in coin_table. The law is bitwise
+    the one the full k-step loop over ranks 0..k gives (see _walk_states),
+    so nothing is truncated and tail_bound is 0.
 
-    A step is a function of the live prefix alone, so once a prefix
-    repeats bitwise (a float fixed point, or rarely a short float cycle,
-    found by Brent's method) every later prefix is known, and the loop
-    stops: the law is bitwise the one the full k-step loop gives, for any
-    k. Each float addition of a dropped mass d raises the loop's running
-    sum by at most 2d, so adding twice the cycle's largest per-step drop
-    for every skipped step keeps tail_bound at least the loop's value; it
-    is capped at 1, which bounds every total-variation distance.
+    A step is a function of the law alone, so once it repeats bitwise (a
+    float fixed point, or rarely a short float cycle, found by Brent's
+    method) every later law is known, and the loop stops: the law comes
+    out in bounded time for any k.
     """
     if k < 0:
         raise ValueError("step count must be non-negative")
     states = _walk_states(field, y)
-    law, leaked = np.ones(1), 0.0
+    law = np.ones(1)
     state = law.tobytes()
-    checkpoint, since, power, cycle_drop = state, 0, 1, 0.0
+    checkpoint, since, power = state, 0, 1
     for step in range(1, k + 1):
         previous = state
-        law, dropped = next(states)
+        law = next(states)
         state = law.tobytes()
-        drop = 0.0
-        for mass in dropped:
-            leaked += mass
-            drop += mass
         since += 1
-        cycle_drop = max(cycle_drop, drop)
         if state == previous:
-            period, cycle_drop = 1, drop
+            period = 1
         elif state == checkpoint:
             period = since
         else:
             if since == power:
-                checkpoint, since, power, cycle_drop = state, 0, 2 * power, 0.0
+                checkpoint, since, power = state, 0, 2 * power
             continue
-        skipped = k - step
-        for _ in range(skipped % period):
-            law, _ = next(states)
-        leaked = float(min(1, Fraction(leaked) + 2 * skipped * Fraction(cycle_drop)))
+        for _ in range((k - step) % period):
+            law = next(states)
         break
-    return RankDistribution(field=field, probs=law, tail_bound=leaked)
+    return RankDistribution(field=field, probs=law)

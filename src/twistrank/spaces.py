@@ -1,7 +1,8 @@
 """Metabolic symplectic/unitary k-spaces and the local hyperbolic-plane model.
 
-Subspaces are kept in reduced row-echelon form, so each subspace has a
-unique representation and equality is structural comparison.
+Subspace.from_vectors keeps a subspace in reduced row-echelon form, so
+each subspace it builds has a unique representation and equality is
+structural comparison (see Subspace for bases built directly).
 """
 
 from __future__ import annotations
@@ -41,7 +42,14 @@ def rref(rows: list[list[FqElem]]) -> Matrix:
 
 @dataclass(frozen=True, slots=True)
 class Subspace:
-    """A subspace of k^ambient_dim given by its canonical echelon basis."""
+    """A subspace of k^ambient_dim given by a basis.
+
+    The basis rows must be linearly independent. The constructor checks
+    nothing, so Subspace(4, (v, v)) is malformed, yet is_maximal_isotropic
+    passes it as a Lagrangian. from_vectors is the checked constructor: it
+    reduces any spanning vectors to the canonical echelon basis, and that
+    basis is what makes == and hash compare subspaces rather than bases.
+    """
 
     ambient_dim: int
     basis: Matrix
@@ -207,20 +215,22 @@ def is_maximal_isotropic(space: HermitianSpace, sub: Subspace) -> bool:
         evaluate_form(space, basis[i], y) for i in range(len(basis)) for y in basis[i:])
 
 
-def _roots_mod_p(a2: int, a1: int, a0: int, p: int, sqrt: dict[int, int]) -> list[int]:
+def _roots_mod_p(a2: int, a1: int, a0: int, p: int, sqrt: dict[int, int],
+                 inv: int) -> list[int]:
     """The roots in F_p, ascending, of a2*a^2 + a1*a + a0; `sqrt` maps each
-    square of F_p to one of its square roots."""
+    square of F_p to one of its square roots. For odd p, `inv` is 1/(2*a2)
+    mod p, or 1/a1 mod p when a2 = 0."""
     if p == 2:
         return [a for a in range(2) if (a2 * a * a + a1 * a + a0) % 2 == 0]
     if not a2:
         if not a1:
             return [] if a0 else list(range(p))
-        return [-a0 * pow(a1, p - 2, p) % p]
+        return [-a0 * inv % p]
     disc = (a1 * a1 - 4 * a2 * a0) % p
     if disc not in sqrt:
         return []
-    s, half = sqrt[disc], pow(2 * a2, p - 2, p)
-    return sorted({(-a1 + s) * half % p, (-a1 - s) * half % p})
+    s = sqrt[disc]
+    return sorted({(-a1 + s) * inv % p, (-a1 - s) * inv % p})
 
 
 def enumerate_isotropic_lines(space: HermitianSpace) -> list[Subspace]:
@@ -256,9 +266,12 @@ def enumerate_isotropic_lines(space: HermitianSpace) -> list[Subspace]:
     tr1, trx = ((y + y.conj()).c0 for y in (g10, g10 * field.gen()))
     lines = [] if h11 else [axis]
     sqrt = {s * s % p: s for s in range(p)}
+    # the leading coefficient is the same for every b, and so, when it is 0,
+    # is the linear one, so the inverse _roots_mod_p needs is found once
+    inv = pow(2 * h11 if h11 else tr1, p - 2, p)
     for b in range(p):
         roots = _roots_mod_p(h11, (tr1 - m1 * h11 * b) % p,
-                             (h00 + trx * b + m0 * h11 * b * b) % p, p, sqrt)
+                             (h00 + trx * b + m0 * h11 * b * b) % p, p, sqrt, inv)
         lines += [line(FqElem(field, a, b)) for a in roots]
     return lines
 

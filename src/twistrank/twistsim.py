@@ -25,10 +25,6 @@ from .spaces import build_local_plane, fiber_size, kummer_line_of_character
 MAX_SAMPLES = 1 << 62
 CHUNK_SAMPLES = MAX_SAMPLES  # a run is one chunk; kept for perfbench's provenance
 
-# a run raises unless a sample falls outside the certified part of the
-# k-step law with probability at most this
-LEAK_BOUND = 2.0**-64
-
 # `ladder` prints one row per level; a deeper request is refused before any
 # level is built, so memory and time stay bounded whatever --depth says
 MAX_LADDER_DEPTH = 10_000
@@ -257,18 +253,8 @@ def simulate(config: SimConfig) -> EmpiricalDistribution:
     from (rankdist.walk_law), both shifted up by config.shift. Output
     depends only on (seed, samples, k, field, shift, y); config.threads has
     no effect.
-
-    walk_law certifies its law only to total variation tail_bound, so a
-    run raises unless samples * tail_bound <= LEAK_BOUND: then a sample
-    falls where the truncated law differs from the true one with
-    probability at most LEAK_BOUND.
     """
     law = walk_law(config.field, config.k, y=config.chebotarev_y)
-    if config.samples * law.tail_bound > LEAK_BOUND:
-        raise ArithmeticError(
-            f"k={config.k}, samples={config.samples}: the k-step law is certified only to "
-            f"total variation {law.tail_bound:.3g}, so a sample leaves it with "
-            "probability above 2^-64")
     counts = _simulate_chunk(config, law.probs)
     shift = zeros(config.shift, np.int64)
     return EmpiricalDistribution(counts=np.concatenate([shift, counts]), total=config.samples,

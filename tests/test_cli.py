@@ -16,6 +16,7 @@ from twistrank import rankdist as rd
 from twistrank import twistsim
 from twistrank.cli import (
     COMMANDS,
+    LEAK_BOUND,
     SIM_CONFIG_FIELDS,
     ConfigError,
     cmd_isotropic,
@@ -25,7 +26,7 @@ from twistrank.cli import (
 from twistrank.gf import Flavor, build_field
 from twistrank.records import OutputRecord
 from twistrank.spaces import evaluate_form, hyperbolic_plane
-from twistrank.twistsim import LEAK_BOUND, MAX_LADDER_DEPTH
+from twistrank.twistsim import MAX_LADDER_DEPTH
 
 DATA_DIR = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
@@ -267,11 +268,18 @@ def test_simulate_computes_the_k_step_law_once(monkeypatch):
     assert code == 0 and len(calls) == 1
 
 
-def test_simulate_beyond_the_certified_depth_is_one_error_line():
-    k = 10**700
-    code, out, err = run_cli("simulate", "--p", "2", "--flavor", "sym", "--k", str(k))
-    assert (code, out) == (1, "")
-    assert err.startswith(f"error: k={k}, samples=10000: ") and err.count("\n") == 1
+def test_simulate_past_the_float_range_prints_the_k_1e18_rows():
+    """walk_law keeps every non-zero rank, so no k is refused: past the
+    repeat the law, and so the seeded run, depend on k only through its
+    phase in the cycle, here a fixed point."""
+    outputs = []
+    for k in (10**18, 10**700):
+        code, out, err = run_cli("simulate", "--p", "2", "--flavor", "sym", "--k", str(k),
+                                 "--samples", str(2**62), "--seed", "1")
+        assert (code, err) == (0, "")
+        outputs.append([line for line in out.splitlines() if not line.startswith("# k:")])
+    assert outputs[0] == outputs[1]
+    assert any(line.startswith("count(") for line in outputs[0])
 
 
 def test_simulate_independent_of_blas_threads():
