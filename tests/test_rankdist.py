@@ -301,17 +301,28 @@ def test_walk_law_is_bitwise_the_stepped_loop(p, flavor, y):
 
 def test_walk_law_any_k_repeats_the_cycle():
     """Past the step where the law repeats, walk_law(k) depends only on the
-    phase of k in the cycle, also for k past any float."""
+    phase of k in the cycle."""
     for p, flavor, y, period in ((2, Flavor.SYMPLECTIC, None, 1),
                                  (2, Flavor.UNITARY, 3.0, 2)):
         field = build_field(p, flavor)
         law = rd.walk_law(field, 1000, y=y)
-        for k in (1000 + period, 10**18, 10**700):
+        for k in (1000 + period, 10**18):
             far = rd.walk_law(field, k, y=y)
             assert far.probs.tobytes() == law.probs.tobytes()
             assert far.tail_bound == 0.0
         if period == 2:
             assert rd.walk_law(field, 1001, y=y).probs.tobytes() != law.probs.tobytes()
+
+
+def test_walk_law_tail_bound_is_capped_at_one():
+    """At k = 10^700, past any float, the tail bound stays within [0, 1]:
+    walk_law drops no rank, so it is 0 at every k, and the law is the one
+    k = 10^18 gives, on a fixed point and on a 2-cycle (even phase)."""
+    for flavor, y in ((Flavor.SYMPLECTIC, None), (Flavor.UNITARY, 3.0)):
+        field = build_field(2, flavor)
+        far = rd.walk_law(field, 10**700, y=y)
+        assert far.tail_bound == 0.0
+        assert far.probs.tobytes() == rd.walk_law(field, 10**18, y=y).probs.tobytes()
 
 
 def test_walk_law_k0_is_point_mass():

@@ -343,19 +343,30 @@ TOP_OF_DOMAIN = pytest.mark.parametrize("flavor, y", [
 @TOP_OF_DOMAIN
 def test_leak_guard_holds_at_the_top_of_the_domain(flavor, y):
     """At k = 10^18 and 2^62 samples simulate draws from walk_law's law,
-    which truncates nothing, so no sample can leave it. Past the step where
-    the law repeats, a run depends on k only through its phase in the
-    cycle; each law here is a fixed point, so k = 10^700 draws the same
-    counts from the same law."""
+    which truncates nothing, so no sample can leave it."""
     field = build_field(2, flavor)
     law = rd.walk_law(field, 10**18, y=y)
     assert law.tail_bound == 0.0
+    emp = simulate(SimConfig(field=field, k=10**18, samples=2**62, seed=1, chebotarev_y=y))
+    np.testing.assert_array_equal(emp.reference, law.probs)
+    assert emp.chi2_against(emp.reference)[2] > 1e-3
+
+
+@TOP_OF_DOMAIN
+def test_leak_guard_fires_past_the_certified_depth(flavor, y):
+    """Past the depth where a truncated law stopped being certified at 2^62
+    samples (k = 10^300 here), walk_law drops nothing, so there is no
+    leaked mass for a guard to fire on: simulate answers. Past the step
+    where the law repeats, a run depends on k only through its phase in the
+    cycle; each law here is a fixed point, so k = 10^300 and k = 10^700
+    draw the k = 10^18 counts from the k = 10^18 law."""
+    field = build_field(2, flavor)
     runs = [simulate(SimConfig(field=field, k=k, samples=2**62, seed=1, chebotarev_y=y))
-            for k in (10**18, 10**700)]
-    np.testing.assert_array_equal(runs[0].reference, law.probs)
-    assert runs[0].chi2_against(runs[0].reference)[2] > 1e-3
-    np.testing.assert_array_equal(runs[1].counts, runs[0].counts)
-    assert runs[1].reference.tobytes() == runs[0].reference.tobytes()
+            for k in (10**18, 10**300, 10**700)]
+    for far in runs[1:]:
+        np.testing.assert_array_equal(far.counts, runs[0].counts)
+        assert far.reference.tobytes() == runs[0].reference.tobytes()
+        assert far.counts.sum() == 2**62
 
 
 def exact_walk_law(field, k):
