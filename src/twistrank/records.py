@@ -10,6 +10,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 
 class _LineSink(list):
@@ -19,6 +20,13 @@ class _LineSink(list):
         self.append(line[:-2] + "\n")
 
 
+def _container(open_: str, items: list[str], close: str) -> str:
+    """A value of the top-level object, laid out as json.dumps(indent=2) does."""
+    if not items:
+        return open_ + close
+    return f"{open_}\n    " + ",\n    ".join(items) + f"\n  {close}"
+
+
 @dataclass
 class OutputRecord:
     command: str
@@ -26,12 +34,15 @@ class OutputRecord:
     rows: list[tuple[str, str]] = field(default_factory=list)
 
     def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "params": self.params,
-            "rows": [[label, value] for label, value in self.rows],
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        """json.dumps(payload, indent=2) + "\n", byte for byte. With an indent,
+        dumps walks the document in pure-Python generators, so the layout is
+        written here, and each string is quoted by the C function dumps uses."""
+        params = [f"{_quote(key)}: {_quote(value)}" for key, value in self.params.items()]
+        rows = [f"[\n      {_quote(label)},\n      {_quote(value)}\n    ]"
+                for label, value in self.rows]
+        return (f'{{\n  "command": {_quote(self.command)},\n'
+                f'  "params": {_container("{", params, "}")},\n'
+                f'  "rows": {_container("[", rows, "]")}\n}}\n')
 
     @classmethod
     def from_json(cls, text: str) -> "OutputRecord":

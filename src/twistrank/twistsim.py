@@ -250,15 +250,18 @@ def _simulate_chunk(config: SimConfig, law: np.ndarray) -> np.ndarray:
 def simulate(config: SimConfig) -> EmpiricalDistribution:
     """Run the rank walk for every sample, all from one stream keyed by
     (seed, 0), and return the rank counts with the law they were drawn
-    from (rankdist.walk_law), both shifted up by config.shift. Output
-    depends only on (seed, samples, k, field, shift, y); config.threads has
-    no effect.
+    from, both shifted up by config.shift. That law is rankdist.walk_law's
+    at every rank >= 1; the draw gives rank 0, its last column, the
+    remainder 1 - sum of the rest, so the reference carries that too and
+    sums to 1. Output depends only on (seed, samples, k, field, shift, y);
+    config.threads has no effect.
     """
-    law = walk_law(config.field, config.k, y=config.chebotarev_y)
-    counts = _simulate_chunk(config, law.probs)
+    law = walk_law(config.field, config.k, y=config.chebotarev_y).probs
+    counts = _simulate_chunk(config, law)
     shift = zeros(config.shift, np.int64)
     return EmpiricalDistribution(counts=np.concatenate([shift, counts]), total=config.samples,
-                                 reference=np.concatenate([shift, law.probs]))
+                                 reference=np.concatenate([shift, [1.0 - law[1:].sum()],
+                                                           law[1:]]))
 
 
 def strata_cardinality(p1_norms: np.ndarray, ladder: FanLadder, k: int, x: float,
@@ -266,8 +269,9 @@ def strata_cardinality(p1_norms: np.ndarray, ladder: FanLadder, k: int, x: float
     """Number of squarefree k-tuples of P1 places whose i-th smallest norm
     stays below the i-th ladder threshold at X = x.
 
-    p1_norms (as build_place_model returns them) is the counting universe,
-    so it must extend to the top threshold for the count to be meaningful.
+    p1_norms must ascend, as build_place_model returns them. It is the
+    counting universe, so it must extend to the top threshold for the count
+    to be meaningful.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -275,11 +279,13 @@ def strata_cardinality(p1_norms: np.ndarray, ladder: FanLadder, k: int, x: float
         raise ValueError(f"cap must be >= 1, got {cap}")
     if cap >= 2**63:
         raise ValueError(f"cap {cap} must be below 2^63: stratum counts are kept in int64")
+    p1 = np.asarray(p1_norms)
+    if (p1[1:] < p1[:-1]).any():
+        raise ValueError("p1_norms must ascend, as build_place_model returns them")
     if k == 0:
         return 1
-    if k > len(p1_norms):
+    if k > len(p1):
         return 0
-    p1 = np.sort(p1_norms)
     if math.comb(len(p1), k) > cap:
         raise CapExceeded(
             f"stratum count bound C({len(p1)}, {k}) exceeds the cap {cap}; "
@@ -287,11 +293,14 @@ def strata_cardinality(p1_norms: np.ndarray, ladder: FanLadder, k: int, x: float
         )
     # valid[m](t) = number of m-subsets of the first t places obeying the
     # first m thresholds; a place enters as the m-th pick only if its norm
-    # is under L_m(x). k is bounded by the places, not by MAX_LADDER_DEPTH.
-    current = np.ones(len(p1) + 1, dtype=np.int64)
-    for threshold in itertools.islice(ladder.iter_levels(x), k):
-        usable = p1 < threshold
-        contrib = np.where(usable, current[:-1], 0)
-        current = np.concatenate(([0], np.cumsum(contrib)))
+    # is under L_m(x), that is, if it is one of the first u_m places. The
+    # levels never decrease, so neither does u_m, and valid[m] is constant
+    # past u_m: the DP runs on the first u_k places alone. k is bounded by
+    # the places, not by MAX_LADDER_DEPTH.
+    usable = np.searchsorted(p1, list(itertools.islice(ladder.iter_levels(x), k)))
+    current = np.ones(int(usable[-1]) + 1, dtype=np.int64)
+    for u in usable.tolist():
+        current[1 : u + 1] = np.cumsum(current[:u])
+        current[0] = 0
+        current[u + 1 :] = current[u]
     return int(current[-1])
-

@@ -608,11 +608,13 @@ def test_bad_flag_values_cover_every_flag():
 @pytest.mark.parametrize("argv", [
     *((cmd, *VALID_REQUIRED.get(cmd, ())) for cmd in COMMANDS),
     ("ladder", "--x", "10", "--k", "1"),
-    ("simulate", "--y", "7.5", "--shift", "fd"),
+    ("simulate", "--k", "20", "--y", "7.5", "--shift", "fd"),
 ], ids=[*COMMANDS, "ladder-k", "simulate-y"])
 def test_params_echo_every_flag_with_a_value(argv):
     code, out, err = run_cli("--format", "json", *argv)
     assert (code, err) == (0, "")
+    # the JSON layout is written out by hand, to json.dumps's bytes
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
     fields = COMMANDS[argv[0]][2]
     given = {word[2:] for word in argv if word.startswith("--")}
     with_value = [flag for flag, (_, default) in fields.items()

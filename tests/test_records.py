@@ -3,6 +3,8 @@ import random
 import string
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twistrank.records import OutputRecord
 
@@ -53,6 +55,27 @@ def test_round_trip_with_awkward_strings():
         )
         assert OutputRecord.from_csv(rec.to_csv()) == rec
         assert OutputRecord.from_json(rec.to_json()) == rec
+
+
+# arbitrary text, weighted toward what JSON must escape: quote, backslash,
+# control characters, U+2028, and non-ASCII in and beyond the BMP
+AWKWARD = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\r\t\u2028\u2029é\U0001f600'),
+    st.characters()))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(command=AWKWARD, params=st.dictionaries(AWKWARD, AWKWARD, max_size=4),
+       rows=st.lists(st.tuples(AWKWARD, AWKWARD), max_size=5))
+@example(command="", params={}, rows=[])
+@example(command="dist", params={}, rows=[("D(0)", "1")])
+@example(command="dist", params={"p": "2"}, rows=[])
+def test_json_is_json_dumps_indent_2(command, params, rows):
+    rec = OutputRecord(command=command, params=params, rows=rows)
+    payload = {"command": command, "params": params,
+               "rows": [[label, value] for label, value in rows]}
+    assert rec.to_json() == json.dumps(payload, indent=2) + "\n"
+    assert OutputRecord.from_json(rec.to_json()) == rec
 
 
 def test_json_schema_keys_stable():

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -343,13 +344,27 @@ TOP_OF_DOMAIN = pytest.mark.parametrize("flavor, y", [
 @TOP_OF_DOMAIN
 def test_leak_guard_holds_at_the_top_of_the_domain(flavor, y):
     """At k = 10^18 and 2^62 samples simulate draws from walk_law's law,
-    which truncates nothing, so no sample can leave it."""
+    which truncates nothing, so no sample can leave it. The reference is
+    that law bitwise at every rank >= 1, and at rank 0 the remainder the
+    draw gives its last column."""
     field = build_field(2, flavor)
     law = rd.walk_law(field, 10**18, y=y)
     assert law.tail_bound == 0.0
     emp = simulate(SimConfig(field=field, k=10**18, samples=2**62, seed=1, chebotarev_y=y))
-    np.testing.assert_array_equal(emp.reference, law.probs)
+    assert emp.reference[1:].tobytes() == law.probs[1:].tobytes()
+    assert emp.reference[0] == 1.0 - law.probs[1:].sum()
     assert emp.chi2_against(emp.reference)[2] > 1e-3
+
+
+def test_simulate_reference_sums_to_one_where_walk_law_drifts():
+    """At p = 32749 uni, y = 1e6, walk_law loses about an ulp of rank 0 per
+    step until it repeats, so its k = 10^18 law sums to 1 - 1.3e-12. The
+    draw gives rank 0 whatever the higher ranks leave, and so does the
+    reference, which therefore sums to 1."""
+    field = build_field(32749, Flavor.UNITARY)
+    assert abs(rd.walk_law(field, 10**18, y=1e6).probs.sum() - 1) > 1e-12
+    emp = simulate(SimConfig(field=field, k=10**18, samples=2**62, seed=1, chebotarev_y=1e6))
+    assert abs(emp.reference.sum() - 1) <= 1e-15
 
 
 @TOP_OF_DOMAIN
@@ -421,7 +436,8 @@ DRAW_CASES = [(0, 1, 0, None), (5, 20_000, 1, None), (20, 2**62, 3, 0.5),
 def test_simulate_is_one_multinomial_draw(k, samples, shift, y):
     """simulate is a single Multinomial(samples, walk_law) draw on the
     (seed, 0) stream from the unshifted law, columns taken from the top
-    rank downward, and it returns that law, shifted like the counts."""
+    rank downward, and it returns that law, shifted like the counts, with
+    rank 0 the remainder its last column gets."""
     config = SimConfig(field=build_field(3, Flavor.UNITARY), k=k, samples=samples, seed=9,
                        shift=shift, chebotarev_y=y)
     law = rd.walk_law(config.field, k, y=y).probs
@@ -430,7 +446,8 @@ def test_simulate_is_one_multinomial_draw(k, samples, shift, y):
     emp = simulate(config)
     zeros = np.zeros(shift, dtype=np.int64)
     np.testing.assert_array_equal(emp.counts, np.concatenate([zeros, draw]))
-    np.testing.assert_array_equal(emp.reference, np.concatenate([zeros, law]))
+    drawn = np.concatenate([[1.0 - law[1:].sum()], law[1:]])
+    assert emp.reference.tobytes() == np.concatenate([zeros, drawn]).tobytes()
 
 
 def pooled_by_loop(observed, expected):
@@ -494,10 +511,8 @@ def brute_force_strata(norms, ladder, k, x):
     """Direct enumeration over sorted P1 norm tuples."""
     norms = sorted(int(v) for v in norms)
     thresholds = ladder.levels(x, k) if k else []
-    from itertools import combinations
-
     count = 0
-    for combo in combinations(norms, k):
+    for combo in itertools.combinations(norms, k):
         if all(combo[i] < thresholds[i] for i in range(k)):
             count += 1
     return count if k else 1
@@ -570,3 +585,60 @@ def test_strata_rejects_cap_beyond_int64():
     with pytest.raises(ValueError, match="2\\^63"):
         strata_cardinality(norms, FanLadder(1.0), 1, 2000.0, cap=2**63)
     assert strata_cardinality(norms, FanLadder(1.0), 1, 2000.0, cap=2**63 - 1) == 303
+
+
+def full_array_strata(norms, ladder, k, x):
+    """The stratum DP as it ran before it was cut to the usable prefix:
+    every level over the whole universe."""
+    current = np.ones(len(norms) + 1, dtype=np.int64)
+    for threshold in itertools.islice(ladder.iter_levels(x), k):
+        contrib = np.where(norms < threshold, current[:-1], 0)
+        current = np.concatenate(([0], np.cumsum(contrib)))
+    return int(current[-1])
+
+
+@pytest.mark.parametrize("norms, exponent, x, k, count", [
+    # L_1(3) = 9 and L_2(3) = 81 are norms, and a place must lie strictly below
+    ([2, 3, 5, 7, 9, 11, 81, 83], 2.0, 3.0, 1, 4),
+    ([2, 3, 5, 7, 9, 11, 81, 83], 2.0, 3.0, 2, 14),
+    # more picks than places
+    ([2, 3, 5], 2.0, 10.0, 4, 0),
+    # at x = 1 every level is 1, under every norm
+    ([2, 3, 5, 7], 2.0, 1.0, 2, 0),
+    # L_1(2) = 2^400 and every later level saturates to inf: all C(6, 3)
+    ([2, 3, 5, 7, 11, 13], 400.0, 2.0, 3, 20),
+], ids=["on-threshold-k1", "on-threshold-k2", "k-past-places", "x-1", "inf-levels"])
+def test_strata_edge_cases_match_enumeration(norms, exponent, x, k, count):
+    ladder = FanLadder(exponent)
+    assert brute_force_strata(norms, ladder, k, x) == count
+    assert strata_cardinality(np.array(norms), ladder, k, x) == count
+
+
+def test_strata_prefix_dp_matches_enumeration_on_random_universes():
+    rng = np.random.default_rng(20)
+    for _ in range(300):
+        ladder = FanLadder(float(rng.choice([1.0, 1.5, 2.0, 400.0])))
+        x = float(rng.choice([1.0, 2.0, 3.0, 4.5, 10.0]))
+        # every finite integral level below 120 is a norm, on its threshold
+        on_threshold = [int(t) for t in ladder.levels(x, 6) if t < 120 and t == int(t)]
+        picked = rng.choice(np.arange(2, 120), size=rng.integers(0, 11), replace=False)
+        norms = np.unique(np.concatenate([picked, on_threshold]).astype(np.int64))
+        k = int(rng.integers(0, len(norms) + 3))
+        assert strata_cardinality(norms, ladder, k, x) == brute_force_strata(
+            norms, ladder, k, x), (norms.tolist(), ladder, x, k)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_strata_prefix_dp_matches_the_full_array_dp(seed):
+    norms = p1_norms(10**6, 0.5, seed)
+    for exponent, x in ((1.0, 10.0), (1.0, 100.0), (1.5, 20.0), (2.0, 7.0)):
+        ladder = FanLadder(exponent)
+        for k in range(5):
+            assert strata_cardinality(norms, ladder, k, x, cap=2**63 - 1) == \
+                full_array_strata(norms, ladder, k, x), (exponent, x, k)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_strata_rejects_unsorted_norms(k):
+    with pytest.raises(ValueError, match="p1_norms must ascend"):
+        strata_cardinality(np.array([2, 5, 3, 7]), FanLadder(2.0), k, 10.0)
