@@ -17,9 +17,9 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import rankdist, twistsim
-from .gf import Flavor, build_field, is_prime
+from .gf import Flavor, build_field, format_elem, is_prime
 from .records import OutputRecord
-from .spaces import build_local_plane, fiber_size
+from .spaces import fiber_size, hyperbolic_plane, isotropic_slopes
 from .twistsim import CapExceeded, SimConfig
 
 TABLE_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -117,19 +117,12 @@ def cmd_bounds(p: int, deg_k: int) -> list[tuple[str, str]]:
 
 
 def cmd_isotropic(p: int, flavor: Flavor, n: int) -> list[tuple[str, str]]:
-    field = build_field(p, flavor)
-    plane = build_local_plane(field)
-
-    def coords(line):
-        return "(" + ", ".join(map(str, line.basis[0])) + ")"
-
-    rows = [
-        ("lines_total", str(p + 1)),
-        ("fiber_size", str(fiber_size(p, n))),
-        ("unramified", coords(plane.unramified_line)),
-    ]
-    rows += [(f"ramified[{i}]", coords(line)) for i, line in enumerate(plane.ramified_lines)]
-    return rows
+    """Lines by canonical basis, the unramified one first (see build_local_plane)."""
+    slopes = isotropic_slopes(hyperbolic_plane(build_field(p, flavor)))
+    lines = ["(0, 1)" if slope is None else f"(1, {format_elem(*slope)})" for slope in slopes]
+    rows = [("lines_total", str(p + 1)), ("fiber_size", str(fiber_size(p, n))),
+            ("unramified", lines[0])]
+    return rows + [(f"ramified[{i}]", line) for i, line in enumerate(lines[1:])]
 
 
 def cmd_simulate(p, flavor, k, samples, seed, shift, y, threads) -> list[tuple[str, str]]:

@@ -110,6 +110,14 @@ def build_field(p: int, flavor: Flavor) -> FieldParams:
     return FieldParams(p=p, flavor=flavor, q=p * p, modulus=modulus)
 
 
+def format_elem(c0: int, c1: int) -> str:
+    """The text of c0 + c1*x, as str(FqElem) prints it: "3", "x", "2x+3"."""
+    if c1 == 0:
+        return str(c0)
+    xs = "x" if c1 == 1 else f"{c1}x"
+    return xs if c0 == 0 else f"{xs}+{c0}"
+
+
 @dataclass(frozen=True, slots=True)
 class FqElem:
     """Element c0 + c1*x of k, with coordinates reduced mod p."""
@@ -197,10 +205,7 @@ class FqElem:
         return FqElem(self.field, (self.c0 - self.field.modulus[0] * self.c1) % p, -self.c1 % p)
 
     def __str__(self) -> str:
-        if self.c1 == 0:
-            return str(self.c0)
-        xs = "x" if self.c1 == 1 else f"{self.c1}x"
-        return xs if self.c0 == 0 else f"{xs}+{self.c0}"
+        return format_elem(self.c0, self.c1)
 
     def __repr__(self) -> str:
         return f"FqElem({self}, q={self.field.q})"

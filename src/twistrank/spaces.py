@@ -109,13 +109,9 @@ class HermitianSpace:
 
 def hyperbolic_plane(field: FieldParams) -> HermitianSpace:
     """The standard 2-dimensional metabolic space for the given flavor."""
-    one = field.one()
-    zero = field.zero()
-    if field.flavor is Flavor.SYMPLECTIC:
-        gram = ((zero, one), (-one, zero))
-    else:
-        gram = ((zero, one), (one, zero))
-    return HermitianSpace(field=field, dim=2, gram=gram)
+    one, zero = field.one(), field.zero()
+    lower = -one if field.flavor is Flavor.SYMPLECTIC else one
+    return HermitianSpace(field=field, dim=2, gram=((zero, one), (lower, zero)))
 
 
 def metabolic_space(field: FieldParams, blocks: int) -> HermitianSpace:
@@ -123,19 +119,15 @@ def metabolic_space(field: FieldParams, blocks: int) -> HermitianSpace:
     if blocks < 1:
         raise ValueError("need at least one hyperbolic block")
     plane = hyperbolic_plane(field)
-    dim = 2 * blocks
-    zero = field.zero()
-    gram = [[zero] * dim for _ in range(dim)]
-    for b in range(blocks):
-        for i in range(2):
-            for j in range(2):
-                gram[2 * b + i][2 * b + j] = plane.gram[i][j]
-    return HermitianSpace(field=field, dim=dim, gram=tuple(tuple(r) for r in gram))
+    dim, zero = 2 * blocks, field.zero()
+    gram = tuple(tuple(plane.gram[i % 2][j % 2] if i // 2 == j // 2 else zero
+                       for j in range(dim)) for i in range(dim))
+    return HermitianSpace(field=field, dim=dim, gram=gram)
 
 
 def evaluate_form(space: HermitianSpace, x, y) -> FqElem:
     """h(x, y) = sum of x_i * g_ij * conj(y_j), linear in x and
-    conjugate-linear in y; the coordinates of x and y lie in space.field.
+    conjugate-linear in y; a coordinate over another field raises ValueError.
 
     The sum runs over the non-zero Gram entries only, in integer
     coordinates, and builds one FqElem at the end: on a metabolic Gram
@@ -144,6 +136,10 @@ def evaluate_form(space: HermitianSpace, x, y) -> FqElem:
     if len(x) != space.dim or len(y) != space.dim:
         raise ValueError("vector length does not match the space dimension")
     field = space.field
+    for v in (x, y):
+        for e in v:
+            if e.field is not field and e.field != field:
+                raise ValueError("field mismatch in arithmetic")
     p = field.p
     if field.modulus is None:
         return FqElem(field, sum(x[i].c0 * g0 * y[j].c0
@@ -233,8 +229,9 @@ def _roots_mod_p(a2: int, a1: int, a0: int, p: int, sqrt: dict[int, int],
     return sorted({(-a1 + s) * inv % p, (-a1 - s) * inv % p})
 
 
-def enumerate_isotropic_lines(space: HermitianSpace) -> list[Subspace]:
-    """All isotropic lines of a 2-dimensional space, in canonical order.
+def isotropic_slopes(space: HermitianSpace) -> list[tuple[int, int] | None]:
+    """All isotropic lines of a 2-dimensional space in canonical order, in
+    integer coordinates: None for the line of (0, 1), (a, b) for (1, a + b*x).
 
     Lines are ordered lexicographically by the integer encodings c0 + c1*p
     of their canonical basis vector, which makes downstream fiber maps
@@ -252,28 +249,35 @@ def enumerate_isotropic_lines(space: HermitianSpace) -> list[Subspace]:
         raise ValueError("isotropic-line enumeration requires dimension 2")
     field = space.field
     p = field.p
-    one, zero = field.one(), field.zero()
-
-    def line(t: FqElem) -> Subspace:
-        return Subspace(2, ((one, t),))
-
-    axis = Subspace(2, ((zero, one),))
     if field.flavor is Flavor.SYMPLECTIC:
-        return [axis] + [line(FqElem(field, a, 0)) for a in range(p)]
-    (g00, _), (g10, g11) = space.gram
-    m1, m0 = field.modulus
-    h00, h11 = g00.c0, g11.c0
-    tr1, trx = ((y + y.conj()).c0 for y in (g10, g10 * field.gen()))
-    lines = [] if h11 else [axis]
-    sqrt = {s * s % p: s for s in range(p)}
-    # the leading coefficient is the same for every b, and so, when it is 0,
-    # is the linear one, so the inverse _roots_mod_p needs is found once
-    inv = pow(2 * h11 if h11 else tr1, p - 2, p)
-    for b in range(p):
-        roots = _roots_mod_p(h11, (tr1 - m1 * h11 * b) % p,
-                             (h00 + trx * b + m0 * h11 * b * b) % p, p, sqrt, inv)
-        lines += [line(FqElem(field, a, b)) for a in roots]
-    return lines
+        slopes = [None] + [(a, 0) for a in range(p)]
+    else:
+        (g00, _), (g10, g11) = space.gram
+        m1, m0 = field.modulus
+        h00, h11 = g00.c0, g11.c0
+        tr1, trx = ((y + y.conj()).c0 for y in (g10, g10 * field.gen()))
+        slopes = [] if h11 else [None]
+        sqrt = {s * s % p: s for s in range(p)}
+        # the leading coefficient is the same for every b, and so, when it is
+        # 0, is the linear one, so the inverse _roots_mod_p needs is found once
+        inv = pow(2 * h11 if h11 else tr1, p - 2, p)
+        for b in range(p):
+            roots = _roots_mod_p(h11, (tr1 - m1 * h11 * b) % p,
+                                 (h00 + trx * b + m0 * h11 * b * b) % p, p, sqrt, inv)
+            slopes += [(a, b) for a in roots]
+    # a non-degenerate plane has p + 1 isotropic lines in either flavor
+    if len(slopes) != p + 1:
+        raise ValueError(f"expected {p + 1} isotropic lines, found {len(slopes)}")
+    return slopes
+
+
+def enumerate_isotropic_lines(space: HermitianSpace) -> list[Subspace]:
+    """The lines of isotropic_slopes as subspaces, by their canonical bases."""
+    field = space.field
+    one = field.one()
+    return [Subspace(2, ((field.zero(), one),)) if slope is None
+            else Subspace(2, ((one, FqElem(field, *slope)),))
+            for slope in isotropic_slopes(space)]
 
 
 @dataclass(frozen=True)
@@ -290,8 +294,6 @@ def build_local_plane(field: FieldParams) -> LocalPlane:
     declared unramified, the remaining p are the ramified lines."""
     space = hyperbolic_plane(field)
     lines = enumerate_isotropic_lines(space)
-    if len(lines) != field.p + 1:
-        raise ValueError(f"expected {field.p + 1} isotropic lines, found {len(lines)}")
     return LocalPlane(space=space, unramified_line=lines[0], ramified_lines=tuple(lines[1:]))
 
 

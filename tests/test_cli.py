@@ -23,9 +23,9 @@ from twistrank.cli import (
     load_sim_config,
     main,
 )
-from twistrank.gf import Flavor, build_field
+from twistrank.gf import Flavor, build_field, is_prime
 from twistrank.records import OutputRecord
-from twistrank.spaces import evaluate_form, hyperbolic_plane
+from twistrank.spaces import build_local_plane, evaluate_form, fiber_size, hyperbolic_plane
 from twistrank.twistsim import MAX_LADDER_DEPTH
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -191,6 +191,46 @@ def test_isotropic_top_of_domain_unitary():
         v = tuple(parse(c) for c in value[1:-1].split(", "))
         assert v[0] == field.one() or v == (field.zero(), field.one())
         assert not evaluate_form(plane, v, v)
+
+
+def reference_isotropic_rows(p, flavor, n):
+    """The rows by the Subspace route: build_local_plane, then str of each
+    FqElem coordinate of a line's basis vector."""
+    plane = build_local_plane(build_field(p, flavor))
+
+    def coords(line):
+        return "(" + ", ".join(map(str, line.basis[0])) + ")"
+
+    rows = [("lines_total", str(p + 1)), ("fiber_size", str(fiber_size(p, n))),
+            ("unramified", coords(plane.unramified_line))]
+    return rows + [(f"ramified[{i}]", coords(line)) for i, line in enumerate(plane.ramified_lines)]
+
+
+def assert_isotropic_matches_the_subspace_route(p, flavor, n):
+    expected = reference_isotropic_rows(p, flavor, n)
+    assert cmd_isotropic(p, flavor, n) == expected
+    record = OutputRecord(command="isotropic", rows=expected,
+                          params={"p": str(p), "flavor": flavor.value, "n": str(n)})
+    for fmt in ("table", "csv", "json"):
+        code, out, err = run_cli("--format", fmt, "isotropic", "--p", str(p),
+                                 "--flavor", flavor.value, "--n", str(n))
+        assert (code, err) == (0, "")
+        assert out == record.render(fmt), (p, flavor, n, fmt)
+
+
+@pytest.mark.parametrize("flavor", list(Flavor))
+@pytest.mark.parametrize("n", [1, 2])
+def test_isotropic_rows_match_the_subspace_route(flavor, n):
+    """cmd_isotropic renders from integer coordinates; its rows and all three
+    encodings equal those of the Subspace route, for every prime below 200."""
+    for p in filter(is_prime, range(200)):
+        assert_isotropic_matches_the_subspace_route(p, flavor, n)
+
+
+@pytest.mark.parametrize("p, flavor, n", [(3067, Flavor.SYMPLECTIC, 2),
+                                          (32749, Flavor.UNITARY, 1)])
+def test_isotropic_rows_match_the_subspace_route_at_large_p(p, flavor, n):
+    assert_isotropic_matches_the_subspace_route(p, flavor, n)
 
 
 def test_simulate_k0_point_mass():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twistrank.gf import MAX_P, Flavor, build_field, is_prime
+from twistrank.gf import MAX_P, Flavor, FqElem, build_field, format_elem, is_prime
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 DOMAIN_PRIMES = [p for p in range(2, MAX_P + 1) if is_prime(p)]
@@ -210,6 +210,21 @@ def test_str_of_field_elements():
     assert [str(a) for a in f4.elements()] == ["0", "1", "x", "x+1"]
     assert [str(a) for a in f9.elements()][3:] == ["x", "x+1", "x+2", "2x", "2x+1", "2x+2"]
     assert str(build_field(7, Flavor.SYMPLECTIC).elem(6)) == "6"
+
+
+def test_format_elem_is_the_text_of_every_element():
+    """format_elem(c0, c1), which the CLI calls on integer coordinates, is
+    str(FqElem): over every element of F_4, F_9, F_25 and F_49, and on 1000
+    seeded elements of F_{32749^2}."""
+    for p in (2, 3, 5, 7):
+        for a in build_field(p, Flavor.UNITARY).elements():
+            assert format_elem(a.c0, a.c1) == str(a)
+    field = build_field(32749, Flavor.UNITARY)
+    rng = random.Random(21)
+    for _ in range(1000):
+        a = FqElem(field, rng.randrange(field.p), rng.randrange(field.p))
+        assert format_elem(a.c0, a.c1) == str(a)
+    assert format_elem(7, 0) == str(build_field(11, Flavor.SYMPLECTIC).elem(7)) == "7"
 
 
 @settings(derandomize=True, deadline=None)

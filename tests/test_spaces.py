@@ -16,6 +16,7 @@ from twistrank.spaces import (
     fiber_size,
     hyperbolic_plane,
     is_maximal_isotropic,
+    isotropic_slopes,
     kummer_line_of_character,
     metabolic_space,
     orthogonal_complement,
@@ -109,6 +110,33 @@ def test_form_dimension_mismatch():
     space = hyperbolic_plane(field)
     with pytest.raises(ValueError):
         evaluate_form(space, (field.one(),), (field.one(), field.zero()))
+
+
+def test_form_rejects_vectors_over_another_field():
+    """F_5 vectors on the F_3 plane, and vectors of the same p but the other
+    flavor, raise rather than pair as integers."""
+    space = hyperbolic_plane(build_field(3, Flavor.SYMPLECTIC))
+    own = (space.field.one(), space.field.zero())
+    for other in (build_field(5, Flavor.SYMPLECTIC), build_field(3, Flavor.UNITARY)):
+        foreign = (other.one(), other.one())
+        for x, y in ((foreign, foreign), (own, foreign), (foreign, own)):
+            with pytest.raises(ValueError, match="field mismatch in arithmetic"):
+                evaluate_form(space, x, y)
+
+
+@pytest.mark.parametrize("flavor", list(Flavor))
+def test_form_pairs_vectors_over_an_equal_field(flavor):
+    """A second build_field call gives an equal field but not the same
+    object; its vectors pair as the plane's own do. A field with another p
+    still raises."""
+    field, twin = build_field(3, flavor), build_field(3, flavor)
+    assert twin == field and twin is not field
+    space = hyperbolic_plane(field)
+    for x, y in product(all_vectors(field, 2), repeat=2):
+        x_twin, y_twin = (tuple(twin.elem(e.c0, e.c1) for e in v) for v in (x, y))
+        assert evaluate_form(space, x_twin, y_twin) == evaluate_form(space, x, y)
+    with pytest.raises(ValueError, match="field mismatch in arithmetic"):
+        evaluate_form(space, (field.one(), field.zero()), (build_field(5, flavor).one(),) * 2)
 
 
 def test_sesquilinearity_seeded_random():
@@ -346,6 +374,19 @@ def test_maximal_isotropic_rejects_a_foreign_subspace():
         is_maximal_isotropic(metabolic_space(field, 2), line)
 
 
+@pytest.mark.parametrize("p, flavor", [(5, Flavor.SYMPLECTIC), (3, Flavor.UNITARY)])
+def test_maximal_isotropic_rejects_a_subspace_over_another_field(p, flavor):
+    """The Lagrangian span(e0, e2) built over another field raises, where
+    the same span over the space's own field is a Lagrangian."""
+    space = metabolic_space(build_field(3, Flavor.SYMPLECTIC), 2)
+    own = Subspace.from_vectors([basis_vector(space.field, 4, i) for i in (0, 2)], 4)
+    assert is_maximal_isotropic(space, own)
+    other = build_field(p, flavor)
+    foreign = Subspace.from_vectors([basis_vector(other, 4, i) for i in (0, 2)], 4)
+    with pytest.raises(ValueError, match="field mismatch in arithmetic"):
+        is_maximal_isotropic(space, foreign)
+
+
 # (p, flavor, Lagrangians of two hyperbolic planes): (p+1)(p^2+1) for sym,
 # (p+1)(p^3+1) for uni
 LAGRANGIAN_COUNTS = [(2, Flavor.SYMPLECTIC, 15), (2, Flavor.UNITARY, 27),
@@ -453,6 +494,12 @@ def test_isotropic_lines_of_random_gram_against_brute_force(p, flavor, g00, g11,
     keys = [tuple(e.c0 + e.c1 * p for e in line.basis[0]) for line in lines]
     assert keys == sorted(set(keys))
     assert all(line == Subspace.from_vectors(line.basis, 2) for line in lines)
+    # the integer core, wrapped into subspaces by hand, is the same list
+    one = field.one()
+    wrapped = [Subspace.from_vectors([(field.zero(), one) if slope is None
+                                      else (one, field.elem(*slope))], 2)
+               for slope in isotropic_slopes(space)]
+    assert wrapped == lines
 
 
 def test_enumerate_requires_dim2():
