@@ -20,7 +20,7 @@ from . import rankdist, twistsim
 from .gf import Flavor, build_field, format_elem, is_prime
 from .records import OutputRecord
 from .spaces import fiber_size, hyperbolic_plane, isotropic_slopes
-from .twistsim import CapExceeded, SimConfig
+from .twistsim import SimConfig
 
 TABLE_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -152,7 +152,7 @@ def cmd_simulate(p, flavor, k, samples, seed, shift, y, threads) -> list[tuple[s
 
 
 def cmd_ladder(x: float, exponent: float, depth: int, k: int | None, density: float,
-               seed: int, cap: int, sieve_cap: int) -> list[tuple[str, str]]:
+               seed: int, sieve_cap: int) -> list[tuple[str, str]]:
     if k is not None and k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     if sieve_cap < 2:
@@ -160,15 +160,14 @@ def cmd_ladder(x: float, exponent: float, depth: int, k: int | None, density: fl
     ladder = twistsim.FanLadder(exponent)
     rows = [(f"L{i + 1}", fmt(level)) for i, level in enumerate(ladder.levels(x, depth))]
     if k is None:
-        # the empty stratum checks density, seed and cap as the counts below do
-        p1_norms = twistsim.build_place_model(2, density, seed)
-        twistsim.strata_cardinality(p1_norms, ladder, 0, x, cap)
+        # density and seed are checked as the counts below check them
+        twistsim.build_place_model(2, density, seed)
         return rows
     # the levels never decrease, so the first past the sieve cap fails the
     # top one; at x = 1 they are all 1
     for i, top in enumerate(ladder.iter_levels(x), start=1):
         if not top <= sieve_cap:
-            raise CapExceeded(
+            raise ValueError(
                 f"stratum k={k + 1} needs places up to at least {top:.3g}, beyond the "
                 f"sieve cap {sieve_cap}; lower x or k, or raise --sieve-cap"
             )
@@ -176,8 +175,7 @@ def cmd_ladder(x: float, exponent: float, depth: int, k: int | None, density: fl
             break
     # below 2 there is no place, and every threshold keeps the place 2 out
     p1_norms = twistsim.build_place_model(max(top, 2), density, seed)
-    d_k = twistsim.strata_cardinality(p1_norms, ladder, k, x, cap)
-    d_k1 = twistsim.strata_cardinality(p1_norms, ladder, k + 1, x, cap)
+    d_k, d_k1 = twistsim.strata_cardinality(p1_norms, ladder, k, x)
     if d_k1 == 0:
         raise ValueError(f"stratum k={k + 1} is empty at x={x}; enlarge x")
     return rows + [(f"D_{k}", str(d_k)), (f"D_{k + 1}", str(d_k1)), ("ratio", fmt(d_k / d_k1))]
@@ -218,7 +216,7 @@ COMMANDS = {
     "ladder": (cmd_ladder, "norm-threshold ladder and stratum counts", {
         "x": (NUMBER, REQUIRED), "exponent": (NUMBER, "2.0"), "depth": (INT, "5"),
         "k": (INT, None), "density": (NUMBER, "1.0"), "seed": (INT, "0"),
-        "cap": (INT, str(10**15)), "sieve-cap": (INT, str(50_000_000)),
+        "sieve-cap": (INT, str(50_000_000)),
     }),
 }
 SIM_CONFIG_FIELDS = COMMANDS["simulate"][2]
@@ -321,7 +319,7 @@ def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     try:
         record = run_command(args)
-    except (ValueError, ArithmeticError, CapExceeded) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

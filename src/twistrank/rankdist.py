@@ -195,16 +195,18 @@ class RankDistribution:
 def stationary_distribution(field: FieldParams, r_max: int = R_MAX_DEFAULT) -> RankDistribution:
     """The stationary distribution truncated at r_max, with tail bound.
 
-    Mass above r_max is dominated by the geometric series with ratio
-    q^(1-epsilon)/(q^(r_max+1) - 1) starting from D(r_max).
+    The ratios rho_r = D(r+1)/D(r) = q^(1-epsilon)/(q^(r+1) - 1) decrease,
+    and rho_r < 1 from r = 1 on (rho_0 = 1 at p = 2 sym), so the mass above
+    r_max is at most D(r_max) * rho_{r_max} / (1 - rho_{r_max+1}).
     """
     if r_max < 0:
         raise ValueError("r_max must be non-negative")
     probs = _stationary_probs(field, r_max)
     tail = 0.0
     if probs[r_max]:
-        rho = float(field.q // field.p) / (field.q ** (r_max + 1) - 1)
-        tail = probs[r_max] * rho / (1.0 - rho)
+        up, q = field.q // field.p, field.q
+        rho = up / (q ** (r_max + 1) - 1)
+        tail = probs[r_max] * rho / (1.0 - up / (q ** (r_max + 2) - 1))
     return RankDistribution(field=field, probs=probs, tail_bound=float(tail))
 
 

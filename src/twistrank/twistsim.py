@@ -33,10 +33,6 @@ MAX_LADDER_DEPTH = 10_000
 CHI2_MIN_EXPECTED = 5.0
 
 
-class CapExceeded(RuntimeError):
-    """Raised when a stratum count would exceed the configured cap."""
-
-
 def primes_up_to(x: int) -> np.ndarray:
     """All primes <= x, ascending, by a numpy sieve over the odd numbers."""
     if x < 2:
@@ -264,43 +260,41 @@ def simulate(config: SimConfig) -> EmpiricalDistribution:
                                                            law[1:]]))
 
 
-def strata_cardinality(p1_norms: np.ndarray, ladder: FanLadder, k: int, x: float,
-                       cap: int = 10**15) -> int:
-    """Number of squarefree k-tuples of P1 places whose i-th smallest norm
-    stays below the i-th ladder threshold at X = x.
+def strata_cardinality(p1_norms: np.ndarray, ladder: FanLadder, k: int,
+                       x: float) -> tuple[int, int]:
+    """(|D_k|, |D_{k+1}|): the numbers of squarefree k- and (k + 1)-tuples of
+    P1 places whose i-th smallest norm stays below the i-th ladder threshold
+    at X = x.
 
     p1_norms must ascend, as build_place_model returns them. It is the
-    counting universe, so it must extend to the top threshold for the count
+    counting universe, so it must extend to the top threshold for the counts
     to be meaningful.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
-    if cap >= 2**63:
-        raise ValueError(f"cap {cap} must be below 2^63: stratum counts are kept in int64")
     p1 = np.asarray(p1_norms)
     if (p1[1:] < p1[:-1]).any():
         raise ValueError("p1_norms must ascend, as build_place_model returns them")
-    if k == 0:
-        return 1
-    if k > len(p1):
-        return 0
-    if math.comb(len(p1), k) > cap:
-        raise CapExceeded(
-            f"stratum count bound C({len(p1)}, {k}) exceeds the cap {cap}; "
-            "raise the cap or shrink the place model"
-        )
+    n = len(p1)
+    for j in (k, k + 1):
+        if math.comb(n, j) >= 2**63:
+            raise ValueError(f"stratum count bound C({n}, {j}) is not below 2^63, the int64 "
+                             "range of the counts; lower x or k, or shrink the place model")
     # valid[m](t) = number of m-subsets of the first t places obeying the
     # first m thresholds; a place enters as the m-th pick only if its norm
     # is under L_m(x), that is, if it is one of the first u_m places. The
     # levels never decrease, so neither does u_m, and valid[m] is constant
-    # past u_m: the DP runs on the first u_k places alone. k is bounded by
-    # the places, not by MAX_LADDER_DEPTH.
-    usable = np.searchsorted(p1, list(itertools.islice(ladder.iter_levels(x), k)))
-    current = np.ones(int(usable[-1]) + 1, dtype=np.int64)
+    # past u_m: the DP runs on the first u_{k+1} places alone, and after
+    # level m its last entry is |D_m|. Past the n places every stratum is
+    # empty, so at most n levels run. The sums are exact modulo 2^64, so a
+    # count below 2^63 is right even where a middle level wraps.
+    usable = np.searchsorted(p1, list(itertools.islice(ladder.iter_levels(x), min(k + 1, n))))
+    current = np.ones(int(usable.max(initial=0)) + 1, dtype=np.int64)
+    counts = [1]
     for u in usable.tolist():
         current[1 : u + 1] = np.cumsum(current[:u])
         current[0] = 0
         current[u + 1 :] = current[u]
-    return int(current[-1])
+        counts.append(int(current[-1]))
+    d_k, d_k1 = (counts[k : k + 2] + [0, 0])[:2]
+    return d_k, d_k1

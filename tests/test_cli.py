@@ -569,7 +569,6 @@ BAD_FLAG_VALUES = [
     ("ladder", "k", "x", "an integer"),
     ("ladder", "density", "x", "a number"),
     ("ladder", "seed", "1.5", "an integer"),
-    ("ladder", "cap", "1e15", "an integer"),
     ("ladder", "sieve-cap", "x", "an integer"),
 ]
 VALID_REQUIRED = {"dist": ("--p", "2", "--flavor", "sym"),
@@ -598,20 +597,17 @@ def test_bad_flag_value_names_the_flag(cmd, flag, value, expected):
     (("ladder", "--x", "10", "--exponent", "0.5"), "--exponent must be finite and >= 1, got 0.5"),
     (("ladder", "--x", "10", "--k", "1", "--density", "2"), "--density must lie in (0, 1]"),
     (("ladder", "--x", "10", "--k", "1", "--seed", "-1"), "--seed must be non-negative"),
-    (("ladder", "--x", "10", "--k", "1", "--cap", "-1"), "--cap must be >= 1, got -1"),
-    (("ladder", "--x", "10", "--k", "0", "--cap", "0"), "--cap must be >= 1, got 0"),
     (("ladder", "--x", "10", "--k", "1", "--sieve-cap", "-5"),
      "--sieve-cap must be >= 2, got -5"),
     # without --k no stratum is counted, but every echoed value is checked
     (("ladder", "--x", "10", "--density", "2"), "--density must lie in (0, 1]"),
     (("ladder", "--x", "10", "--seed", "-4"), "--seed must be non-negative"),
-    (("ladder", "--x", "10", "--cap", "-1"), "--cap must be >= 1, got -1"),
     (("ladder", "--x", "10", "--sieve-cap", "0"), "--sieve-cap must be >= 2, got 0"),
     (("simulate", "--samples", str(2**62 + 1)), f"--samples must be <= 2^62, got {2**62 + 1}"),
 ], ids=["table-p", "dist-rmax", "bounds-degK", "bounds-degK-float-range", "isotropic-n",
         "ladder-depth", "ladder-depth-bound", "ladder-exponent", "ladder-density", "ladder-seed",
-        "ladder-cap-negative", "ladder-cap-zero", "ladder-sieve-cap", "ladder-density-no-k",
-        "ladder-seed-no-k", "ladder-cap-no-k", "ladder-sieve-cap-no-k", "simulate-samples-cap"])
+        "ladder-sieve-cap", "ladder-density-no-k", "ladder-seed-no-k", "ladder-sieve-cap-no-k",
+        "simulate-samples-cap"])
 def test_range_error_names_the_flag(argv, message):
     assert run_cli(*argv) == (1, "", f"error: {message}\n")
 
@@ -783,11 +779,21 @@ def test_ladder_prints_every_level_up_to_the_depth_bound(x):
     assert rows[-1][1] == ("inf" if x == "10" else "1")
 
 
-def test_ladder_rejects_cap_beyond_int64():
-    code, out, err = run_cli("ladder", "--x", "10", "--k", "1", "--cap", str(10**40))
-    assert code == 1
-    assert out == ""
-    assert "2^63" in err
+def test_ladder_counts_below_int64_without_a_cap():
+    # C(len(places), 4) is far above 10^15, but both counts fit in int64
+    code, out, err = run_cli("--format", "csv", "ladder", "--x", "10", "--exponent", "1",
+                             "--k", "3")
+    assert (code, err) == (0, "")
+    values = dict(OutputRecord.from_csv(out).rows)
+    assert (values["D_3"], values["D_4"]) == ("13840", "1085146345")
+
+
+def test_ladder_has_no_cap_flag():
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["ladder", "--x", "10", "--k", "1", "--cap", "5"])
+    assert exc.value.code == 2
+    assert err.getvalue().splitlines()[-1].endswith("error: unrecognized arguments: --cap 5")
 
 
 @pytest.mark.parametrize("argv,message", [

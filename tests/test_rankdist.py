@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -249,6 +250,22 @@ def test_tail_bound_certifies_omitted_mass():
         dist = rd.stationary_distribution(field, 5)
         omitted = sum(rd.dist_value(field, r) for r in range(6, 80))
         assert dist.tail_bound >= omitted > 0
+
+
+@pytest.mark.parametrize("r_max", [0, 1, 2, 5])
+@pytest.mark.parametrize("flavor", list(Flavor))
+@pytest.mark.parametrize("p", [2, 3, 5, 32749])
+def test_tail_bound_is_finite_without_warnings(p, flavor, r_max):
+    # at p = 2 sym the first ratio D(1)/D(0) is 1, so a geometric series in
+    # it would divide by zero at r_max = 0
+    field = build_field(p, flavor)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bound = rd.stationary_distribution(field, r_max).tail_bound
+    weights = [rd.stationary_weight_exact(field, r) for r in range(r_max + 40)]
+    omitted = float(sum(weights[r_max + 1:]) / sum(weights))
+    # up to the float rounding of D(r_max)
+    assert math.isfinite(bound) and bound >= omitted * (1 - 1e-12) > 0
 
 
 # ---------------------------------------------------------------------------

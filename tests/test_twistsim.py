@@ -11,7 +11,6 @@ from twistrank.gf import Flavor, build_field, is_prime
 from twistrank.twistsim import (
     CHI2_MIN_EXPECTED,
     MAX_LADDER_DEPTH,
-    CapExceeded,
     EmpiricalDistribution,
     FanLadder,
     SimConfig,
@@ -521,18 +520,17 @@ def brute_force_strata(norms, ladder, k, x):
 def test_strata_k0_is_one_over_d1():
     norms = p1_norms(200, 1.0, seed=0)
     ladder = FanLadder(2.0)
-    d1 = strata_cardinality(norms, ladder, 1, 10.0)
-    assert strata_cardinality(norms, ladder, 0, 10.0) == 1
+    d0, d1 = strata_cardinality(norms, ladder, 0, 10.0)
+    assert d0 == 1
     assert d1 == len([n for n in norms if n < 100])
 
 
 def test_strata_matches_explicit_enumeration_small_universe():
     ladder = FanLadder(2.0)
     norms = p1_norms(300, 1.0, seed=0)
+    slow = [brute_force_strata(norms, ladder, k, 4.0) for k in range(5)]
     for k in (1, 2, 3):
-        fast = strata_cardinality(norms, ladder, k, 4.0)
-        slow = brute_force_strata(norms, ladder, k, 4.0)
-        assert fast == slow
+        assert strata_cardinality(norms, ladder, k, 4.0) == (slow[k], slow[k + 1])
 
 
 def test_strata_ratio_matches_explicit_enumeration_x10():
@@ -540,14 +538,13 @@ def test_strata_ratio_matches_explicit_enumeration_x10():
     norms = p1_norms(10_000, 1.0, seed=0)
     d1 = brute_force_strata(norms, ladder, 1, 10.0)
     d2 = brute_force_strata(norms, ladder, 2, 10.0)
-    assert strata_cardinality(norms, ladder, 1, 10.0) == d1
-    assert strata_cardinality(norms, ladder, 2, 10.0) == d2
+    assert strata_cardinality(norms, ladder, 1, 10.0) == (d1, d2)
 
 
 def test_strata_enumeration_with_partial_density():
     ladder = FanLadder(2.0)
     norms = p1_norms(5_000, 0.6, seed=12)
-    assert strata_cardinality(norms, ladder, 2, 8.0) == brute_force_strata(
+    assert strata_cardinality(norms, ladder, 2, 8.0)[0] == brute_force_strata(
         norms, ladder, 2, 8.0
     )
 
@@ -556,35 +553,32 @@ def test_strata_ratio_decreases_under_doubling():
     ladder = FanLadder(2.0)
     norms = p1_norms(110_000, 1.0, seed=0)
     ratios = [
-        strata_cardinality(norms, ladder, 0, x) / strata_cardinality(norms, ladder, 1, x)
-        for x in (10.0, 20.0, 40.0, 80.0, 160.0, 320.0)
+        d0 / d1 for d0, d1 in (strata_cardinality(norms, ladder, 0, x)
+                               for x in (10.0, 20.0, 40.0, 80.0, 160.0, 320.0))
     ]
     for a, b in zip(ratios, ratios[1:]):
         assert b < a
 
 
-def test_strata_cap_guard():
-    norms = p1_norms(10_000, 1.0, seed=0)
-    ladder = FanLadder(2.0)
-    with pytest.raises(CapExceeded):
-        strata_cardinality(norms, ladder, 3, 50.0, cap=1000)
-
-
 def test_strata_count_past_the_ladder_depth_bound():
     # the count walks its k thresholds without the bound on printed levels;
-    # here every threshold is at least 10^6, so the one k-tuple of all places counts
+    # here every threshold is at least 10^6, so the one k-tuple of all places
+    # counts, and no (k + 1)-tuple exists
     k = MAX_LADDER_DEPTH + 1
-    assert strata_cardinality(np.arange(2, 2 + k), FanLadder(1.0), k, 1e6) == 1
+    assert strata_cardinality(np.arange(2, 2 + k), FanLadder(1.0), k, 1e6) == (1, 0)
 
 
-def test_strata_rejects_cap_beyond_int64():
-    # the DP counts in int64, so a cap of 2^63 or more cannot guard it
-    norms = p1_norms(2000, 1.0, seed=0)
-    with pytest.raises(ValueError, match="2\\^63"):
-        strata_cardinality(norms, FanLadder(1.0), 15, 2000.0, cap=10**40)
-    with pytest.raises(ValueError, match="2\\^63"):
-        strata_cardinality(norms, FanLadder(1.0), 1, 2000.0, cap=2**63)
-    assert strata_cardinality(norms, FanLadder(1.0), 1, 2000.0, cap=2**63 - 1) == 303
+def test_strata_counts_up_to_the_int64_bound():
+    # every threshold is at least 10^6, above every norm, so |D_m| = C(1000, m);
+    # C(1000, 6) > 10^15, C(1000, 7) < 2^63 <= C(1000, 8)
+    norms = np.arange(2, 1002)
+    ladder = FanLadder(1.0)
+    assert strata_cardinality(norms, ladder, 6, 1e6) == (math.comb(1000, 6), math.comb(1000, 7))
+    with pytest.raises(ValueError, match="^stratum count bound C\\(1000, 8\\) is not below 2\\^63"):
+        strata_cardinality(norms, ladder, 7, 1e6)
+    # the middle levels wrap in int64, but the sums are exact modulo 2^64
+    assert strata_cardinality(norms, ladder, 998, 1e6) == (math.comb(1000, 2), 1000)
+    assert strata_cardinality(p1_norms(2000, 1.0, seed=0), ladder, 1, 2000.0)[0] == 303
 
 
 def full_array_strata(norms, ladder, k, x):
@@ -611,7 +605,8 @@ def full_array_strata(norms, ladder, k, x):
 def test_strata_edge_cases_match_enumeration(norms, exponent, x, k, count):
     ladder = FanLadder(exponent)
     assert brute_force_strata(norms, ladder, k, x) == count
-    assert strata_cardinality(np.array(norms), ladder, k, x) == count
+    assert strata_cardinality(np.array(norms), ladder, k, x) == (
+        count, brute_force_strata(norms, ladder, k + 1, x))
 
 
 def test_strata_prefix_dp_matches_enumeration_on_random_universes():
@@ -624,8 +619,9 @@ def test_strata_prefix_dp_matches_enumeration_on_random_universes():
         picked = rng.choice(np.arange(2, 120), size=rng.integers(0, 11), replace=False)
         norms = np.unique(np.concatenate([picked, on_threshold]).astype(np.int64))
         k = int(rng.integers(0, len(norms) + 3))
-        assert strata_cardinality(norms, ladder, k, x) == brute_force_strata(
-            norms, ladder, k, x), (norms.tolist(), ladder, x, k)
+        assert strata_cardinality(norms, ladder, k, x) == (
+            brute_force_strata(norms, ladder, k, x),
+            brute_force_strata(norms, ladder, k + 1, x)), (norms.tolist(), ladder, x, k)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -633,9 +629,11 @@ def test_strata_prefix_dp_matches_the_full_array_dp(seed):
     norms = p1_norms(10**6, 0.5, seed)
     for exponent, x in ((1.0, 10.0), (1.0, 100.0), (1.5, 20.0), (2.0, 7.0)):
         ladder = FanLadder(exponent)
-        for k in range(5):
-            assert strata_cardinality(norms, ladder, k, x, cap=2**63 - 1) == \
-                full_array_strata(norms, ladder, k, x), (exponent, x, k)
+        # C(len(norms), 5) is past 2^63, so D_0..D_4 are the counts in range
+        for k in range(4):
+            assert strata_cardinality(norms, ladder, k, x) == (
+                full_array_strata(norms, ladder, k, x),
+                full_array_strata(norms, ladder, k + 1, x)), (exponent, x, k)
 
 
 @pytest.mark.parametrize("k", [0, 1, 3])
