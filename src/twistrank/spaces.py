@@ -1,8 +1,7 @@
 """Metabolic symplectic/unitary k-spaces and the local hyperbolic-plane model.
 
-Subspace.from_vectors keeps a subspace in reduced row-echelon form, so
-each subspace it builds has a unique representation and equality is
-structural comparison (see Subspace for bases built directly).
+A Subspace keeps its basis in reduced row-echelon form, so each subspace
+has a unique representation and equality is structural comparison.
 """
 
 from __future__ import annotations
@@ -42,25 +41,20 @@ def rref(rows: list[list[FqElem]]) -> Matrix:
 
 @dataclass(frozen=True, slots=True)
 class Subspace:
-    """A subspace of k^ambient_dim given by a basis.
+    """The span of `basis` in k^ambient_dim.
 
-    The basis rows must be linearly independent. The constructor checks
-    nothing, so Subspace(4, (v, v)) is malformed, yet is_maximal_isotropic
-    passes it as a Lagrangian. from_vectors is the checked constructor: it
-    reduces any spanning vectors to the canonical echelon basis, and that
-    basis is what makes == and hash compare subspaces rather than bases.
+    The rows may be any spanning vectors: they are reduced to the canonical
+    echelon basis when the subspace is built, so dependent rows collapse and
+    == and hash compare subspaces rather than bases.
     """
 
     ambient_dim: int
     basis: Matrix
 
-    @classmethod
-    def from_vectors(cls, vectors, ambient_dim: int) -> "Subspace":
-        vectors = [list(v) for v in vectors]
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length does not match the ambient dimension")
-        return cls(ambient_dim=ambient_dim, basis=rref(vectors))
+    def __post_init__(self):
+        if any(len(v) != self.ambient_dim for v in self.basis):
+            raise ValueError("vector length does not match the ambient dimension")
+        object.__setattr__(self, "basis", rref(self.basis))
 
 
 @dataclass(frozen=True)
@@ -174,7 +168,7 @@ def _null_space(constraints: list[list[FqElem]], field: FieldParams, dim: int) -
         for i, pcol in enumerate(pivots):
             vec[pcol] = -reduced[i][f]
         basis.append(vec)
-    return Subspace.from_vectors(basis, dim)
+    return Subspace(dim, basis)
 
 
 def orthogonal_complement(space: HermitianSpace, sub: Subspace) -> Subspace:
@@ -200,9 +194,8 @@ def is_maximal_isotropic(space: HermitianSpace, sub: Subspace) -> bool:
 
     The form is non-degenerate, so dim L^perp = dim V - dim L, and L = L^perp
     exactly when 2 dim L = dim V and h(x, y) = 0 for basis vectors x before
-    or at y; h(y, x) = +-conj h(x, y) covers the other pairs. The basis rows
-    must be linearly independent, as an echelon basis is, but need not be
-    in echelon form.
+    or at y; h(y, x) = +-conj h(x, y) covers the other pairs. The echelon
+    basis is independent, so len(basis) is dim L.
     """
     if sub.ambient_dim != space.dim:
         raise ValueError("subspace does not live in this space")

@@ -128,7 +128,7 @@ def test_criterion_4_isotropic_census():
                 for v1 in elems:
                     v = (v0, v1)
                     if any(v) and not evaluate_form(space, v, v):
-                        brute.add(Subspace.from_vectors([v], 2))
+                        brute.add(Subspace(2, [v]))
             plane = build_local_plane(field)
             ok = ok and len(lines) == p + 1 and set(lines) == brute
             ok = ok and len(plane.ramified_lines) == p

@@ -675,8 +675,13 @@ def test_command_help_exits_zero(cmd):
     assert all(f"--{flag}" in out.getvalue() for flag in COMMANDS[cmd][2])
 
 
+def readme_blocks():
+    """The fenced blocks of README.md, each with its info string line."""
+    return README.read_text(encoding="utf-8").split("```")[1::2]
+
+
 def test_readme_cli_examples_run(tmp_path, monkeypatch):
-    blocks = README.read_text(encoding="utf-8").split("```")[1::2]
+    blocks = readme_blocks()
     config = next(block for block in blocks if block.lstrip().startswith("# run.cfg"))
     (tmp_path / "run.cfg").write_text(config)
     monkeypatch.chdir(tmp_path)
@@ -688,6 +693,15 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
         code, out, err = run_cli(*argv)
         assert (code, err) == (0, ""), argv
         assert out.startswith(f"# command: {argv[0]}")
+
+
+def test_readme_library_snippet_runs():
+    snippets = [block.split("\n", 1)[1] for block in readme_blocks()
+                if block.startswith("python\n")]
+    assert len(snippets) == 1
+    namespace = {}
+    exec(compile(snippets[0], "README.md", "exec"), namespace)
+    assert namespace["emp"].tv_against(namespace["dist"].probs) < 0.01
 
 
 def test_simulate_bad_shift_spec():

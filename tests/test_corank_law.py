@@ -1,0 +1,111 @@
+"""The k-step law of the rank walk is the corank law of a uniform random k x k
+matrix: symmetric over F_p (sym) or hermitian over F_{p^2} (uni).
+
+Bordering a matrix of corank c by a new column v and diagonal entry d drops
+the corank to c - 1 unless v lies in the image (probability q^-c); then the
+Schur complement keeps it (1 - 1/p) or raises it to c + 1 (1/p). Those are
+the walk's exact transition probabilities, so three routes must agree: the
+closed-form counts below, the chain of markov_entry_exact, and an exhaustive
+census of matrices reduced by spaces.rref. walk_law, in floats, must match
+the closed form to rounding.
+"""
+
+import itertools
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from twistrank import rankdist as rd
+from twistrank.gf import Flavor, build_field
+from twistrank.spaces import rref
+
+
+def corank_law(field, k):
+    """P(corank = c) for c = 0..k, from the number of rank-rho matrices.
+
+    sym, out of p^(k(k+1)/2) symmetric matrices (MacWilliams 1969):
+        prod_{i=1}^{rho//2} p^(2i)/(p^(2i) - 1) * prod_{i=0}^{rho-1} (p^(k-i) - 1);
+    uni, out of p^(k^2) hermitian matrices (after Carlitz-Hodges 1955): a
+    radical, [k rho]_{p^2}, times the nonsingular rho x rho hermitian
+    matrices, p^(rho(rho-1)/2) * prod_{i=1}^{rho} (p^i + (-1)^i).
+    """
+    p = field.p
+    law = [Fraction(0)] * (k + 1)
+    for rank in range(k + 1):
+        if field.flavor is Flavor.SYMPLECTIC:
+            count = Fraction(math.prod(p ** (k - i) - 1 for i in range(rank)))
+            for i in range(1, rank // 2 + 1):
+                count *= Fraction(p ** (2 * i), p ** (2 * i) - 1)
+            total = p ** (k * (k + 1) // 2)
+        else:
+            q = p * p
+            radicals = Fraction(math.prod(q ** (k - i) - 1 for i in range(rank)),
+                                math.prod(q ** (i + 1) - 1 for i in range(rank)))
+            count = radicals * p ** (rank * (rank - 1) // 2) * math.prod(
+                p ** i + (-1) ** i for i in range(1, rank + 1))
+            total = p ** (k * k)
+        law[k - rank] = count / total
+    return law
+
+
+def chain_law(field, k):
+    """The law after k exact steps of the walk from rank 0."""
+    law = [Fraction(1)]
+    for _ in range(k):
+        nxt = [Fraction(0)] * (len(law) + 1)
+        for r, mass in enumerate(law):
+            for s in range(max(0, r - 1), r + 2):
+                nxt[s] += mass * rd.markov_entry_exact(field, r, s)
+        law = nxt
+    return law
+
+
+def census_law(field, k):
+    """Corank frequencies over every symmetric (sym) or hermitian (uni)
+    k x k matrix, each reduced by spaces.rref."""
+    elems = list(field.elements())
+    diagonal = [e for e in elems if e.conj() == e]
+    upper = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    counts = [0] * (k + 1)
+    for diag in itertools.product(diagonal, repeat=k):
+        for off in itertools.product(elems, repeat=len(upper)):
+            m = [[field.zero()] * k for _ in range(k)]
+            for i, d in enumerate(diag):
+                m[i][i] = d
+            for (i, j), g in zip(upper, off):
+                m[i][j] = g
+                m[j][i] = g.conj() if field.flavor is Flavor.UNITARY else g
+            counts[k - len(rref(m))] += 1
+    total = sum(counts)
+    return [Fraction(c, total) for c in counts]
+
+
+@pytest.mark.parametrize("flavor", list(Flavor))
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_corank_law_is_the_exact_chain(p, flavor):
+    field = build_field(p, flavor)
+    for k in range(11):
+        law = corank_law(field, k)
+        assert sum(law) == 1
+        assert law == chain_law(field, k), k
+
+
+@pytest.mark.parametrize("flavor", list(Flavor))
+@pytest.mark.parametrize("p", [2, 3, 5, 32749])
+def test_walk_law_matches_the_corank_law(p, flavor):
+    field = build_field(p, flavor)
+    for k in (20, 60):
+        law = rd.walk_law(field, k).probs
+        exact = np.array([float(x) for x in corank_law(field, k)])
+        probs = np.pad(law, (0, k + 1 - len(law)))
+        assert np.abs(probs - exact).max() <= 1e-14, k
+
+
+@pytest.mark.parametrize("p,flavor,k_max", [(2, Flavor.SYMPLECTIC, 3), (3, Flavor.SYMPLECTIC, 3),
+                                            (5, Flavor.SYMPLECTIC, 2), (2, Flavor.UNITARY, 3)])
+def test_corank_law_is_the_matrix_census(p, flavor, k_max):
+    field = build_field(p, flavor)
+    for k in range(k_max + 1):
+        assert census_law(field, k) == corank_law(field, k), k

@@ -237,13 +237,13 @@ def test_cached_gram_entries_stay_out_of_equality_and_repr():
 
 def test_subspace_is_a_slotted_frozen_value():
     field = build_field(3, Flavor.SYMPLECTIC)
-    line = Subspace.from_vectors([basis_vector(field, 2, 0)], 2)
+    line = Subspace(2, [basis_vector(field, 2, 0)])
     with pytest.raises(dataclasses.FrozenInstanceError):
         line.basis = ()
     assert not hasattr(line, "__dict__")
-    again = Subspace.from_vectors([basis_vector(build_field(3, Flavor.SYMPLECTIC), 2, 0)], 2)
+    again = Subspace(2, [basis_vector(build_field(3, Flavor.SYMPLECTIC), 2, 0)])
     assert line == again and hash(line) == hash(again)
-    other = Subspace.from_vectors([basis_vector(build_field(3, Flavor.UNITARY), 2, 0)], 2)
+    other = Subspace(2, [basis_vector(build_field(3, Flavor.UNITARY), 2, 0)])
     assert line != other
 
 
@@ -274,9 +274,7 @@ def test_complement_of_full_and_zero():
     for flavor in Flavor:
         field = build_field(3, flavor)
         space = metabolic_space(field, 2)
-        full = Subspace.from_vectors(
-            [basis_vector(field, 4, i) for i in range(4)], 4
-        )
+        full = Subspace(4, [basis_vector(field, 4, i) for i in range(4)])
         zero_sub = Subspace(ambient_dim=4, basis=())
         assert orthogonal_complement(space, full) == zero_sub
         assert orthogonal_complement(space, zero_sub) == full
@@ -285,7 +283,7 @@ def test_complement_of_full_and_zero():
 def test_complement_of_isotropic_line_is_itself_in_plane():
     field = build_field(5, Flavor.SYMPLECTIC)
     space = hyperbolic_plane(field)
-    e1 = Subspace.from_vectors([basis_vector(field, 2, 0)], 2)
+    e1 = Subspace(2, [basis_vector(field, 2, 0)])
     assert orthogonal_complement(space, e1) == e1
 
 
@@ -344,16 +342,16 @@ def test_rref_is_canonical_for_random_spanning_sets(p, flavor, dim, m, data):
                  for _ in range(data.draw(st.integers(0, 2)))]
         return data.draw(st.permutations(rows))
 
-    first = Subspace.from_vectors(spanning_set(), dim)
-    assert first == Subspace.from_vectors(spanning_set(), dim)
+    first = Subspace(dim, spanning_set())
+    assert first == Subspace(dim, spanning_set())
     assert first.basis == rref(gens)
 
 
 def test_maximal_isotropic_in_plane():
     field = build_field(3, Flavor.SYMPLECTIC)
     space = hyperbolic_plane(field)
-    e1 = Subspace.from_vectors([basis_vector(field, 2, 0)], 2)
-    full = Subspace.from_vectors([basis_vector(field, 2, i) for i in range(2)], 2)
+    e1 = Subspace(2, [basis_vector(field, 2, 0)])
+    full = Subspace(2, [basis_vector(field, 2, i) for i in range(2)])
     assert is_maximal_isotropic(space, e1)
     assert not is_maximal_isotropic(space, full)
 
@@ -361,15 +359,13 @@ def test_maximal_isotropic_in_plane():
 def test_maximal_isotropic_dim4_two_blocks():
     field = build_field(3, Flavor.SYMPLECTIC)
     space = metabolic_space(field, 2)
-    lagrangian = Subspace.from_vectors(
-        [basis_vector(field, 4, 0), basis_vector(field, 4, 2)], 4
-    )
+    lagrangian = Subspace(4, [basis_vector(field, 4, 0), basis_vector(field, 4, 2)])
     assert is_maximal_isotropic(space, lagrangian)
 
 
 def test_maximal_isotropic_rejects_a_foreign_subspace():
     field = build_field(3, Flavor.SYMPLECTIC)
-    line = Subspace.from_vectors([basis_vector(field, 2, 0)], 2)
+    line = Subspace(2, [basis_vector(field, 2, 0)])
     with pytest.raises(ValueError, match="does not live in this space"):
         is_maximal_isotropic(metabolic_space(field, 2), line)
 
@@ -379,10 +375,10 @@ def test_maximal_isotropic_rejects_a_subspace_over_another_field(p, flavor):
     """The Lagrangian span(e0, e2) built over another field raises, where
     the same span over the space's own field is a Lagrangian."""
     space = metabolic_space(build_field(3, Flavor.SYMPLECTIC), 2)
-    own = Subspace.from_vectors([basis_vector(space.field, 4, i) for i in (0, 2)], 4)
+    own = Subspace(4, [basis_vector(space.field, 4, i) for i in (0, 2)])
     assert is_maximal_isotropic(space, own)
     other = build_field(p, flavor)
-    foreign = Subspace.from_vectors([basis_vector(other, 4, i) for i in (0, 2)], 4)
+    foreign = Subspace(4, [basis_vector(other, 4, i) for i in (0, 2)])
     with pytest.raises(ValueError, match="field mismatch in arithmetic"):
         is_maximal_isotropic(space, foreign)
 
@@ -420,8 +416,8 @@ def test_lagrangian_census_of_three_hyperbolic_planes():
 
 @pytest.mark.parametrize("p,flavor", [(p, flavor) for p, flavor, _ in LAGRANGIAN_COUNTS])
 def test_maximal_isotropic_needs_no_echelon_basis(p, flavor):
-    """Every Lagrangian, given by the basis (b0 + b1, b1) that is not in
-    reduced echelon form, still tests True."""
+    """Every Lagrangian, given by the rows (b0 + b1, b1) that are not in
+    reduced echelon form, is the same Subspace and still tests True."""
     field = build_field(p, flavor)
     space = metabolic_space(field, 2)
     lagrangians = [sub for sub in all_subspaces(field, 4)
@@ -430,8 +426,31 @@ def test_maximal_isotropic_needs_no_echelon_basis(p, flavor):
     for sub in lagrangians:
         b0, b1 = sub.basis
         mixed = Subspace(ambient_dim=4, basis=(tuple(a + b for a, b in zip(b0, b1)), b1))
-        assert mixed != sub and Subspace.from_vectors(mixed.basis, 4) == sub
+        assert mixed == sub and hash(mixed) == hash(sub) and mixed.basis == sub.basis
         assert is_maximal_isotropic(space, mixed)
+
+
+@pytest.mark.parametrize("flavor", list(Flavor))
+def test_dependent_rows_collapse_and_are_no_lagrangian(flavor):
+    """Subspace(4, (v, v)) is the line of v, so it is not a Lagrangian of
+    two hyperbolic planes although its rows pair to 0."""
+    field = build_field(3, flavor)
+    space = metabolic_space(field, 2)
+    v = basis_vector(field, 4, 0)
+    doubled = Subspace(4, (v, v))
+    assert doubled == Subspace(4, (v,)) and doubled.basis == (v,)
+    assert not is_maximal_isotropic(space, doubled)
+    # a multiple of v, or the zero vector, adds nothing either
+    two = field.one() + field.one()
+    assert Subspace(4, (v, tuple(two * e for e in v), (field.zero(),) * 4)) == doubled
+
+
+def test_subspace_rejects_rows_of_the_wrong_length():
+    field = build_field(3, Flavor.SYMPLECTIC)
+    short, long_ = basis_vector(field, 2, 0), basis_vector(field, 5, 1)
+    for rows in ((short,), (basis_vector(field, 4, 0), long_)):
+        with pytest.raises(ValueError, match="vector length does not match the ambient dimension"):
+            Subspace(4, rows)
 
 
 def brute_force_isotropic_lines(space):
@@ -440,7 +459,7 @@ def brute_force_isotropic_lines(space):
     lines = set()
     for v in all_vectors(field, 2):
         if any(v) and not evaluate_form(space, v, v):
-            lines.add(Subspace.from_vectors([v], 2))
+            lines.add(Subspace(2, [v]))
     return lines
 
 
@@ -451,7 +470,7 @@ def test_isotropic_line_counts():
     space = hyperbolic_plane(u2)
     lines = enumerate_isotropic_lines(space)
     assert len(lines) == 3  # 3 of the 5 projective lines over F_4
-    total_lines = {Subspace.from_vectors([v], 2) for v in all_vectors(u2, 2) if any(v)}
+    total_lines = {Subspace(2, [v]) for v in all_vectors(u2, 2) if any(v)}
     assert len(total_lines) == 5
     f5 = build_field(5, Flavor.SYMPLECTIC)
     assert len(enumerate_isotropic_lines(hyperbolic_plane(f5))) == 6
@@ -493,11 +512,11 @@ def test_isotropic_lines_of_random_gram_against_brute_force(p, flavor, g00, g11,
     assert len(lines) == p + 1
     keys = [tuple(e.c0 + e.c1 * p for e in line.basis[0]) for line in lines]
     assert keys == sorted(set(keys))
-    assert all(line == Subspace.from_vectors(line.basis, 2) for line in lines)
+    assert all(line == Subspace(2, line.basis) for line in lines)
     # the integer core, wrapped into subspaces by hand, is the same list
     one = field.one()
-    wrapped = [Subspace.from_vectors([(field.zero(), one) if slope is None
-                                      else (one, field.elem(*slope))], 2)
+    wrapped = [Subspace(2, [(field.zero(), one) if slope is None
+                            else (one, field.elem(*slope))])
                for slope in isotropic_slopes(space)]
     assert wrapped == lines
 
