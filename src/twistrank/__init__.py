@@ -6,7 +6,7 @@ simulator, and the downstream density/bound calculators.
 """
 
 from .gf import FieldParams, Flavor, FqElem, build_field
-from .rankdist import RankDistribution, dist_value, stationary_distribution
+from .rankdist import dist_value, stationary_distribution
 from .spaces import (
     HermitianSpace,
     LocalPlane,
@@ -21,7 +21,6 @@ __all__ = [
     "Flavor",
     "FqElem",
     "build_field",
-    "RankDistribution",
     "dist_value",
     "stationary_distribution",
     "HermitianSpace",

@@ -93,7 +93,7 @@ def cmd_table(p_list) -> list[tuple[str, str]]:
 
 def cmd_dist(p: int, flavor: Flavor, r_max: int) -> list[tuple[str, str]]:
     dist = rankdist.stationary_distribution(build_field(p, flavor), r_max)
-    return [(f"D({r})", fmt(value)) for r, value in enumerate(dist.probs)]
+    return [(f"D({r})", fmt(value)) for r, value in enumerate(dist)]
 
 
 def cmd_moments(p: int, flavor: Flavor) -> list[tuple[str, str]]:

@@ -8,7 +8,6 @@ and q^(1-epsilon) are always exact integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -49,12 +48,14 @@ def zeros(n: int, dtype=np.float64) -> np.ndarray:
         raise MemoryError(str(exc)) from None
 
 
-def _stationary_probs(field: FieldParams, r_max: int) -> np.ndarray:
+def stationary_distribution(field: FieldParams, r_max: int = R_MAX_DEFAULT) -> np.ndarray:
     """D(0..r_max) by the running product D(r) = D(r-1) * q^(1-epsilon)/(q^r - 1).
 
     Once the product underflows to 0.0 every later value is 0.0 too, so the
     loop stops there; q^r then never grows past the float range.
     """
+    if r_max < 0:
+        raise ValueError("r_max must be non-negative")
     q = field.q
     up = float(q // field.p)  # q^(1-epsilon)
     probs = zeros(r_max + 1)
@@ -73,7 +74,7 @@ def dist_value(field: FieldParams, r: int) -> float:
     """Probability of rank r under the stationary distribution."""
     if r < 0:
         raise ValueError("rank must be non-negative")
-    return float(_stationary_probs(field, r)[r])
+    return float(stationary_distribution(field, r)[r])
 
 
 def expected_rank(field: FieldParams) -> float:
@@ -92,10 +93,9 @@ def qr_moment(field: FieldParams) -> float:
 
 def qr_moment_by_series(field: FieldParams) -> float:
     """The q^r-moment by direct summation of q^r * D(r) up to R_MAX_DEFAULT."""
-    dist = stationary_distribution(field)
     q = float(field.q)
     # ranks whose mass underflowed add nothing, and q^r may overflow there
-    return float(sum(q**r * dr for r, dr in enumerate(dist.probs) if dr))
+    return float(sum(q**r * dr for r, dr in enumerate(stationary_distribution(field)) if dr))
 
 
 def beta(field: FieldParams) -> float:
@@ -173,43 +173,6 @@ def _step_coefficients(coin: np.ndarray, p: int):
     return 1.0 - coin, (1.0 - 1.0 / p) * coin, coin / p
 
 
-@dataclass
-class RankDistribution:
-    """Probability vector over ranks 0..R_max plus a certified tail bound.
-
-    Instances are treated as immutable; every operation returns a new one.
-    """
-
-    field: FieldParams
-    probs: np.ndarray
-    tail_bound: float = 0.0
-
-    def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=np.float64)
-        if self.probs.ndim != 1 or len(self.probs) == 0:
-            raise ValueError("probs must be a non-empty vector")
-        if (self.probs < 0).any():
-            raise ValueError("probabilities must be non-negative")
-
-
-def stationary_distribution(field: FieldParams, r_max: int = R_MAX_DEFAULT) -> RankDistribution:
-    """The stationary distribution truncated at r_max, with tail bound.
-
-    The ratios rho_r = D(r+1)/D(r) = q^(1-epsilon)/(q^(r+1) - 1) decrease,
-    and rho_r < 1 from r = 1 on (rho_0 = 1 at p = 2 sym), so the mass above
-    r_max is at most D(r_max) * rho_{r_max} / (1 - rho_{r_max+1}).
-    """
-    if r_max < 0:
-        raise ValueError("r_max must be non-negative")
-    probs = _stationary_probs(field, r_max)
-    tail = 0.0
-    if probs[r_max]:
-        up, q = field.q // field.p, field.q
-        rho = up / (q ** (r_max + 1) - 1)
-        tail = probs[r_max] * rho / (1.0 - up / (q ** (r_max + 2) - 1))
-    return RankDistribution(field=field, probs=probs, tail_bound=float(tail))
-
-
 def _step(down: np.ndarray, stay: np.ndarray, up: np.ndarray) -> np.ndarray:
     """Mass per rank after one step of the tridiagonal chain, given the mass
     each rank sends down, keeps and sends up (probabilities or sample
@@ -220,15 +183,11 @@ def _step(down: np.ndarray, stay: np.ndarray, up: np.ndarray) -> np.ndarray:
     return stay
 
 
-def apply(dist: RankDistribution) -> RankDistribution:
-    """One step of the chain over dist's field, truncated at dist's R_max;
-    overflow past R_max feeds the tail."""
-    probs = dist.probs
-    down, stay, up = _step_coefficients(coin_table(dist.field, len(probs)), dist.field.p)
-    moved_up = probs * up
-    out = _step(probs * down, probs * stay, moved_up)
-    leaked = float(moved_up[-1])
-    return RankDistribution(field=dist.field, probs=out, tail_bound=dist.tail_bound + leaked)
+def apply(field: FieldParams, probs: np.ndarray) -> np.ndarray:
+    """The law over ranks 0..len(probs)-1 after one step of the chain from
+    probs; the mass the top rank sends up is dropped."""
+    down, stay, up = _step_coefficients(coin_table(field, len(probs)), field.p)
+    return _step(probs * down, probs * stay, probs * up)
 
 
 def _walk_states(field: FieldParams, y: float | None):
@@ -251,13 +210,13 @@ def _walk_states(field: FieldParams, y: float | None):
         yield law
 
 
-def walk_law(field: FieldParams, k: int, *, y: float | None = None) -> RankDistribution:
+def walk_law(field: FieldParams, k: int, *, y: float | None = None) -> np.ndarray:
     """Law of the rank after k steps of the walk from rank 0, over ranks
     0..W-1 for the last non-zero rank W-1 <= k.
 
     y selects the bounded-error coin as in coin_table. The law is bitwise
     the one the full k-step loop over ranks 0..k gives (see _walk_states),
-    so nothing is truncated and tail_bound is 0.
+    so nothing is truncated.
 
     A step is a function of the law alone, so once it repeats bitwise (a
     float fixed point, or rarely a short float cycle, found by Brent's
@@ -286,4 +245,4 @@ def walk_law(field: FieldParams, k: int, *, y: float | None = None) -> RankDistr
         for _ in range((k - step) % period):
             law = next(states)
         break
-    return RankDistribution(field=field, probs=law)
+    return law

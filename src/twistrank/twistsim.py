@@ -252,7 +252,7 @@ def simulate(config: SimConfig) -> EmpiricalDistribution:
     sums to 1. Output depends only on (seed, samples, k, field, shift, y);
     config.threads has no effect.
     """
-    law = walk_law(config.field, config.k, y=config.chebotarev_y).probs
+    law = walk_law(config.field, config.k, y=config.chebotarev_y)
     counts = _simulate_chunk(config, law)
     shift = zeros(config.shift, np.int64)
     return EmpiricalDistribution(counts=np.concatenate([shift, counts]), total=config.samples,

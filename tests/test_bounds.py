@@ -118,5 +118,5 @@ def test_bounds_cross_check_against_distribution_routes():
             bounds.avg_rank_bound(field, 1) - rankdist.expected_rank(field)
         ) < 1e-9
         if flavor is Flavor.SYMPLECTIC:
-            odd_series = rankdist.stationary_distribution(field, 64).probs[1::2].sum()
+            odd_series = rankdist.stationary_distribution(field, 64)[1::2].sum()
             assert abs(bounds.odd_rank_proportion(p) - odd_series) < 1e-9

@@ -47,6 +47,13 @@ def test_table_matches_golden_file():
     assert out == golden
 
 
+def test_dist_matches_golden_file():
+    code, out, err = run_cli("--format", "csv", "dist", "--p", "2", "--flavor", "sym",
+                             "--rmax", "64")
+    assert (code, err) == (0, "")
+    assert out == (DATA_DIR / "dist_p2_sym_rmax64.csv").read_text()
+
+
 def test_table_rejects_composite_prime():
     code, out, err = run_cli("table", "--p", "2,4")
     assert code == 1
@@ -286,7 +293,7 @@ def test_simulate_prints_the_ranks_the_sampler_can_reach(k):
     # the last printed rank is the higher of the last with a count and the
     # last whose tail (the reference mass at or above it) exceeds
     # LEAK_BOUND / samples
-    law = rd.walk_law(build_field(2, Flavor.SYMPLECTIC), k).probs
+    law = rd.walk_law(build_field(2, Flavor.SYMPLECTIC), k)
     tail = np.cumsum(law[::-1])[::-1]
     reach = int(np.flatnonzero(100000 * tail > LEAK_BOUND)[-1])
     assert len(counts) == 1 + max(reach, max(r for r, c in enumerate(counts) if c))
@@ -363,7 +370,7 @@ def test_simulate_bounded_error_reference_is_its_own_law():
     values = dict(OutputRecord.from_json(out).rows)
     assert float(values["chi2_pvalue"]) > 1e-3
     field = build_field(13, Flavor.UNITARY)
-    assert float(values["ref(1)"]) == pytest.approx(rd.walk_law(field, 20, y=4.0).probs[1],
+    assert float(values["ref(1)"]) == pytest.approx(rd.walk_law(field, 20, y=4.0)[1],
                                                     rel=1e-11)
 
 
@@ -701,7 +708,7 @@ def test_readme_library_snippet_runs():
     assert len(snippets) == 1
     namespace = {}
     exec(compile(snippets[0], "README.md", "exec"), namespace)
-    assert namespace["emp"].tv_against(namespace["dist"].probs) < 0.01
+    assert namespace["emp"].tv_against(namespace["dist"]) < 0.01
 
 
 def test_simulate_bad_shift_spec():

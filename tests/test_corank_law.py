@@ -97,10 +97,25 @@ def test_corank_law_is_the_exact_chain(p, flavor):
 def test_walk_law_matches_the_corank_law(p, flavor):
     field = build_field(p, flavor)
     for k in (20, 60):
-        law = rd.walk_law(field, k).probs
+        law = rd.walk_law(field, k)
         exact = np.array([float(x) for x in corank_law(field, k)])
         probs = np.pad(law, (0, k + 1 - len(law)))
         assert np.abs(probs - exact).max() <= 1e-14, k
+
+
+@pytest.mark.parametrize("flavor", list(Flavor))
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 32749])
+def test_walk_law_far_out_is_the_stationary_law(p, flavor):
+    """The float form of the corank law: at large k every factor p^(k-i) - 1
+    rounds to p^(k-i), and the law is D's product formula. So walk_law at
+    k = 10^18, where it stops on a float fixed point, must be
+    stationary_distribution to roundoff, with no stationary mass past its
+    width."""
+    field = build_field(p, flavor)
+    law = rd.walk_law(field, 10**18)
+    stationary = rd.stationary_distribution(field, 2 * len(law) + 64)
+    assert 0.5 * np.abs(law - stationary[:len(law)]).sum() <= 1e-13
+    assert not stationary[len(law):].any()
 
 
 @pytest.mark.parametrize("p,flavor,k_max", [(2, Flavor.SYMPLECTIC, 3), (3, Flavor.SYMPLECTIC, 3),

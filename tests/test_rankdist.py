@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -47,9 +48,9 @@ def test_dist_value_equal_at_rank_one_for_p2_sym():
 
 def operator_row(field, r, r_max=8):
     """Row r of the transition operator, read through the kernel: the law
-    after one step from rank r, with the mass sent past r_max appended."""
-    moved = rd.apply(rd.RankDistribution(field, np.eye(r_max + 1)[r]))
-    return np.append(moved.probs, moved.tail_bound)
+    after one step from rank r <= r_max, over ranks 0..r_max + 1, so no
+    mass leaves."""
+    return rd.apply(field, np.eye(r_max + 2)[r])
 
 
 def test_markov_entries_rank0_q2():
@@ -118,26 +119,27 @@ def test_stationarity_l1():
     for p, flavor in ALL_PAIRS:
         field = build_field(p, flavor)
         dist = rd.stationary_distribution(field, 64)
-        moved = rd.apply(dist)
-        assert np.abs(moved.probs - dist.probs).sum() < 1e-10
+        assert np.abs(rd.apply(field, dist) - dist).sum() < 1e-10
 
 
 def test_apply_point_mass():
     field = build_field(2, Flavor.SYMPLECTIC)
-    moved = rd.apply(rd.RankDistribution(field, np.eye(9)[0]))
-    assert moved.probs[0] == 0.5
-    assert moved.probs[1] == 0.5
-    assert moved.probs[2:].sum() == 0
+    moved = rd.apply(field, np.eye(9)[0])
+    assert moved[0] == 0.5
+    assert moved[1] == 0.5
+    assert moved[2:].sum() == 0
 
 
 def test_apply_preserves_mass():
     field = build_field(3, Flavor.UNITARY)
     rng = np.random.default_rng(5)
-    probs = rng.random(16)
+    probs = rng.random(4)
     probs /= probs.sum()
-    dist = rd.RankDistribution(field=field, probs=probs)
-    moved = rd.apply(dist)
-    assert moved.probs.sum() + moved.tail_bound == pytest.approx(1.0, abs=1e-12)
+    moved = rd.apply(field, probs)
+    # all but what the top rank sends up, q^-3 / p of its mass
+    dropped = probs[-1] / (field.q**3 * field.p)
+    assert dropped > 1e-5
+    assert moved.sum() + dropped == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(derandomize=True, deadline=None)
@@ -162,18 +164,18 @@ def test_operator_rows_and_stationarity_over_domain(p, flavor, r_max):
         row[list(neighbours)] = 0.0
         assert not row.any()
     dist = rd.stationary_distribution(field, r_max)
-    assert np.abs(rd.apply(dist).probs - dist.probs).sum() < 1e-10
+    assert np.abs(rd.apply(field, dist) - dist).sum() < 1e-10
 
 
 def tv_trace(field, r, k, r_max=64):
     """Total-variation distance to the stationary law after each of k
     operator steps from rank r, truncated at r_max."""
-    target = rd.stationary_distribution(field, r_max).probs
-    dist = rd.RankDistribution(field, np.eye(r_max + 1)[r])
+    target = rd.stationary_distribution(field, r_max)
+    dist = np.eye(r_max + 1)[r]
     trace = []
     for _ in range(k):
-        dist = rd.apply(dist)
-        trace.append(0.5 * float(np.abs(dist.probs - target).sum()))
+        dist = rd.apply(field, dist)
+        trace.append(0.5 * float(np.abs(dist - target).sum()))
     return trace
 
 
@@ -221,7 +223,7 @@ def test_expected_rank_matches_series():
     for p, flavor in ALL_PAIRS:
         field = build_field(p, flavor)
         dist = rd.stationary_distribution(field, 64)
-        mean = float(np.arange(65) @ dist.probs)
+        mean = float(np.arange(65) @ dist)
         assert abs(mean - rd.expected_rank(field)) < 1e-9
 
 
@@ -233,23 +235,36 @@ def test_odd_mass_spot_value():
 def test_odd_mass_matches_series():
     for p, flavor in ALL_PAIRS:
         field = build_field(p, flavor)
-        odd_series = rd.stationary_distribution(field, 64).probs[1::2].sum()
+        odd_series = rd.stationary_distribution(field, 64)[1::2].sum()
         assert abs(rd.odd_mass(field) - odd_series) < 1e-8
 
 
 def test_normalization_with_tail():
+    """The mass past rank 64 is below 2^-1000 for every field here, so
+    D(0..64) sums to 1."""
     for p, flavor in ALL_PAIRS:
         field = build_field(p, flavor)
-        dist = rd.stationary_distribution(field, 64)
-        assert abs(dist.probs.sum() + dist.tail_bound - 1.0) < 1e-12
+        assert abs(rd.stationary_distribution(field, 64).sum() - 1.0) < 1e-12
+
+
+def tail_bound(field, dist):
+    """A bound on the mass D puts past the last rank of dist = D(0..r_max),
+    the ranks `dist --rmax` omits, from its last entry. The ratios
+    rho_r = D(r+1)/D(r) = q^(1-epsilon)/(q^(r+1) - 1) decrease, and
+    rho_r < 1 from r = 1 on (rho_0 = 1 at p = 2 sym), so that mass is at
+    most D(r_max) * rho_{r_max} / (1 - rho_{r_max+1})."""
+    r_max = len(dist) - 1
+    up, q = field.q // field.p, field.q
+    rho = up / (q ** (r_max + 1) - 1)
+    return dist[r_max] * rho / (1.0 - up / (q ** (r_max + 2) - 1))
 
 
 def test_tail_bound_certifies_omitted_mass():
     for p, flavor in ((2, Flavor.SYMPLECTIC), (2, Flavor.UNITARY), (3, Flavor.SYMPLECTIC)):
         field = build_field(p, flavor)
-        dist = rd.stationary_distribution(field, 5)
+        bound = tail_bound(field, rd.stationary_distribution(field, 5))
         omitted = sum(rd.dist_value(field, r) for r in range(6, 80))
-        assert dist.tail_bound >= omitted > 0
+        assert bound >= omitted > 0
 
 
 @pytest.mark.parametrize("r_max", [0, 1, 2, 5])
@@ -261,7 +276,7 @@ def test_tail_bound_is_finite_without_warnings(p, flavor, r_max):
     field = build_field(p, flavor)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        bound = rd.stationary_distribution(field, r_max).tail_bound
+        bound = tail_bound(field, rd.stationary_distribution(field, r_max))
     weights = [rd.stationary_weight_exact(field, r) for r in range(r_max + 40)]
     omitted = float(sum(weights[r_max + 1:]) / sum(weights))
     # up to the float rounding of D(r_max)
@@ -274,10 +289,10 @@ def test_tail_bound_is_finite_without_warnings(p, flavor, r_max):
 
 def operator_walk(field, k):
     """The point mass at rank 0 after k operator applications, as a reference."""
-    dist = rd.RankDistribution(field, np.eye(k + 1)[0])
+    law = np.eye(k + 1)[0]
     for _ in range(k):
-        dist = rd.apply(dist)
-    return dist
+        law = rd.apply(field, law)
+    return law
 
 
 def test_walk_law_equals_operator_walk():
@@ -287,10 +302,10 @@ def test_walk_law_equals_operator_walk():
             law = rd.walk_law(field, k)
             reference = operator_walk(field, k)
             # the law spans through its last non-zero rank, at most rank k
-            assert 1 <= len(law.probs) <= k + 1
-            assert law.probs[-1] > 0 and law.tail_bound == 0.0
-            probs = np.pad(law.probs, (0, k + 1 - len(law.probs)))
-            assert probs.tobytes() == reference.probs.tobytes()
+            assert 1 <= len(law) <= k + 1
+            assert law[-1] > 0
+            probs = np.pad(law, (0, k + 1 - len(law)))
+            assert probs.tobytes() == reference.tobytes()
 
 
 def stepped_walk_law(field, k, y):
@@ -310,10 +325,9 @@ def test_walk_law_is_bitwise_the_stepped_loop(p, flavor, y):
     for k in (0, 1, 20, 1000):
         law = rd.walk_law(field, k, y=y)
         probs = stepped_walk_law(field, k, y)
-        width = len(law.probs)
-        assert law.probs.tobytes() == probs[:width].tobytes()
+        width = len(law)
+        assert law.tobytes() == probs[:width].tobytes()
         assert not probs[width:].any()
-        assert law.tail_bound == 0.0
 
 
 def test_walk_law_any_k_repeats_the_cycle():
@@ -325,28 +339,25 @@ def test_walk_law_any_k_repeats_the_cycle():
         law = rd.walk_law(field, 1000, y=y)
         for k in (1000 + period, 10**18):
             far = rd.walk_law(field, k, y=y)
-            assert far.probs.tobytes() == law.probs.tobytes()
-            assert far.tail_bound == 0.0
+            assert far.tobytes() == law.tobytes()
         if period == 2:
-            assert rd.walk_law(field, 1001, y=y).probs.tobytes() != law.probs.tobytes()
+            assert rd.walk_law(field, 1001, y=y).tobytes() != law.tobytes()
 
 
 def test_walk_law_tail_bound_is_capped_at_one():
-    """At k = 10^700, past any float, the tail bound stays within [0, 1]:
-    walk_law drops no rank, so it is 0 at every k, and the law is the one
-    k = 10^18 gives, on a fixed point and on a 2-cycle (even phase)."""
+    """At k = 10^700, past any float, walk_law drops no rank, so there is
+    no tail to bound, and the law is the one k = 10^18 gives, on a fixed
+    point and on a 2-cycle (even phase)."""
     for flavor, y in ((Flavor.SYMPLECTIC, None), (Flavor.UNITARY, 3.0)):
         field = build_field(2, flavor)
         far = rd.walk_law(field, 10**700, y=y)
-        assert far.tail_bound == 0.0
-        assert far.probs.tobytes() == rd.walk_law(field, 10**18, y=y).probs.tobytes()
+        assert far.tobytes() == rd.walk_law(field, 10**18, y=y).tobytes()
 
 
 def test_walk_law_k0_is_point_mass():
     field = build_field(3, Flavor.UNITARY)
     law = rd.walk_law(field, 0)
-    assert law.probs.tolist() == [1.0]
-    assert law.tail_bound == 0.0
+    assert law.tolist() == [1.0]
     with pytest.raises(ValueError, match="step count must be non-negative"):
         rd.walk_law(field, -1)
     # y is keyword-only, so a third positional argument cannot pass for it
@@ -367,10 +378,25 @@ def test_walk_law_keeps_every_non_zero_rank():
             field = build_field(p, flavor)
             for y in (None, 1e-300, 0.5, 2.0, 50.0, 1e6):
                 law = rd.walk_law(field, 10**18, y=y)
-                assert law.probs[-1] > 0 or len(law.probs) == 1, (p, flavor, y)
-                assert law.tail_bound == 0.0
-                assert law.probs.sum() == pytest.approx(1.0, abs=2e-12), (p, flavor, y)
-                assert len(law.probs) <= 1100, (p, flavor, y)
+                assert law[-1] > 0 or len(law) == 1, (p, flavor, y)
+                assert law.sum() == pytest.approx(1.0, abs=2e-12), (p, flavor, y)
+                assert len(law) <= 1100, (p, flavor, y)
+
+
+@pytest.mark.parametrize("flavor", list(Flavor))
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 32749])
+def test_walk_law_qr_moment_is_exact_at_every_k(p, flavor):
+    """The kernel maps q^r to q^-1 q^r + q/p + 1 - 1/p - q^-1 (at rank 0 the
+    coin always lands), so from rank 0 E_k[q^r] = 1 + q/p - (q/p) q^-k,
+    which tends to qr_moment (Poonen-Rains, JAMS 25, 2012). At k = 10^18
+    q^-k is taken as 0. The sum over the float law is taken exactly."""
+    field = build_field(p, flavor)
+    q, up = field.q, field.q // p
+    for k in (0, 1, 2, 5, 20, 60, 1000, 10**18):
+        law = rd.walk_law(field, k)
+        got = sum(q**r * Fraction(mass) for r, mass in enumerate(law))
+        want = 1 + up - (Fraction(up, q**k) if k <= 1000 else 0)
+        assert abs(got - want) <= Fraction(1, 10**12) * want, (k, float(got - want))
 
 
 def test_coin_table_exact_mode():
@@ -407,17 +433,17 @@ def test_stationary_distribution_beyond_float_range_of_q_power():
                              (1009, Flavor.UNITARY, 64), (32749, Flavor.SYMPLECTIC, 80)):
         field = build_field(p, flavor)
         dist = rd.stationary_distribution(field, r_max)
-        d0 = dist.probs[0]
+        d0 = dist[0]
         for r in range(r_max + 1):
             # past rank 60 the exact weight is below 2^-1700 for every field here
             exact = d0 * float(rd.stationary_weight_exact(field, r)) if r < 60 else 0.0
             if exact > 1e-290:
-                assert dist.probs[r] == pytest.approx(exact, rel=1e-12)
+                assert dist[r] == pytest.approx(exact, rel=1e-12)
             else:
-                assert dist.probs[r] < 1e-290
-        assert dist.probs[-1] == 0.0 and dist.tail_bound == 0.0
+                assert dist[r] < 1e-290
+        assert dist[-1] == 0.0
         assert rd.dist_value(field, r_max) == 0.0
-        assert rd.dist_value(field, 1) == dist.probs[1]
+        assert rd.dist_value(field, 1) == dist[1]
 
 
 def test_qr_moment_series_for_large_unitary_p():

@@ -165,7 +165,7 @@ def test_step_down_frequency_q4_rank1():
     # from rank 0 the second step falls from rank 1 with probability 3/4,
     # so every k=2 frequency depends on that fall
     field = build_field(2, Flavor.UNITARY)
-    law = rd.walk_law(field, 2).probs
+    law = rd.walk_law(field, 2)
     assert law[0] == 0.5 * 0.5 + 0.5 * 0.75
     assert_within_three_sigma(walk_counts(field, 2, 1_000_000, seed=43), law)
 
@@ -178,15 +178,15 @@ def test_step_bounded_error_mode():
     sigma = math.sqrt(0.25 / n)
     assert abs(t_zero / n - 1.0) <= 1 / y + 3 * sigma
     # ranks 1 and 2 are reached in two steps from rank 0
-    law = rd.walk_law(field, 2, y=y).probs
+    law = rd.walk_law(field, 2, y=y)
     for r in (1, 2):
         assert_within_three_sigma(walk_counts(field, 2, n, seed=100 + r, y=y), law)
     # at y = 50 the coin is exact below rank 6; at y = 2 coin(2) moves from
     # 0.25 to 0.28125, which shifts the k = 3 law by up to 0.0039 (8 sigma)
     counts = walk_counts(field, 3, n, seed=103, y=2.0)
-    assert_within_three_sigma(counts, rd.walk_law(field, 3, y=2.0).probs)
+    assert_within_three_sigma(counts, rd.walk_law(field, 3, y=2.0))
     with pytest.raises(AssertionError):
-        assert_within_three_sigma(counts, rd.walk_law(field, 3).probs)
+        assert_within_three_sigma(counts, rd.walk_law(field, 3))
 
 
 def test_micro_law_exact_equivalence_with_operator():
@@ -273,7 +273,7 @@ def test_simulate_fd_mode_offsets_by_one():
 def test_simulate_reference_law(samples=1_000_000):
     field = build_field(2, Flavor.SYMPLECTIC)
     emp = simulate(SimConfig(field=field, k=20, samples=samples, seed=42))
-    assert emp.tv_against(rd.walk_law(field, 20).probs) < 0.01
+    assert emp.tv_against(rd.walk_law(field, 20)) < 0.01
 
 
 def test_simulate_chi2_grid_does_not_reject():
@@ -283,7 +283,7 @@ def test_simulate_chi2_grid_does_not_reject():
         for k in (1, 5, 20):
             emp = simulate(SimConfig(field=field, k=k, samples=1_000_000,
                                      seed=1000 + p))
-            _, _, pvalue = emp.chi2_against(rd.walk_law(field, k).probs)
+            _, _, pvalue = emp.chi2_against(rd.walk_law(field, k))
             assert pvalue > 1e-3, (p, flavor, k, pvalue)
 
 
@@ -294,7 +294,7 @@ def test_simulate_chi2_at_a_trillion_samples(p, flavor):
     walk_law that closely, at the same 1e-3 level."""
     field = build_field(p, flavor)
     emp = simulate(SimConfig(field=field, k=20, samples=10**12, seed=p))
-    assert emp.chi2_against(rd.walk_law(field, 20).probs)[2] > 1e-3
+    assert emp.chi2_against(rd.walk_law(field, 20))[2] > 1e-3
 
 
 def test_simulate_samples_at_the_cap():
@@ -313,9 +313,9 @@ def test_simulate_chi2_grid_bounded_error_mode():
         for k in (1, 5, 20):
             emp = simulate(SimConfig(field=field, k=k, samples=1_000_000,
                                      seed=2000 + p, chebotarev_y=y))
-            _, _, pvalue = emp.chi2_against(rd.walk_law(field, k, y=y).probs)
+            _, _, pvalue = emp.chi2_against(rd.walk_law(field, k, y=y))
             assert pvalue > 1e-3, (p, flavor, k, pvalue)
-        _, _, pvalue = emp.chi2_against(rd.walk_law(field, 20).probs)
+        _, _, pvalue = emp.chi2_against(rd.walk_law(field, 20))
         assert pvalue < 1e-3, (p, flavor, pvalue)
 
 
@@ -326,7 +326,7 @@ def test_simulate_chi2_pvalues_uniform_across_seeds():
     for p, flavor, k, y in ((2, Flavor.SYMPLECTIC, 20, None), (7, Flavor.UNITARY, 20, 4.0),
                             (2, Flavor.SYMPLECTIC, 1000, None), (3, Flavor.UNITARY, 20, 50.0)):
         field = build_field(p, flavor)
-        law = rd.walk_law(field, k, y=y).probs
+        law = rd.walk_law(field, k, y=y)
         pvalues = [
             simulate(SimConfig(field=field, k=k, samples=20_000, seed=seed,
                                chebotarev_y=y)).chi2_against(law)[2]
@@ -348,10 +348,9 @@ def test_leak_guard_holds_at_the_top_of_the_domain(flavor, y):
     draw gives its last column."""
     field = build_field(2, flavor)
     law = rd.walk_law(field, 10**18, y=y)
-    assert law.tail_bound == 0.0
     emp = simulate(SimConfig(field=field, k=10**18, samples=2**62, seed=1, chebotarev_y=y))
-    assert emp.reference[1:].tobytes() == law.probs[1:].tobytes()
-    assert emp.reference[0] == 1.0 - law.probs[1:].sum()
+    assert emp.reference[1:].tobytes() == law[1:].tobytes()
+    assert emp.reference[0] == 1.0 - law[1:].sum()
     assert emp.chi2_against(emp.reference)[2] > 1e-3
 
 
@@ -361,7 +360,7 @@ def test_simulate_reference_sums_to_one_where_walk_law_drifts():
     draw gives rank 0 whatever the higher ranks leave, and so does the
     reference, which therefore sums to 1."""
     field = build_field(32749, Flavor.UNITARY)
-    assert abs(rd.walk_law(field, 10**18, y=1e6).probs.sum() - 1) > 1e-12
+    assert abs(rd.walk_law(field, 10**18, y=1e6).sum() - 1) > 1e-12
     emp = simulate(SimConfig(field=field, k=10**18, samples=2**62, seed=1, chebotarev_y=1e6))
     assert abs(emp.reference.sum() - 1) <= 1e-15
 
@@ -403,8 +402,7 @@ def test_walk_law_small_k_drops_no_rank():
             field = build_field(p, flavor)
             for k in range(16):
                 law = rd.walk_law(field, k)
-                assert law.tail_bound == 0.0, (p, flavor, k)
-                assert len(law.probs) == k + 1, (p, flavor, k)
+                assert len(law) == k + 1, (p, flavor, k)
 
 
 def test_walk_law_certified_by_exact_rationals():
@@ -418,8 +416,8 @@ def test_walk_law_certified_by_exact_rationals():
             for k in range(13):
                 exact = exact_walk_law(field, k)
                 law = rd.walk_law(field, k)
-                assert len(law.probs) == len(exact), (p, flavor, k)
-                for r, (got, want) in enumerate(zip(law.probs, exact)):
+                assert len(law) == len(exact), (p, flavor, k)
+                for r, (got, want) in enumerate(zip(law, exact)):
                     error = abs(Fraction(got) - want) / want
                     assert error <= Fraction(k, 2**52), (p, flavor, k, r, float(error))
 
@@ -439,7 +437,7 @@ def test_simulate_is_one_multinomial_draw(k, samples, shift, y):
     rank 0 the remainder its last column gets."""
     config = SimConfig(field=build_field(3, Flavor.UNITARY), k=k, samples=samples, seed=9,
                        shift=shift, chebotarev_y=y)
-    law = rd.walk_law(config.field, k, y=y).probs
+    law = rd.walk_law(config.field, k, y=y)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
     draw = rng.multinomial(samples, law[::-1])[::-1]
     emp = simulate(config)
@@ -477,7 +475,7 @@ def test_simulate_bounded_error_mode_stays_close():
     emp = simulate(SimConfig(field=field, k=20, samples=200_000, seed=4,
                              chebotarev_y=1000.0))
     # the perturbation is mean-zero, so the walk stays near the exact law
-    assert emp.tv_against(rd.walk_law(field, 20).probs) < 0.02
+    assert emp.tv_against(rd.walk_law(field, 20)) < 0.02
 
 
 def test_sim_config_validation():
