@@ -7,13 +7,7 @@ simulator, and the downstream density/bound calculators.
 
 from .gf import FieldParams, Flavor, FqElem, build_field
 from .rankdist import dist_value, stationary_distribution
-from .spaces import (
-    HermitianSpace,
-    LocalPlane,
-    Subspace,
-    build_local_plane,
-    enumerate_isotropic_lines,
-)
+from .spaces import HermitianSpace, Subspace, enumerate_isotropic_lines
 from .twistsim import EmpiricalDistribution, SimConfig, simulate
 
 __all__ = [
@@ -24,9 +18,7 @@ __all__ = [
     "dist_value",
     "stationary_distribution",
     "HermitianSpace",
-    "LocalPlane",
     "Subspace",
-    "build_local_plane",
     "enumerate_isotropic_lines",
     "EmpiricalDistribution",
     "SimConfig",

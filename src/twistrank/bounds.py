@@ -80,6 +80,8 @@ def odd_rank_proportion(p: int) -> float:
 
 def reports(p: int, deg_k: int = 1) -> list[BoundReport]:
     """All bound reports for one prime, both flavors where applicable."""
+    # build_field refuses a p past MAX_P before any primality test runs
+    fields = [build_field(p, flavor) for flavor in (Flavor.SYMPLECTIC, Flavor.UNITARY)]
     out = []
     if p >= 3:
         out.append(
@@ -90,12 +92,11 @@ def reports(p: int, deg_k: int = 1) -> list[BoundReport]:
                 formula="prod_{i>=1} (1+p^-i)^-1",
             )
         )
-    for flavor in (Flavor.SYMPLECTIC, Flavor.UNITARY):
-        field = build_field(p, flavor)
+    for field in fields:
         out.append(
             BoundReport(
                 name="rank_zero_density",
-                flavor=flavor,
+                flavor=field.flavor,
                 value=rank_zero_density_bound(field),
                 formula="prod_{i>=0} (1+q^(-i-eps))^-1 > 1 - q^(1-eps)/(q-1)",
             )
@@ -103,7 +104,7 @@ def reports(p: int, deg_k: int = 1) -> list[BoundReport]:
         out.append(
             BoundReport(
                 name="avg_rank_bound",
-                flavor=flavor,
+                flavor=field.flavor,
                 value=avg_rank_bound(field, deg_k),
                 formula=f"{deg_k} * sum_{{i>=0}} 1/(1+q^(i+eps))",
             )
@@ -111,7 +112,7 @@ def reports(p: int, deg_k: int = 1) -> list[BoundReport]:
         out.append(
             BoundReport(
                 name="no_growth_proportion",
-                flavor=flavor,
+                flavor=field.flavor,
                 value=no_growth_proportion_bound(field),
                 formula="D(0) if p=2 else (p-1)(D(0)-(p-2)/(p-1))",
             )

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import rankdist, twistsim
-from .gf import Flavor, build_field, format_elem, is_prime
+from .gf import MAX_P, Flavor, build_field, format_elem, is_prime
 from .records import OutputRecord
 from .spaces import fiber_size, hyperbolic_plane, isotropic_slopes
 from .twistsim import SimConfig
@@ -44,7 +44,8 @@ def fmt(value: float) -> str:
 
 def _parse_prime(text: str) -> int:
     p = int(text)
-    if not is_prime(p):
+    # build_field refuses a p past MAX_P, whose primality test would not finish
+    if p <= MAX_P and not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     return p
 
@@ -117,7 +118,8 @@ def cmd_bounds(p: int, deg_k: int) -> list[tuple[str, str]]:
 
 
 def cmd_isotropic(p: int, flavor: Flavor, n: int) -> list[tuple[str, str]]:
-    """Lines by canonical basis, the unramified one first (see build_local_plane)."""
+    """Lines by canonical basis, from isotropic_slopes: the first is the
+    unramified line, the other p are the ramified lines of the micro model."""
     slopes = isotropic_slopes(hyperbolic_plane(build_field(p, flavor)))
     lines = ["(0, 1)" if slope is None else f"(1, {format_elem(*slope)})" for slope in slopes]
     rows = [("lines_total", str(p + 1)), ("fiber_size", str(fiber_size(p, n))),

@@ -97,10 +97,11 @@ def build_field(p: int, flavor: Flavor) -> FieldParams:
     x^2 - n for odd p with n the smallest positive non-residue mod p. Both
     have no root in F_p, so they are irreducible.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    # the range first: trial division of a huge p would not finish
     if p > MAX_P:
         raise ValueError(f"p = {p} exceeds the supported range (p <= {MAX_P})")
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     if flavor is Flavor.SYMPLECTIC:
         return FieldParams(p=p, flavor=flavor, q=p, modulus=None)
     if p == 2:

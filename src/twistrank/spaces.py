@@ -273,23 +273,6 @@ def enumerate_isotropic_lines(space: HermitianSpace) -> list[Subspace]:
             for slope in isotropic_slopes(space)]
 
 
-@dataclass(frozen=True)
-class LocalPlane:
-    """Hyperbolic plane with one unramified line and p ramified lines."""
-
-    space: HermitianSpace
-    unramified_line: Subspace
-    ramified_lines: tuple[Subspace, ...]
-
-
-def build_local_plane(field: FieldParams) -> LocalPlane:
-    """Standard hyperbolic plane; the first enumerated isotropic line is
-    declared unramified, the remaining p are the ramified lines."""
-    space = hyperbolic_plane(field)
-    lines = enumerate_isotropic_lines(space)
-    return LocalPlane(space=space, unramified_line=lines[0], ramified_lines=tuple(lines[1:]))
-
-
 # fiber sizes are printed in decimal, and Python refuses to convert an int of
 # more than 4300 digits to text by default
 MAX_FIBER_DIGITS = 4300
@@ -308,16 +291,3 @@ def fiber_size(p: int, n: int) -> int:
                          f"digits (n <= {bound})")
     return p ** (2 * n - 2) * (p - 1)
 
-
-def kummer_line_of_character(plane: LocalPlane, fiber_index: int, n: int) -> Subspace:
-    """Map a character index onto the ramified lines in equal-size blocks.
-
-    Indices run over the p^(2n-1)(p-1) totally ramified characters of
-    order p^n; each ramified line receives exactly p^(2n-2)(p-1) of them.
-    """
-    p = plane.space.field.p
-    block = fiber_size(p, n)
-    total = p * block
-    if not 0 <= fiber_index < total:
-        raise ValueError(f"fiber index {fiber_index} out of range [0, {total})")
-    return plane.ramified_lines[fiber_index // block]

@@ -19,7 +19,7 @@ from scipy.stats import chi2 as _chi2
 
 from .gf import FieldParams
 from .rankdist import walk_law, zeros
-from .spaces import build_local_plane, fiber_size, kummer_line_of_character
+from .spaces import fiber_size, hyperbolic_plane, isotropic_slopes
 
 # counts are int64 and sum to samples, so totals fit
 MAX_SAMPLES = 1 << 62
@@ -110,31 +110,26 @@ class FanLadder:
 def micro_transition_law(field: FieldParams, r: int, n: int) -> dict[int, Fraction]:
     """Exhaustive one-step law of the micro model at rank r.
 
-    Enumerates every (coin, V, character) outcome with its rational weight:
-    the rank falls when the Frobenius coin fails; otherwise the transverse
-    line V is one of the p ramified lines, and the rank rises exactly when
-    the character's Kummer line equals V. The result must equal the
-    operator entries exactly.
+    The rank falls when the Frobenius coin fails, with probability
+    1 - q^(-r). Otherwise the transverse line V is one of the p ramified
+    lines of the hyperbolic plane (every isotropic line but the first,
+    unramified one), and a character, one of p^(2n-1)(p-1) of order p^n,
+    has its Kummer line in blocks of fiber_size: character f lands on
+    ramified line f // fiber_size. The rank rises exactly when that line is
+    V. The (character, V) pairs are counted as ints, over the integer
+    slopes of the lines, and the result must equal the operator entries
+    exactly.
     """
     if r < 0:
         raise ValueError("rank must be non-negative")
-    plane = build_local_plane(field)
-    p, q = field.p, field.q
-    n_chars = p * fiber_size(p, n)
-    pt0 = Fraction(1, q**r)
-    w_v = Fraction(1, p)
-    w_f = Fraction(1, n_chars)
-    law: dict[int, Fraction] = {}
-
-    def add(s, w):
-        law[s] = law.get(s, 0) + w
-
-    for f in range(n_chars):
-        kummer = kummer_line_of_character(plane, f, n)
-        if r >= 1:
-            add(r - 1, (1 - pt0) * w_f)
-        for v in plane.ramified_lines:
-            add(r + 1 if kummer == v else r, pt0 * w_v * w_f)
+    ramified = isotropic_slopes(hyperbolic_plane(field))[1:]
+    block = fiber_size(field.p, n)
+    chars = range(len(ramified) * block)
+    pairs = len(ramified) * len(chars)
+    rises = sum(ramified.count(ramified[f // block]) for f in chars)
+    coin = Fraction(1, field.q**r)
+    law = {r - 1: 1 - coin, r: coin * Fraction(pairs - rises, pairs),
+           r + 1: coin * Fraction(rises, pairs)}
     return {s: w for s, w in law.items() if w != 0}
 
 

@@ -25,7 +25,12 @@ from twistrank.cli import (
 )
 from twistrank.gf import Flavor, build_field, is_prime
 from twistrank.records import OutputRecord
-from twistrank.spaces import build_local_plane, evaluate_form, fiber_size, hyperbolic_plane
+from twistrank.spaces import (
+    enumerate_isotropic_lines,
+    evaluate_form,
+    fiber_size,
+    hyperbolic_plane,
+)
 from twistrank.twistsim import MAX_LADDER_DEPTH
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -201,16 +206,17 @@ def test_isotropic_top_of_domain_unitary():
 
 
 def reference_isotropic_rows(p, flavor, n):
-    """The rows by the Subspace route: build_local_plane, then str of each
-    FqElem coordinate of a line's basis vector."""
-    plane = build_local_plane(build_field(p, flavor))
+    """The rows by the Subspace route: enumerate_isotropic_lines, then str of
+    each FqElem coordinate of a line's basis vector; the first line is the
+    unramified one."""
+    lines = enumerate_isotropic_lines(hyperbolic_plane(build_field(p, flavor)))
 
     def coords(line):
         return "(" + ", ".join(map(str, line.basis[0])) + ")"
 
     rows = [("lines_total", str(p + 1)), ("fiber_size", str(fiber_size(p, n))),
-            ("unramified", coords(plane.unramified_line))]
-    return rows + [(f"ramified[{i}]", coords(line)) for i, line in enumerate(plane.ramified_lines)]
+            ("unramified", coords(lines[0]))]
+    return rows + [(f"ramified[{i}]", coords(line)) for i, line in enumerate(lines[1:])]
 
 
 def assert_isotropic_matches_the_subspace_route(p, flavor, n):
@@ -593,6 +599,9 @@ def test_bad_flag_value_names_the_flag(cmd, flag, value, expected):
 
 @pytest.mark.parametrize("argv,message", [
     (("table", "--p", "2,65537"), "--p = 65537 exceeds the supported range (p <= 32768)"),
+    # past the range a composite p is refused for its range, as a prime one is
+    (("dist", "--p", "32770", "--flavor", "sym"),
+     "--p = 32770 exceeds the supported range (p <= 32768)"),
     (("dist", "--p", "2", "--flavor", "sym", "--rmax", "-1"), "--rmax must be non-negative"),
     (("bounds", "--p", "3", "--degK", "0"), "--degK must be >= 1, got 0"),
     (("bounds", "--p", "3", "--degK", str(10**400)),
@@ -611,9 +620,10 @@ def test_bad_flag_value_names_the_flag(cmd, flag, value, expected):
     (("ladder", "--x", "10", "--seed", "-4"), "--seed must be non-negative"),
     (("ladder", "--x", "10", "--sieve-cap", "0"), "--sieve-cap must be >= 2, got 0"),
     (("simulate", "--samples", str(2**62 + 1)), f"--samples must be <= 2^62, got {2**62 + 1}"),
-], ids=["table-p", "dist-rmax", "bounds-degK", "bounds-degK-float-range", "isotropic-n",
-        "ladder-depth", "ladder-depth-bound", "ladder-exponent", "ladder-density", "ladder-seed",
-        "ladder-sieve-cap", "ladder-density-no-k", "ladder-seed-no-k", "ladder-sieve-cap-no-k",
+], ids=["table-p", "dist-p-composite-past-range", "dist-rmax", "bounds-degK",
+        "bounds-degK-float-range", "isotropic-n", "ladder-depth", "ladder-depth-bound",
+        "ladder-exponent", "ladder-density", "ladder-seed", "ladder-sieve-cap",
+        "ladder-density-no-k", "ladder-seed-no-k", "ladder-sieve-cap-no-k",
         "simulate-samples-cap"])
 def test_range_error_names_the_flag(argv, message):
     assert run_cli(*argv) == (1, "", f"error: {message}\n")
@@ -788,6 +798,39 @@ def test_ladder_depth_bounded():
     code, seconds, err = json.loads(done.stdout)
     assert code == 1 and seconds < 1.0, (code, seconds, err)
     assert err.startswith("error: --depth must be <= ") and err.count("\n") == 1, err
+
+
+def test_huge_p_is_refused_in_bounded_time(tmp_path):
+    """A --p far past MAX_P, here 2^89 - 1, gets the range message at once
+    from every command that takes one and from the config key: the range is
+    checked before any trial division, which would not finish. A subprocess
+    with a timeout makes a primality test on such a p fail rather than hang."""
+    huge = str(2**89 - 1)
+    config = tmp_path / "sim.cfg"
+    config.write_text(f"p = {huge}\n", encoding="utf-8")
+    commands = [["dist", "--p", huge, "--flavor", "sym"], ["table", "--p", f"2,{huge}"],
+                ["moments", "--p", huge, "--flavor", "uni"], ["bounds", "--p", huge],
+                ["isotropic", "--p", huge, "--flavor", "sym"], ["simulate", "--p", huge],
+                ["simulate", str(config)]]
+    script = (
+        "import io, json, sys\n"
+        "from contextlib import redirect_stderr, redirect_stdout\n"
+        "from twistrank.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with redirect_stdout(out), redirect_stderr(err):\n"
+        "        code = main(argv)\n"
+        "    print(json.dumps([code, out.getvalue(), err.getvalue()]))\n"
+    )
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(commands)], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    runs = [json.loads(line) for line in done.stdout.splitlines()]
+    range_error = f"= {huge} exceeds the supported range (p <= 32768)\n"
+    assert runs[:-1] == [[1, "", f"error: --p {range_error}"]] * (len(commands) - 1)
+    assert runs[-1] == [1, "", f"error: {config}:1: field 'p' {range_error}"]
 
 
 @pytest.mark.parametrize("x", ["10", "1"])

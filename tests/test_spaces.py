@@ -10,18 +10,17 @@ from twistrank.gf import Flavor, build_field, is_prime
 from twistrank.spaces import (
     HermitianSpace,
     Subspace,
-    build_local_plane,
     enumerate_isotropic_lines,
     evaluate_form,
     fiber_size,
     hyperbolic_plane,
     is_maximal_isotropic,
     isotropic_slopes,
-    kummer_line_of_character,
     metabolic_space,
     orthogonal_complement,
     rref,
 )
+from twistrank.twistsim import micro_transition_law
 
 
 def basis_vector(field, dim, i):
@@ -528,48 +527,18 @@ def test_enumerate_requires_dim2():
 
 
 def test_local_plane_structure():
+    """The plane's first isotropic line is the unramified one, and the other
+    p, the ramified lines of the micro model, are distinct from it."""
     for p, flavor in ((2, Flavor.SYMPLECTIC), (3, Flavor.SYMPLECTIC), (2, Flavor.UNITARY)):
         field = build_field(p, flavor)
-        plane = build_local_plane(field)
-        assert len(plane.ramified_lines) == p
-        assert plane.unramified_line not in plane.ramified_lines
-        everything = {plane.unramified_line, *plane.ramified_lines}
-        assert everything == brute_force_isotropic_lines(plane.space)
+        space = hyperbolic_plane(field)
+        unramified, *ramified = enumerate_isotropic_lines(space)
+        assert len(ramified) == p
+        assert unramified not in ramified
+        everything = {unramified, *ramified}
+        assert everything == brute_force_isotropic_lines(space)
         for line in everything:
-            assert is_maximal_isotropic(plane.space, line)
-
-
-def test_kummer_fiber_sizes_and_examples():
-    # p=2, n=1: one index per line
-    field = build_field(2, Flavor.SYMPLECTIC)
-    plane = build_local_plane(field)
-    hits = [kummer_line_of_character(plane, i, 1) for i in range(2)]
-    assert hits == list(plane.ramified_lines)
-    # p=3, n=1: two indices per line
-    field3 = build_field(3, Flavor.SYMPLECTIC)
-    plane3 = build_local_plane(field3)
-    hits3 = [kummer_line_of_character(plane3, i, 1) for i in range(6)]
-    for j, line in enumerate(plane3.ramified_lines):
-        assert hits3.count(line) == 2
-        assert hits3[2 * j] == hits3[2 * j + 1] == line
-    # p=2, n=2: four indices per line
-    hits22 = [kummer_line_of_character(plane, i, 2) for i in range(8)]
-    for line in plane.ramified_lines:
-        assert hits22.count(line) == 4
-
-
-def test_kummer_fiber_balance_exhaustive():
-    for p in (2, 3):
-        for n in (1, 2):
-            field = build_field(p, Flavor.SYMPLECTIC)
-            plane = build_local_plane(field)
-            total = p * fiber_size(p, n)
-            counts = {}
-            for i in range(total):
-                line = kummer_line_of_character(plane, i, n)
-                counts[line] = counts.get(line, 0) + 1
-            assert set(counts) == set(plane.ramified_lines)
-            assert all(c == fiber_size(p, n) for c in counts.values())
+            assert is_maximal_isotropic(space, line)
 
 
 def test_fiber_size_rejects_n_below_one():
@@ -577,15 +546,7 @@ def test_fiber_size_rejects_n_below_one():
     for n in (0, -1):
         with pytest.raises(ValueError, match="n must be >= 1"):
             fiber_size(3, n)
-    plane = build_local_plane(build_field(2, Flavor.SYMPLECTIC))
+    # the micro model sizes its character blocks through fiber_size
     with pytest.raises(ValueError, match="n must be >= 1"):
-        kummer_line_of_character(plane, 0, 0)
+        micro_transition_law(build_field(2, Flavor.SYMPLECTIC), 0, 0)
 
-
-def test_kummer_index_out_of_range():
-    field = build_field(2, Flavor.SYMPLECTIC)
-    plane = build_local_plane(field)
-    with pytest.raises(ValueError):
-        kummer_line_of_character(plane, 2, 1)
-    with pytest.raises(ValueError):
-        kummer_line_of_character(plane, -1, 1)
