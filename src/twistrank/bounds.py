@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import rankdist
-from .gf import FieldParams, Flavor, build_field, is_prime
+from .gf import FieldParams, Flavor, build_field, check_range, is_prime
 
 
 @dataclass(frozen=True)
@@ -25,6 +25,7 @@ class BoundReport:
 def fermat_unsolvable_density(p: int) -> float:
     """Lower bound for the density of twisted Fermat equations of degree p
     with no solutions: prod_{i>=1} (1 + p^(-i))^(-1)."""
+    check_range(p)
     if not is_prime(p) or p < 3:
         raise ValueError(f"the Fermat bound needs an odd prime, got {p}")
     value = 1.0
@@ -70,6 +71,7 @@ def no_growth_proportion_bound(field: FieldParams) -> float:
 def odd_rank_proportion(p: int) -> float:
     """Proportion of twists with odd rank, (1 - beta)/2 with
     beta = prod_{i>=1} (1 - p^(-i))/(1 + p^(-i))."""
+    check_range(p)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     b = 1.0

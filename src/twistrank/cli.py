@@ -162,22 +162,26 @@ def cmd_ladder(x: float, exponent: float, depth: int, k: int | None, density: fl
     ladder = twistsim.FanLadder(exponent)
     rows = [(f"L{i + 1}", fmt(level)) for i, level in enumerate(ladder.levels(x, depth))]
     if k is None:
-        # density and seed are checked as the counts below check them
-        twistsim.build_place_model(2, density, seed)
+        # density and seed are checked as the counts below check them, with
+        # an x that always passes
+        twistsim.check_place_model(2, density, seed)
         return rows
     # the levels never decrease, so the first past the sieve cap fails the
-    # top one; at x = 1 they are all 1
-    for i, top in enumerate(ladder.iter_levels(x), start=1):
+    # top one; at x = 1 they are all 1, and at most the place 2 exists, so
+    # the strata read only the first
+    levels = []
+    for top in ladder.iter_levels(x):
         if not top <= sieve_cap:
             raise ValueError(
                 f"stratum k={k + 1} needs places up to at least {top:.3g}, beyond the "
                 f"sieve cap {sieve_cap}; lower x or k, or raise --sieve-cap"
             )
-        if i == k + 1 or x == 1:
+        levels.append(top)
+        if len(levels) == k + 1 or x == 1:
             break
     # below 2 there is no place, and every threshold keeps the place 2 out
-    p1_norms = twistsim.build_place_model(max(top, 2), density, seed)
-    d_k, d_k1 = twistsim.strata_cardinality(p1_norms, ladder, k, x)
+    n, usable = twistsim.count_places(max(top, 2), levels, density, seed)
+    d_k, d_k1 = twistsim.strata_from_counts(usable, n, k)
     if d_k1 == 0:
         raise ValueError(f"stratum k={k + 1} is empty at x={x}; enlarge x")
     return rows + [(f"D_{k}", str(d_k)), (f"D_{k + 1}", str(d_k1)), ("ratio", fmt(d_k / d_k1))]

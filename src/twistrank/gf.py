@@ -90,6 +90,13 @@ class FieldParams:
                     yield FqElem(self, c0, c1)
 
 
+def check_range(p: int) -> None:
+    """Refuse a p past MAX_P. Run it before any primality test: trial division
+    of a huge p would not finish."""
+    if p > MAX_P:
+        raise ValueError(f"p = {p} exceeds the supported range (p <= {MAX_P})")
+
+
 def build_field(p: int, flavor: Flavor) -> FieldParams:
     """Construct field parameters for F_p (symplectic) or F_{p^2} (unitary).
 
@@ -97,9 +104,7 @@ def build_field(p: int, flavor: Flavor) -> FieldParams:
     x^2 - n for odd p with n the smallest positive non-residue mod p. Both
     have no root in F_p, so they are irreducible.
     """
-    # the range first: trial division of a huge p would not finish
-    if p > MAX_P:
-        raise ValueError(f"p = {p} exceeds the supported range (p <= {MAX_P})")
+    check_range(p)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if flavor is Flavor.SYMPLECTIC:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,32 +33,72 @@ MAX_LADDER_DEPTH = 10_000
 CHI2_MIN_EXPECTED = 5.0
 
 
-def primes_up_to(x: int) -> np.ndarray:
-    """All primes <= x, ascending, by a numpy sieve over the odd numbers."""
-    if x < 2:
-        return np.array([], dtype=np.int64)
-    # sieve[k] stands for 2k + 1; an odd p's odd multiples from p^2 on are
-    # p apart in k
+def _odd_sieve(x: int) -> np.ndarray:
+    """sieve[k] is True exactly when 2k + 1 is an odd prime <= x."""
+    # an odd p's odd multiples from p^2 on are p apart in k
     sieve = np.ones((x + 1) // 2, dtype=bool)
-    sieve[0] = False
+    sieve[:1] = False
     for k in range(1, (math.isqrt(x) + 1) // 2):
         if sieve[k]:
             p = 2 * k + 1
             sieve[p * p // 2 :: p] = False
-    return np.concatenate(([2], 2 * np.flatnonzero(sieve) + 1)).astype(np.int64)
+    return sieve
 
 
-def build_place_model(x: float, density: float, seed: int) -> np.ndarray:
-    """Ascending norms of the P1 places: each rational prime <= x is a P1
-    place with probability density under the seeded generator."""
+def primes_up_to(x: int) -> np.ndarray:
+    """All primes <= x, ascending, by a numpy sieve over the odd numbers."""
+    if x < 2:
+        return np.array([], dtype=np.int64)
+    return np.concatenate(([2], 2 * np.flatnonzero(_odd_sieve(x)) + 1)).astype(np.int64)
+
+
+def check_place_model(x: float, density: float, seed: int) -> None:
+    """The checks that every place model makes on its x, density and seed."""
     if x < 2:
         raise ValueError(f"the place model needs x >= 2, got {x}")
     if not 0 < density <= 1:
         raise ValueError("density must lie in (0, 1]")
     if seed < 0:
         raise ValueError("seed must be non-negative")
+
+
+def build_place_model(x: float, density: float, seed: int) -> np.ndarray:
+    """Ascending norms of the P1 places: each rational prime <= x is a P1
+    place with probability density under the seeded generator. At density
+    1 every coin lands, so none is drawn."""
+    check_place_model(x, density, seed)
     norms = primes_up_to(int(x))
+    if density == 1:
+        return norms
     return norms[np.random.default_rng(seed).random(len(norms)) < density]
+
+
+def _prefix_counts(mask: np.ndarray, ends: list[int]) -> list[int]:
+    """count_nonzero(mask[:end]) for each end, the ends not decreasing, in
+    one pass and without a cumulative array."""
+    return list(itertools.accumulate(int(np.count_nonzero(mask[start:end]))
+                                     for start, end in itertools.pairwise([0, *ends])))
+
+
+def count_places(x: float, levels: Sequence[float], density: float,
+                 seed: int) -> tuple[int, list[int]]:
+    """(n, [u_1, u_2, ...]): the number of P1 places of build_place_model(x,
+    density, seed), and how many of them lie strictly below each level, as
+    searchsorted counts them, without listing the places. The levels must
+    not decrease."""
+    check_place_model(x, density, seed)
+    sieve = _odd_sieve(int(x))
+    # 2 lies below L exactly when L > 2, and an odd 2k + 1 exactly when
+    # k < ceil((L - 1) / 2); past the sieve's last odd, 2 len(sieve) - 1,
+    # every one does
+    ends = [len(sieve) if level > 2 * len(sieve) else max(math.ceil((level - 1) / 2), 0)
+            for level in levels]
+    primes = [odd + (level > 2) for odd, level in zip(_prefix_counts(sieve, ends), levels)]
+    n = 1 + int(np.count_nonzero(sieve))
+    if density == 1:
+        return n, primes
+    kept = np.random.default_rng(seed).random(n) < density
+    return int(np.count_nonzero(kept)), _prefix_counts(kept, primes)
 
 
 @dataclass(frozen=True)
@@ -255,6 +295,39 @@ def simulate(config: SimConfig) -> EmpiricalDistribution:
                                                            law[1:]]))
 
 
+def strata_from_counts(usable: Sequence[int], n: int, k: int) -> tuple[int, int]:
+    """(|D_k|, |D_{k+1}|) over n places ordered by norm, from u_m, the number
+    of places below the m-th ladder threshold: a place enters a tuple as its
+    m-th pick only if it is one of the first u_m places. usable holds
+    u_1, u_2, ... for at least the first min(k + 1, n) levels; they never
+    decrease, as the levels do not."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    for j in (k, k + 1):
+        if math.comb(n, j) >= 2**63:
+            raise ValueError(f"stratum count bound C({n}, {j}) is not below 2^63, the int64 "
+                             "range of the counts; lower x or k, or shrink the place model")
+    if k > n:
+        return 0, 0
+    # valid[m](t) = number of m-subsets of the first t places obeying the
+    # first m thresholds. u_m never decreases, so valid[m] is constant past
+    # u_m, and the DP runs on the first u_k places alone; after level k its
+    # last entry is |D_k|. A (k + 1)-tuple's top pick t < u_{k+1} sits over
+    # valid[k](t) k-tuples, so |D_{k+1}| sums valid[k] over the first u_k
+    # entries and adds |D_k| for each of the u_{k+1} - u_k others (none past
+    # the n places). The sums are exact modulo 2^64, so a count below 2^63
+    # is right even where a middle level wraps.
+    u_k = usable[k - 1] if k else 0
+    u_top = usable[k] if k < n else u_k
+    current = np.ones(u_k + 1, dtype=np.int64)
+    for u in usable[:k]:
+        current[1 : u + 1] = np.cumsum(current[:u])
+        current[0] = 0
+        current[u + 1 :] = current[u]
+    d_k = int(current[-1])
+    return d_k, (int(current[:u_k].sum()) + (u_top - u_k) * d_k) % 2**64
+
+
 def strata_cardinality(p1_norms: np.ndarray, ladder: FanLadder, k: int,
                        x: float) -> tuple[int, int]:
     """(|D_k|, |D_{k+1}|): the numbers of squarefree k- and (k + 1)-tuples of
@@ -270,26 +343,6 @@ def strata_cardinality(p1_norms: np.ndarray, ladder: FanLadder, k: int,
     p1 = np.asarray(p1_norms)
     if (p1[1:] < p1[:-1]).any():
         raise ValueError("p1_norms must ascend, as build_place_model returns them")
-    n = len(p1)
-    for j in (k, k + 1):
-        if math.comb(n, j) >= 2**63:
-            raise ValueError(f"stratum count bound C({n}, {j}) is not below 2^63, the int64 "
-                             "range of the counts; lower x or k, or shrink the place model")
-    # valid[m](t) = number of m-subsets of the first t places obeying the
-    # first m thresholds; a place enters as the m-th pick only if its norm
-    # is under L_m(x), that is, if it is one of the first u_m places. The
-    # levels never decrease, so neither does u_m, and valid[m] is constant
-    # past u_m: the DP runs on the first u_{k+1} places alone, and after
-    # level m its last entry is |D_m|. Past the n places every stratum is
-    # empty, so at most n levels run. The sums are exact modulo 2^64, so a
-    # count below 2^63 is right even where a middle level wraps.
-    usable = np.searchsorted(p1, list(itertools.islice(ladder.iter_levels(x), min(k + 1, n))))
-    current = np.ones(int(usable.max(initial=0)) + 1, dtype=np.int64)
-    counts = [1]
-    for u in usable.tolist():
-        current[1 : u + 1] = np.cumsum(current[:u])
-        current[0] = 0
-        current[u + 1 :] = current[u]
-        counts.append(int(current[-1]))
-    d_k, d_k1 = (counts[k : k + 2] + [0, 0])[:2]
-    return d_k, d_k1
+    # past the n places every stratum is empty, so at most n levels count
+    levels = list(itertools.islice(ladder.iter_levels(x), min(k + 1, len(p1))))
+    return strata_from_counts(np.searchsorted(p1, levels).tolist(), len(p1), k)

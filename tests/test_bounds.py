@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from twistrank import bounds, rankdist
@@ -120,3 +126,27 @@ def test_bounds_cross_check_against_distribution_routes():
         if flavor is Flavor.SYMPLECTIC:
             odd_series = rankdist.stationary_distribution(field, 64)[1::2].sum()
             assert abs(bounds.odd_rank_proportion(p) - odd_series) < 1e-9
+
+
+def test_huge_p_is_refused_before_trial_division():
+    """2^89 - 1 gets the range message at once from both calculators that
+    take a bare p: the range is checked before the primality test, whose
+    trial division would not finish. A subprocess with a timeout makes a
+    primality test on such a p fail rather than hang."""
+    script = (
+        "import json\n"
+        "from twistrank import bounds\n"
+        "for name in ('odd_rank_proportion', 'fermat_unsolvable_density'):\n"
+        "    try:\n"
+        "        getattr(bounds, name)(2**89 - 1)\n"
+        "    except ValueError as exc:\n"
+        "        print(json.dumps([name, str(exc)]))\n"
+    )
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    message = f"p = {2**89 - 1} exceeds the supported range (p <= 32768)"
+    assert [json.loads(line) for line in done.stdout.splitlines()] == [
+        ["odd_rank_proportion", message], ["fermat_unsolvable_density", message]]

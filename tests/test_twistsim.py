@@ -15,10 +15,12 @@ from twistrank.twistsim import (
     FanLadder,
     SimConfig,
     build_place_model,
+    count_places,
     micro_transition_law,
     primes_up_to,
     simulate,
     strata_cardinality,
+    strata_from_counts,
 )
 
 SIX_PAIRS = [(p, flavor) for p in (2, 3, 5, 7, 11, 13) for flavor in Flavor]
@@ -77,6 +79,44 @@ def test_place_model_validation():
         build_place_model(10, 1.5, seed=0)
     with pytest.raises(ValueError, match="seed must be non-negative"):
         build_place_model(10, 1.0, seed=-1)
+
+
+@pytest.mark.parametrize("density", [1.0, 0.5, 0.13])
+@pytest.mark.parametrize("seed", [0, 7, 1026163220])
+def test_count_places_matches_the_listed_places(density, seed):
+    """count_places gives len(build_place_model(...)) and its searchsorted
+    counts: the same coins, the same strict < at a level equal to a prime,
+    levels between integers, levels past int(x), and x in [2, 3)."""
+    for x in (2.0, 2.5, 2.999, 3.0, 10.0, 31.6, 97.0, 1000.0, 7919.5):
+        norms = build_place_model(x, density, seed)
+        levels = [1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 7.0, 7.5, 31.6, 97.0, 97.0, 100.0,
+                  x - 0.25, x, x + 1, 2 * x, 1e300, math.inf]
+        levels = sorted(level for level in levels if level >= 1)
+        assert count_places(x, levels, density, seed) == (
+            len(norms), np.searchsorted(norms, levels).tolist()), (x, density, seed)
+
+
+def test_count_places_at_density_one_draws_no_coins(monkeypatch):
+    """At density 1 every coin lands, so neither route builds a generator."""
+    expected = len(primes_up_to(1000)), [4, 25, 168]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a coin was drawn at density 1")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    assert count_places(1000, [10, 100, 1000.5], 1.0, seed=5) == expected
+    assert build_place_model(1000, 1.0, seed=5).tolist() == primes_up_to(1000).tolist()
+    with pytest.raises(AssertionError, match="a coin was drawn"):
+        count_places(1000, [10], 0.5, seed=5)
+
+
+def test_count_places_validation():
+    with pytest.raises(ValueError, match="the place model needs x >= 2, got 1.5"):
+        count_places(1.5, [], 1.0, seed=0)
+    with pytest.raises(ValueError, match=r"density must lie in \(0, 1\]"):
+        count_places(10, [], 0.0, seed=0)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        count_places(10, [], 1.0, seed=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -633,6 +673,24 @@ def test_strata_prefix_dp_matches_the_full_array_dp(seed):
             assert strata_cardinality(norms, ladder, k, x) == (
                 full_array_strata(norms, ladder, k, x),
                 full_array_strata(norms, ladder, k + 1, x)), (exponent, x, k)
+
+
+def test_strata_top_level_matches_the_full_array_dp():
+    """The (k + 1)-th count is closed-form past the DP over the first u_k
+    places; it equals the full-array DP's level k + 1, also where the middle
+    levels wrap in int64 (k = 998 over 1000 places)."""
+    cases = [(np.arange(2, 1002), FanLadder(1.0), 1e6, (0, 1, 6, 998, 999, 1000, 1001))]
+    norms = p1_norms(10**6, 0.5, seed=3)
+    cases += [(norms, FanLadder(exponent), x, range(4))
+              for exponent, x in ((1.0, 10.0), (1.0, 100.0), (1.5, 20.0), (2.0, 7.0))]
+    for norms, ladder, x, ks in cases:
+        n = len(norms)
+        usable = np.searchsorted(norms, list(itertools.islice(ladder.iter_levels(x),
+                                                              min(max(ks) + 1, n)))).tolist()
+        for k in ks:
+            assert strata_from_counts(usable, n, k) == (
+                full_array_strata(norms, ladder, k, x),
+                full_array_strata(norms, ladder, k + 1, x)), (ladder, x, k)
 
 
 @pytest.mark.parametrize("k", [0, 1, 3])
