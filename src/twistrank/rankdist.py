@@ -12,13 +12,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf import FieldParams
+from .gf import FieldParams, Flavor
 
 # Infinite products and series are truncated once a factor differs from 1
 # by less than this; the surviving error is far below every tolerance used.
 PRODUCT_EPS = 1e-16
 
 R_MAX_DEFAULT = 64
+
+# p^-j <= 2^-64 from j = 64 on, so every factor 1 - p^-j, 1 + (-1/p)^j of
+# corank_law is exactly 1.0 there, and p^-(c(c+1)/2) is 0.0 from rank 64
+CORANK_TERMS = 64
 
 
 def truncated_terms(term):
@@ -246,3 +250,41 @@ def walk_law(field: FieldParams, k: int, *, y: float | None = None) -> np.ndarra
             law = next(states)
         break
     return law
+
+
+def corank_law(field: FieldParams, k: int) -> np.ndarray:
+    """Law of the rank after k steps of the exact-coin walk from rank 0, in
+    closed form, over ranks 0..W-1 for the last non-zero rank W-1 <= k, as
+    walk_law gives it.
+
+    It is the corank law of a uniform random k x k symmetric matrix over F_p
+    (sym) or hermitian matrix over F_{p^2} (uni) (Poonen-Rains, JAMS 25,
+    2012), written with exponents rather than huge powers:
+        sym: p^(-c(c+1)/2) prod_{j=c+1}^{k} (1 - p^-j)
+             / prod_{i=1}^{(k-c)//2} (1 - p^(-2i)),
+        uni: p^(-c^2) prod_{j=c+1}^{k} (1 - p^(-2j))
+             prod_{i=1}^{k-c} (1 + (-1/p)^i) / (1 - p^(-2i)).
+    Each product stops at CORANK_TERMS, where its factor is exactly 1.0, and
+    k is clamped in Python ints, so any k costs the same.
+    """
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
+    n = min(k, CORANK_TERMS)
+    c = np.arange(n + 1)
+    j = np.arange(1.0, n + 1)
+    # k - c, clamped only where it is at least 2 * CORANK_TERMS, so spread is exact
+    rest = min(k, 3 * CORANK_TERMS) - c
+    p = float(field.p)
+    even = 1.0 - p ** (-2 * j)
+    if field.flavor is Flavor.SYMPLECTIC:
+        head = p ** -(c * (c + 1) // 2)
+        above, below = 1.0 - p**-j, 1.0 / even
+        spread = np.minimum(rest // 2, n)
+    else:
+        head = p ** -(c * c)
+        above, below = even, (1.0 + (-1.0 / p) ** j) / even
+        spread = np.minimum(rest, n)
+    # above's product over j > c, below's over i <= spread
+    law = (head * np.append(np.cumprod(above[::-1])[::-1], 1.0)
+           * np.append(1.0, np.cumprod(below))[spread])
+    return law[: np.flatnonzero(law)[-1] + 1]

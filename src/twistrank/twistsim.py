@@ -18,7 +18,7 @@ import numpy as np
 from scipy.stats import chi2 as _chi2
 
 from .gf import FieldParams
-from .rankdist import walk_law, zeros
+from .rankdist import corank_law, walk_law, zeros
 from .spaces import fiber_size, hyperbolic_plane, isotropic_slopes
 
 # counts are int64 and sum to samples, so totals fit
@@ -281,13 +281,17 @@ def _simulate_chunk(config: SimConfig, law: np.ndarray) -> np.ndarray:
 def simulate(config: SimConfig) -> EmpiricalDistribution:
     """Run the rank walk for every sample, all from one stream keyed by
     (seed, 0), and return the rank counts with the law they were drawn
-    from, both shifted up by config.shift. That law is rankdist.walk_law's
-    at every rank >= 1; the draw gives rank 0, its last column, the
-    remainder 1 - sum of the rest, so the reference carries that too and
-    sums to 1. Output depends only on (seed, samples, k, field, shift, y);
-    config.threads has no effect.
+    from, both shifted up by config.shift. That law is the k-step law at
+    every rank >= 1: rankdist.corank_law's closed form with the exact coin,
+    rankdist.walk_law's with the bounded-error coin, which has none. The
+    draw gives rank 0, its last column, the remainder 1 - sum of the rest,
+    so the reference carries that too and sums to 1. Output depends only
+    on (seed, samples, k, field, shift, y); config.threads has no effect.
     """
-    law = walk_law(config.field, config.k, y=config.chebotarev_y)
+    if config.chebotarev_y is None:
+        law = corank_law(config.field, config.k)
+    else:
+        law = walk_law(config.field, config.k, y=config.chebotarev_y)
     counts = _simulate_chunk(config, law)
     shift = zeros(config.shift, np.int64)
     return EmpiricalDistribution(counts=np.concatenate([shift, counts]), total=config.samples,

@@ -299,7 +299,7 @@ def test_simulate_prints_the_ranks_the_sampler_can_reach(k):
     # the last printed rank is the higher of the last with a count and the
     # last whose tail (the reference mass at or above it) exceeds
     # LEAK_BOUND / samples
-    law = rd.walk_law(build_field(2, Flavor.SYMPLECTIC), k)
+    law = rd.corank_law(build_field(2, Flavor.SYMPLECTIC), k)
     tail = np.cumsum(law[::-1])[::-1]
     reach = int(np.flatnonzero(100000 * tail > LEAK_BOUND)[-1])
     assert len(counts) == 1 + max(reach, max(r for r, c in enumerate(counts) if c))
@@ -308,23 +308,31 @@ def test_simulate_prints_the_ranks_the_sampler_can_reach(k):
 
 def test_simulate_computes_the_k_step_law_once(monkeypatch):
     """The printed reference is the law the sample was drawn from, so the
-    command steps walk_law once."""
-    calls, walk_law = [], rd.walk_law
+    command computes the k-step law once: corank_law's closed form with the
+    exact coin, and walk_law's walk with --y, which has no closed form."""
+    calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return walk_law(*args, **kwargs)
+    def counted(name):
+        law = getattr(rd, name)
 
-    monkeypatch.setattr(twistsim, "walk_law", counted)
-    monkeypatch.setattr(rd, "walk_law", counted)
-    code, _, _ = run_cli("simulate", "--p", "2", "--flavor", "sym", "--k", "20")
-    assert code == 0 and len(calls) == 1
+        def call(*args, **kwargs):
+            calls.append(name)
+            return law(*args, **kwargs)
+        return call
+
+    for name in ("corank_law", "walk_law"):
+        monkeypatch.setattr(twistsim, name, counted(name))
+        monkeypatch.setattr(rd, name, counted(name))
+    for coin, name in (((), "corank_law"), (("--y", "4"), "walk_law")):
+        calls.clear()
+        code, _, _ = run_cli("simulate", "--p", "2", "--flavor", "sym", "--k", "20", *coin)
+        assert code == 0 and calls == [name]
 
 
 def test_simulate_past_the_float_range_prints_the_k_1e18_rows():
-    """walk_law keeps every non-zero rank, so no k is refused: past the
-    repeat the law, and so the seeded run, depend on k only through its
-    phase in the cycle, here a fixed point."""
+    """corank_law keeps every non-zero rank, so no k is refused: past
+    3 * CORANK_TERMS no product of the closed form changes, so neither do
+    the law and the seeded run."""
     outputs = []
     for k in (10**18, 10**700):
         code, out, err = run_cli("simulate", "--p", "2", "--flavor", "sym", "--k", str(k),

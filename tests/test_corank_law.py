@@ -6,8 +6,9 @@ the corank to c - 1 unless v lies in the image (probability q^-c); then the
 Schur complement keeps it (1 - 1/p) or raises it to c + 1 (1/p). Those are
 the walk's exact transition probabilities, so three routes must agree: the
 closed-form counts below, the chain of markov_entry_exact, and an exhaustive
-census of matrices reduced by spaces.rref. walk_law, in floats, must match
-the closed form to rounding.
+census of matrices reduced by spaces.rref. rankdist.corank_law, the float
+closed form simulate draws from with the exact coin, and walk_law, the float
+walk, must both match it to rounding.
 """
 
 import itertools
@@ -17,12 +18,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from twistrank import bounds
 from twistrank import rankdist as rd
 from twistrank.gf import Flavor, build_field
 from twistrank.spaces import rref
 
 
-def corank_law(field, k):
+def exact_corank_law(field, k):
     """P(corank = c) for c = 0..k, from the number of rank-rho matrices.
 
     sym, out of p^(k(k+1)/2) symmetric matrices (MacWilliams 1969):
@@ -87,7 +89,7 @@ def census_law(field, k):
 def test_corank_law_is_the_exact_chain(p, flavor):
     field = build_field(p, flavor)
     for k in range(11):
-        law = corank_law(field, k)
+        law = exact_corank_law(field, k)
         assert sum(law) == 1
         assert law == chain_law(field, k), k
 
@@ -98,7 +100,7 @@ def test_walk_law_matches_the_corank_law(p, flavor):
     field = build_field(p, flavor)
     for k in (20, 60):
         law = rd.walk_law(field, k)
-        exact = np.array([float(x) for x in corank_law(field, k)])
+        exact = np.array([float(x) for x in exact_corank_law(field, k)])
         probs = np.pad(law, (0, k + 1 - len(law)))
         assert np.abs(probs - exact).max() <= 1e-14, k
 
@@ -123,4 +125,65 @@ def test_walk_law_far_out_is_the_stationary_law(p, flavor):
 def test_corank_law_is_the_matrix_census(p, flavor, k_max):
     field = build_field(p, flavor)
     for k in range(k_max + 1):
-        assert census_law(field, k) == corank_law(field, k), k
+        assert census_law(field, k) == exact_corank_law(field, k), k
+
+
+@pytest.mark.parametrize("flavor", list(Flavor))
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_float_corank_law_is_the_exact_law(p, flavor):
+    """rankdist.corank_law agrees with the Fraction law at every rank to
+    (k + 2) * 2^-52 relative; the worst case here, (7, uni, k = 5, rank 0),
+    takes under half of that budget."""
+    field = build_field(p, flavor)
+    for k in range(13):
+        law = rd.corank_law(field, k)
+        exact = exact_corank_law(field, k)
+        assert len(law) == len(exact), k
+        for r, (got, want) in enumerate(zip(law, exact)):
+            error = abs(Fraction(got) - want) / want
+            assert error <= Fraction(k + 2, 2**52), (k, r, float(error))
+
+
+@pytest.mark.parametrize("flavor", list(Flavor))
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 32749])
+def test_float_corank_law_is_the_walk(p, flavor):
+    """The closed form and the walk end at the same rank and agree to 1e-13
+    at every k, 10^700 included; the largest gap, 9e-14 at (32749, sym,
+    k = 10^18), is the walk's own drift at rank 0. Past 3 * CORANK_TERMS no
+    product of the closed form changes, so neither does its law."""
+    field = build_field(p, flavor)
+    for k in (0, 1, 2, 5, 20, 60, 1000, 10**18, 10**700):
+        law = rd.corank_law(field, k)
+        walked = rd.walk_law(field, k)
+        assert len(law) == len(walked), k
+        assert np.abs(law - walked).max() <= 1e-13, k
+    assert law.tobytes() == rd.corank_law(field, 3 * rd.CORANK_TERMS).tobytes()
+
+
+@pytest.mark.parametrize("flavor", list(Flavor))
+def test_float_corank_law_cures_the_walk_drift(flavor):
+    """At p = 32749 the walk loses about an ulp of rank-0 mass per step
+    until it repeats, 821 steps in for sym, so its k = 10^18 rank 0 is
+    9e-14 below D(0). The closed form's rank 0 is D(0) to 1e-16, checked
+    against the exact stationary weights."""
+    field = build_field(32749, flavor)
+    d0 = 1 / sum(rd.stationary_weight_exact(field, r) for r in range(40))
+    assert abs(Fraction(rd.corank_law(field, 10**18)[0]) - d0) <= Fraction(1, 10**16)
+    if flavor is Flavor.SYMPLECTIC:
+        assert abs(Fraction(rd.walk_law(field, 10**18)[0]) - d0) > Fraction(1, 10**14)
+
+
+@pytest.mark.parametrize("p", [3, 5, 13])
+def test_float_corank_law_tends_to_the_fermat_bound(p):
+    """The paper's Fermat application bounds the density of unsolvable
+    twisted Fermat equations of degree p below by prod_{i>=1} (1 + p^-i)^-1.
+    The rank-0 mass of the k x k symmetric corank law is
+    prod_{odd j <= k} (1 - p^-j), and by Euler's identity
+    prod (1 + x^i)^-1 = prod (1 - x^(2i-1)) it tends to that bound."""
+    law = rd.corank_law(build_field(p, Flavor.SYMPLECTIC), 10**18)
+    assert abs(law[0] - bounds.fermat_unsolvable_density(p)) <= 1e-15
+
+
+def test_float_corank_law_rejects_negative_k():
+    with pytest.raises(ValueError, match="k must be non-negative, got -1"):
+        rd.corank_law(build_field(2, Flavor.SYMPLECTIC), -1)

@@ -389,14 +389,15 @@ def test_walk_law_qr_moment_is_exact_at_every_k(p, flavor):
     """The kernel maps q^r to q^-1 q^r + q/p + 1 - 1/p - q^-1 (at rank 0 the
     coin always lands), so from rank 0 E_k[q^r] = 1 + q/p - (q/p) q^-k,
     which tends to qr_moment (Poonen-Rains, JAMS 25, 2012). At k = 10^18
-    q^-k is taken as 0. The sum over the float law is taken exactly."""
+    q^-k is taken as 0. The sum over the float law is taken exactly, for
+    the walk and for the closed form of corank_law."""
     field = build_field(p, flavor)
     q, up = field.q, field.q // p
     for k in (0, 1, 2, 5, 20, 60, 1000, 10**18):
-        law = rd.walk_law(field, k)
-        got = sum(q**r * Fraction(mass) for r, mass in enumerate(law))
         want = 1 + up - (Fraction(up, q**k) if k <= 1000 else 0)
-        assert abs(got - want) <= Fraction(1, 10**12) * want, (k, float(got - want))
+        for law in (rd.walk_law(field, k), rd.corank_law(field, k)):
+            got = sum(q**r * Fraction(mass) for r, mass in enumerate(law))
+            assert abs(got - want) <= Fraction(1, 10**12) * want, (k, float(got - want))
 
 
 def test_coin_table_exact_mode():

@@ -363,7 +363,8 @@ def test_simulate_chi2_grid_bounded_error_mode():
 def test_simulate_chi2_pvalues_uniform_across_seeds():
     """Under the right law the chi2 p-values of independent runs are uniform,
     which one seeded run cannot show: 200 seeds per case, KS test at 1e-3.
-    Each sample is one draw from walk_law, tested against that same law."""
+    Each sample is one draw from the k-step law, tested against walk_law,
+    which is that law (with y) or agrees with it to 1e-13 (exact coin)."""
     for p, flavor, k, y in ((2, Flavor.SYMPLECTIC, 20, None), (7, Flavor.UNITARY, 20, 4.0),
                             (2, Flavor.SYMPLECTIC, 1000, None), (3, Flavor.UNITARY, 20, 50.0)):
         field = build_field(p, flavor)
@@ -381,14 +382,20 @@ TOP_OF_DOMAIN = pytest.mark.parametrize("flavor, y", [
 ], ids=["sym-exact", "sym-y0.5", "uni-y0.3"])
 
 
+def k_step_law(field, k, y):
+    """The law simulate draws from: the closed form with the exact coin,
+    the walk with the bounded-error coin."""
+    return rd.corank_law(field, k) if y is None else rd.walk_law(field, k, y=y)
+
+
 @TOP_OF_DOMAIN
 def test_leak_guard_holds_at_the_top_of_the_domain(flavor, y):
-    """At k = 10^18 and 2^62 samples simulate draws from walk_law's law,
+    """At k = 10^18 and 2^62 samples simulate draws from the k-step law,
     which truncates nothing, so no sample can leave it. The reference is
     that law bitwise at every rank >= 1, and at rank 0 the remainder the
     draw gives its last column."""
     field = build_field(2, flavor)
-    law = rd.walk_law(field, 10**18, y=y)
+    law = k_step_law(field, 10**18, y)
     emp = simulate(SimConfig(field=field, k=10**18, samples=2**62, seed=1, chebotarev_y=y))
     assert emp.reference[1:].tobytes() == law[1:].tobytes()
     assert emp.reference[0] == 1.0 - law[1:].sum()
@@ -409,11 +416,13 @@ def test_simulate_reference_sums_to_one_where_walk_law_drifts():
 @TOP_OF_DOMAIN
 def test_leak_guard_fires_past_the_certified_depth(flavor, y):
     """Past the depth where a truncated law stopped being certified at 2^62
-    samples (k = 10^300 here), walk_law drops nothing, so there is no
-    leaked mass for a guard to fire on: simulate answers. Past the step
-    where the law repeats, a run depends on k only through its phase in the
-    cycle; each law here is a fixed point, so k = 10^300 and k = 10^700
-    draw the k = 10^18 counts from the k = 10^18 law."""
+    samples (k = 10^300 here), the k-step law drops nothing, so there is no
+    leaked mass for a guard to fire on: simulate answers. With y, past the
+    step where walk_law repeats, a run depends on k only through its phase
+    in the cycle, and each law here is a fixed point; corank_law, for the
+    exact coin, is the same law at every k >= 3 * CORANK_TERMS. So
+    k = 10^300 and k = 10^700 draw the k = 10^18 counts from the k = 10^18
+    law."""
     field = build_field(2, flavor)
     runs = [simulate(SimConfig(field=field, k=k, samples=2**62, seed=1, chebotarev_y=y))
             for k in (10**18, 10**300, 10**700)]
@@ -447,10 +456,10 @@ def test_walk_law_small_k_drops_no_rank():
 
 
 def test_walk_law_certified_by_exact_rationals():
-    """walk_law, which simulate draws from, agrees with the exact k-step law
-    at every rank to k * 2^-52 relative, a budget of two roundings of 2^-53
-    per step. The worst case here, (5, sym, k = 12, rank 9), is 1.004e-15,
-    under half of that budget."""
+    """walk_law, which simulate draws from with y, agrees with the exact
+    k-step law at every rank to k * 2^-52 relative, a budget of two
+    roundings of 2^-53 per step. The worst case here, (5, sym, k = 12,
+    rank 9), is 1.004e-15, under half of that budget."""
     for p in (2, 3, 5):
         for flavor in Flavor:
             field = build_field(p, flavor)
@@ -472,13 +481,14 @@ DRAW_CASES = [(0, 1, 0, None), (5, 20_000, 1, None), (20, 2**62, 3, 0.5),
                          ids=[f"{k}-{samples}-shift{i}-{y}"
                               for i, (k, samples, _, y) in enumerate(DRAW_CASES)])
 def test_simulate_is_one_multinomial_draw(k, samples, shift, y):
-    """simulate is a single Multinomial(samples, walk_law) draw on the
-    (seed, 0) stream from the unshifted law, columns taken from the top
-    rank downward, and it returns that law, shifted like the counts, with
-    rank 0 the remainder its last column gets."""
+    """simulate is a single Multinomial(samples, law) draw on the (seed, 0)
+    stream from the unshifted k-step law (corank_law with the exact coin,
+    walk_law with y), columns taken from the top rank downward, and it
+    returns that law, shifted like the counts, with rank 0 the remainder
+    its last column gets."""
     config = SimConfig(field=build_field(3, Flavor.UNITARY), k=k, samples=samples, seed=9,
                        shift=shift, chebotarev_y=y)
-    law = rd.walk_law(config.field, k, y=y)
+    law = k_step_law(config.field, k, y)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
     draw = rng.multinomial(samples, law[::-1])[::-1]
     emp = simulate(config)
