@@ -94,7 +94,8 @@ def cmd_table(p_list) -> list[tuple[str, str]]:
 
 def cmd_dist(p: int, flavor: Flavor, r_max: int) -> list[tuple[str, str]]:
     dist = rankdist.stationary_distribution(build_field(p, flavor), r_max)
-    return [(f"D({r})", fmt(value)) for r, value in enumerate(dist)]
+    # Python floats format faster than boxed np.float64 scalars
+    return [(f"D({r})", fmt(value)) for r, value in enumerate(dist.tolist())]
 
 
 def cmd_moments(p: int, flavor: Flavor) -> list[tuple[str, str]]:
@@ -120,11 +121,11 @@ def cmd_bounds(p: int, deg_k: int) -> list[tuple[str, str]]:
 def cmd_isotropic(p: int, flavor: Flavor, n: int) -> list[tuple[str, str]]:
     """Lines by canonical basis, from isotropic_slopes: the first is the
     unramified line, the other p are the ramified lines of the micro model."""
-    slopes = isotropic_slopes(hyperbolic_plane(build_field(p, flavor)))
-    lines = ["(0, 1)" if slope is None else f"(1, {format_elem(*slope)})" for slope in slopes]
+    first, *ramified = isotropic_slopes(hyperbolic_plane(build_field(p, flavor)))
     rows = [("lines_total", str(p + 1)), ("fiber_size", str(fiber_size(p, n))),
-            ("unramified", lines[0])]
-    return rows + [(f"ramified[{i}]", line) for i, line in enumerate(lines[1:])]
+            ("unramified", "(0, 1)" if first is None else f"(1, {format_elem(*first)})")]
+    return rows + [(f"ramified[{i}]", f"(1, {format_elem(a, b)})")
+                   for i, (a, b) in enumerate(ramified)]
 
 
 def cmd_simulate(p, flavor, k, samples, seed, shift, y, threads) -> list[tuple[str, str]]:

@@ -1,7 +1,11 @@
-"""Structured command output with lossless CSV/JSON round-tripping.
+r"""Structured command output with lossless CSV/JSON round-tripping.
 
 All payload values are carried as strings; formatting happens once, when
 a record is built, so every encoding of the same record is byte-stable.
+
+Both encoders write their bytes in one pass: to_json those of
+json.dumps(indent=2), to_csv those of csv.writer's excel dialect with "\n"
+row ends (see _csv_field). from_csv reads with csv.reader.
 """
 
 from __future__ import annotations
@@ -13,11 +17,12 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
 
-class _LineSink(list):
-    r"""csv.writer target keeping each row with its "\r\n" cut to "\n"."""
-
-    def write(self, line: str) -> None:
-        self.append(line[:-2] + "\n")
+def _csv_field(text: str) -> str:
+    r"""The field as QUOTE_MINIMAL writes it under the excel dialect's "\r\n"
+    terminator: quoted, each '"' doubled, when it holds ',', '"', CR or LF."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _container(open_: str, items: list[str], close: str) -> str:
@@ -54,17 +59,11 @@ class OutputRecord:
         )
 
     def to_csv(self) -> str:
-        lines = _LineSink()
-        # the default "\r\n" terminator makes the writer quote a lone "\r"
-        # as well as "\n"; the sink ends each row in "\n" alone
-        writer = csv.writer(lines)
-        writer.writerow(["section", "key", "value"])
-        writer.writerow(["command", "", self.command])
-        for key, value in self.params.items():
-            writer.writerow(["param", key, value])
-        for label, value in self.rows:
-            writer.writerow(["row", label, value])
-        return "".join(lines)
+        params = [f"param,{_csv_field(key)},{_csv_field(value)}\n"
+                  for key, value in self.params.items()]
+        rows = [f"row,{_csv_field(label)},{_csv_field(value)}\n" for label, value in self.rows]
+        return (f"section,key,value\ncommand,,{_csv_field(self.command)}\n"
+                + "".join(params) + "".join(rows))
 
     @classmethod
     def from_csv(cls, text: str) -> "OutputRecord":

@@ -400,6 +400,41 @@ def test_walk_law_qr_moment_is_exact_at_every_k(p, flavor):
             assert abs(got - want) <= Fraction(1, 10**12) * want, (k, float(got - want))
 
 
+@pytest.mark.parametrize("flavor", list(Flavor))
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_stationary_moments_are_the_poonen_rains_product(p, flavor):
+    """E_D[q^(jr)] = prod_{i=1..j} (1 + q^i/p) (Poonen-Rains, JAMS 25, 2012);
+    j = 1 is qr_moment. The sum over the float law is taken exactly."""
+    field = build_field(p, flavor)
+    q = field.q
+    dist = rd.stationary_distribution(field, 200).tolist()
+    for j in (1, 2, 3):
+        got = sum(Fraction(mass) * q ** (j * r) for r, mass in enumerate(dist) if mass)
+        want = math.prod(1 + Fraction(q**i, p) for i in range(1, j + 1))
+        assert abs(got - want) <= Fraction(1, 10**14) * want, (j, float(got / want - 1))
+
+
+@pytest.mark.parametrize("p,flavor,y,bound", [
+    (2, "sym", 0.5, 1e-14), (2, "uni", 0.3, 1e-14), (3, "uni", 50.0, 1e-14),
+    (2, "sym", 2.0, 1e-14), (5, "uni", 1.0, 1e-14), (2, "sym", None, 1e-14),
+    # at the largest p the gap is the walk's rank-0 drift (4.5e-14 and
+    # 3.5e-14 measured), not an error in pi
+    (32749, "sym", None, 1e-13), (32749, "uni", 50.0, 1e-13)])
+def test_walk_law_far_k_is_the_detailed_balance_law(p, flavor, y, bound):
+    """Every coin table gives a birth-death chain, which is reversible, so its
+    stationary law is pi(r) ~ prod_{i<r} up(i)/down(i+1). This reference
+    does not iterate the kernel, unlike walk_law."""
+    field = build_field(p, Flavor(flavor))
+    law = rd.walk_law(field, 10**18, y=y)
+    n = 2 * len(law)
+    down, _, up = rd._step_coefficients(rd.coin_table(field, n, y), p)
+    assert (down[1:] > 0).all()
+    pi = np.cumprod(np.append(1.0, up[:-1] / down[1:]))
+    pi /= pi.sum()
+    tv = 0.5 * np.abs(np.append(law, np.zeros(n - len(law))) - pi).sum()
+    assert tv < bound, tv
+
+
 def test_coin_table_exact_mode():
     field = build_field(2, Flavor.SYMPLECTIC)
     coin = rd.coin_table(field, 1100)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import random
 import string
@@ -76,6 +78,39 @@ def test_json_is_json_dumps_indent_2(command, params, rows):
                "rows": [[label, value] for label, value in rows]}
     assert rec.to_json() == json.dumps(payload, indent=2) + "\n"
     assert OutputRecord.from_json(rec.to_json()) == rec
+
+
+def csv_writer_line(fields):
+    r"""A row as csv.writer writes it, with its "\r\n" row end cut to "\n"."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow(fields)
+    line = buffer.getvalue()
+    assert line.endswith("\r\n")
+    return line[:-2] + "\n"
+
+
+# arbitrary text, weighted toward what CSV must quote: comma, quote, CR and
+# LF (alone and as a pair), empty fields, edge spaces and non-ASCII; NUL is
+# left out because csv.reader refuses it before Python 3.11
+CSV_AWKWARD = st.one_of(
+    st.sampled_from(["", " ", " a", "a ", "\r", "\n", "\r\n", ",", '"', '""', "é"]),
+    st.text(st.one_of(st.sampled_from(',"\r\n \té\u2028\U0001f600'),
+                      st.characters(exclude_characters="\x00"))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(command=CSV_AWKWARD, params=st.dictionaries(CSV_AWKWARD, CSV_AWKWARD, max_size=4),
+       rows=st.lists(st.tuples(CSV_AWKWARD, CSV_AWKWARD), max_size=5))
+@example(command="", params={}, rows=[])
+@example(command="\r", params={"": " "}, rows=[("a\rb", ' "x" '), ("", ",")])
+@example(command='say "hi"', params={"p": "2"}, rows=[("D(0)", "1\n2\r\n3")])
+def test_csv_is_csv_writer_with_lf_row_ends(command, params, rows):
+    rec = OutputRecord(command=command, params=params, rows=rows)
+    lines = [["section", "key", "value"], ["command", "", command]]
+    lines += [["param", key, value] for key, value in params.items()]
+    lines += [["row", label, value] for label, value in rows]
+    assert rec.to_csv() == "".join(csv_writer_line(fields) for fields in lines)
+    assert OutputRecord.from_csv(rec.to_csv()) == rec
 
 
 def test_json_schema_keys_stable():
