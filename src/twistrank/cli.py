@@ -8,6 +8,7 @@ line are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import math
 import sys
@@ -81,21 +82,26 @@ def cmd_table(p_list) -> list[tuple[str, str]]:
     """The grid of rank-0 mass, odd mass, and mean rank per prime and flavor."""
     rows = []
     for p in p_list:
+        fields = [build_field(p, flavor) for flavor in (Flavor.SYMPLECTIC, Flavor.UNITARY)]
         for stat, func in (
             ("rank0", lambda f: rankdist.dist_value(f, 0)),
             ("odd", rankdist.odd_mass),
             ("mean", rankdist.expected_rank),
         ):
-            for flavor in (Flavor.SYMPLECTIC, Flavor.UNITARY):
-                field = build_field(p, flavor)
-                rows.append((f"{stat} {flavor.value} p={p}", fmt_trunc4(func(field))))
+            for field in fields:
+                rows.append((f"{stat} {field.flavor.value} p={p}", fmt_trunc4(func(field))))
     return rows
 
 
 def cmd_dist(p: int, flavor: Flavor, r_max: int) -> list[tuple[str, str]]:
+    """D(0..r_max). The law is non-zero exactly on a prefix, which the running
+    product of stationary_distribution ends at its first 0.0, so only that
+    prefix is formatted and the rest print as fmt(0.0), "0"."""
     dist = rankdist.stationary_distribution(build_field(p, flavor), r_max)
+    live = np.count_nonzero(dist)
     # Python floats format faster than boxed np.float64 scalars
-    return [(f"D({r})", fmt(value)) for r, value in enumerate(dist.tolist())]
+    rows = [(f"D({r})", fmt(value)) for r, value in enumerate(dist[:live].tolist())]
+    return rows + [(f"D({r})", "0") for r in range(live, r_max + 1)]
 
 
 def cmd_moments(p: int, flavor: Flavor) -> list[tuple[str, str]]:
@@ -258,6 +264,12 @@ def load_sim_config(path: str) -> dict[str, tuple[str, int]]:
     return options
 
 
+@functools.cache
+def _param_names(func) -> tuple[str, ...]:
+    """The parameter names of a command function, read once per function."""
+    return tuple(inspect.signature(func).parameters)
+
+
 def run_command(args) -> OutputRecord:
     """Take each value from its flag, else the config (simulate only), else
     its default, parse it and call the command. A value that does not parse,
@@ -268,8 +280,7 @@ def run_command(args) -> OutputRecord:
     path = getattr(args, "config", None)
     options = load_sim_config(path) if path else {}
     values, params, sources = [], {}, {}
-    names = inspect.signature(func).parameters
-    for (flag, (parser, default)), name in zip(fields.items(), names, strict=True):
+    for (flag, (parser, default)), name in zip(fields.items(), _param_names(func), strict=True):
         parse, expected, echo = parser
         text, where = vars(args)[flag], f"--{flag}"
         if text is None and flag in options:

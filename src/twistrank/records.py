@@ -1,18 +1,16 @@
-r"""Structured command output with lossless CSV/JSON round-tripping.
+r"""Structured command output, rendered as a table, CSV or JSON.
 
 All payload values are carried as strings; formatting happens once, when
 a record is built, so every encoding of the same record is byte-stable.
 
 Both encoders write their bytes in one pass: to_json those of
 json.dumps(indent=2), to_csv those of csv.writer's excel dialect with "\n"
-row ends (see _csv_field). from_csv reads with csv.reader.
+row ends (see _csv_field). Each is lossless: json.loads, or csv.reader,
+gives back every string of the record.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -49,41 +47,12 @@ class OutputRecord:
                 f'  "params": {_container("{", params, "}")},\n'
                 f'  "rows": {_container("[", rows, "]")}\n}}\n')
 
-    @classmethod
-    def from_json(cls, text: str) -> "OutputRecord":
-        payload = json.loads(text)
-        return cls(
-            command=payload["command"],
-            params=dict(payload["params"]),
-            rows=[(label, value) for label, value in payload["rows"]],
-        )
-
     def to_csv(self) -> str:
         params = [f"param,{_csv_field(key)},{_csv_field(value)}\n"
                   for key, value in self.params.items()]
         rows = [f"row,{_csv_field(label)},{_csv_field(value)}\n" for label, value in self.rows]
         return (f"section,key,value\ncommand,,{_csv_field(self.command)}\n"
                 + "".join(params) + "".join(rows))
-
-    @classmethod
-    def from_csv(cls, text: str) -> "OutputRecord":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader, None)
-        if header != ["section", "key", "value"]:
-            raise ValueError("not an OutputRecord CSV: bad header")
-        command = ""
-        params: dict[str, str] = {}
-        rows: list[tuple[str, str]] = []
-        for section, key, value in reader:
-            if section == "command":
-                command = value
-            elif section == "param":
-                params[key] = value
-            elif section == "row":
-                rows.append((key, value))
-            else:
-                raise ValueError(f"not an OutputRecord CSV: unknown section {section!r}")
-        return cls(command=command, params=params, rows=rows)
 
     def to_table(self) -> str:
         lines = [f"# command: {self.command}"]

@@ -33,6 +33,8 @@ from twistrank.spaces import (
 )
 from twistrank.twistsim import MAX_LADDER_DEPTH
 
+from record_parsers import record_from_csv, record_from_json
+
 DATA_DIR = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
 
@@ -77,7 +79,7 @@ def test_dist_values_non_increasing_with_exact_ratio():
     code, out, _ = run_cli("--format", "json", "dist", "--p", "2", "--flavor", "sym",
                            "--rmax", "6")
     assert code == 0
-    rec = OutputRecord.from_json(out)
+    rec = record_from_json(out)
     values = [float(v) for _, v in rec.rows]
     assert f"{values[0]:.4f}" == "0.4194"
     for r in range(1, 7):
@@ -93,7 +95,7 @@ def test_dist_far_past_float_range_of_q_power(p, flavor, rmax):
                              "--rmax", str(rmax))
     assert code == 0, err
     field = build_field(int(p), Flavor.parse(flavor))
-    values = [float(v) for _, v in OutputRecord.from_json(out).rows]
+    values = [float(v) for _, v in record_from_json(out).rows]
     assert len(values) == rmax + 1
     for r, value in enumerate(values):
         # past rank 60 the exact weight is below 2^-1700 for both fields
@@ -105,6 +107,24 @@ def test_dist_far_past_float_range_of_q_power(p, flavor, rmax):
     assert values[-1] == 0.0
 
 
+def _live_width(field):
+    return int(np.count_nonzero(rd.stationary_distribution(field, 1200)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 32749])
+@pytest.mark.parametrize("flavor", list(Flavor))
+def test_dist_prints_the_underflowed_tail_as_formatted_zeros(p, flavor):
+    # cmd_dist formats only the non-zero prefix and writes "0" past it; the
+    # rows must be those of formatting every entry of the law
+    field = build_field(p, flavor)
+    width = _live_width(field)
+    assert 2 <= width < 1200
+    for rmax in sorted({0, width - 2, width - 1, width, width + 1, 1200}):
+        every = rd.stationary_distribution(field, rmax).tolist()
+        expected = [(f"D({r})", cli.fmt(v)) for r, v in enumerate(every)]
+        assert cli.cmd_dist(p, flavor, rmax) == expected, (p, flavor, rmax)
+
+
 def test_dist_rejects_bad_flavor():
     code, _, err = run_cli("dist", "--p", "2", "--flavor", "orthogonal")
     assert code == 1
@@ -114,7 +134,7 @@ def test_dist_rejects_bad_flavor():
 def test_moments_output():
     code, out, _ = run_cli("--format", "json", "moments", "--p", "2", "--flavor", "uni")
     assert code == 0
-    rec = OutputRecord.from_json(out)
+    rec = record_from_json(out)
     values = dict(rec.rows)
     assert float(values["expected_rank"]) == pytest.approx(0.48509952, abs=1e-6)
     assert float(values["qr_moment_formula"]) == 3.0
@@ -124,7 +144,7 @@ def test_moments_output():
 def test_moments_large_unitary_p():
     code, out, err = run_cli("--format", "json", "moments", "--p", "1009", "--flavor", "uni")
     assert code == 0, err
-    values = dict(OutputRecord.from_json(out).rows)
+    values = dict(record_from_json(out).rows)
     assert float(values["qr_moment_formula"]) == 1010.0
     assert float(values["qr_moment_series"]) == pytest.approx(1010.0, rel=1e-12)
 
@@ -132,7 +152,7 @@ def test_moments_large_unitary_p():
 def test_bounds_output():
     code, out, _ = run_cli("--format", "json", "bounds", "--p", "3")
     assert code == 0
-    rec = OutputRecord.from_json(out)
+    rec = record_from_json(out)
     values = dict(rec.rows)
     assert float(values["no_growth_proportion[sym]"]) == pytest.approx(0.2780, abs=2e-4)
     assert "fermat_unsolvable_density[sym].formula" in values
@@ -142,7 +162,7 @@ def test_isotropic_output():
     code, out, _ = run_cli("--format", "json", "isotropic", "--p", "2", "--flavor",
                            "sym", "--n", "1")
     assert code == 0
-    rec = OutputRecord.from_json(out)
+    rec = record_from_json(out)
     values = dict(rec.rows)
     assert values["lines_total"] == "3"
     assert values["fiber_size"] == "1"
@@ -154,7 +174,7 @@ def test_isotropic_output():
 def test_isotropic_fiber_size_p3_n2():
     code, out, _ = run_cli("--format", "json", "isotropic", "--p", "3", "--flavor",
                            "sym", "--n", "2")
-    rec = OutputRecord.from_json(out)
+    rec = record_from_json(out)
     assert dict(rec.rows)["fiber_size"] == "18"  # 3^2 * 2
 
 
@@ -171,7 +191,7 @@ def test_isotropic_bounds_n(p, largest):
     code, out, err = run_cli("--format", "csv", "isotropic", "--p", str(p), "--flavor",
                              "sym", "--n", str(largest))
     assert code == 0 and err == ""
-    fiber = dict(OutputRecord.from_csv(out).rows)["fiber_size"]
+    fiber = dict(record_from_csv(out).rows)["fiber_size"]
     assert fiber == str(p ** (2 * largest - 2) * (p - 1))
     assert len(fiber) <= 4300
     assert p ** (2 * largest) * (p - 1) >= 10**4300  # the next n has more digits
@@ -250,7 +270,7 @@ def test_simulate_k0_point_mass():
     code, out, _ = run_cli("--format", "json", "simulate", "--p", "2", "--flavor",
                            "sym", "--k", "0", "--samples", "1000", "--seed", "3")
     assert code == 0
-    values = dict(OutputRecord.from_json(out).rows)
+    values = dict(record_from_json(out).rows)
     assert float(values["tv"]) == 0.0
     assert values["count(0)"] == "1000"
     assert float(values["chi2_pvalue"]) == 1.0
@@ -294,7 +314,7 @@ def test_simulate_prints_the_ranks_the_sampler_can_reach(k):
     code, out, err = run_cli("--format", "json", "simulate", "--p", "2", "--flavor", "sym",
                              "--k", str(k), "--samples", "100000", "--seed", "2")
     assert (code, err) == (0, "")
-    rows = OutputRecord.from_json(out).rows
+    rows = record_from_json(out).rows
     counts = [int(value) for label, value in rows if label.startswith("count(")]
     # the last printed rank is the higher of the last with a count and the
     # last whose tail (the reference mass at or above it) exceeds
@@ -381,7 +401,7 @@ def test_simulate_bounded_error_reference_is_its_own_law():
     code, out, _ = run_cli("--format", "json", "simulate", "--p", "13", "--flavor", "uni",
                            "--k", "20", "--samples", "1000000", "--seed", "5", "--y", "4")
     assert code == 0
-    values = dict(OutputRecord.from_json(out).rows)
+    values = dict(record_from_json(out).rows)
     assert float(values["chi2_pvalue"]) > 1e-3
     field = build_field(13, Flavor.UNITARY)
     assert float(values["ref(1)"]) == pytest.approx(rd.walk_law(field, 20, y=4.0)[1],
@@ -410,7 +430,7 @@ def test_simulate_with_config_file(tmp_path):
     )
     code, out, _ = run_cli("--format", "json", "simulate", str(cfg))
     assert code == 0
-    rec = OutputRecord.from_json(out)
+    rec = record_from_json(out)
     assert rec.params["k"] == "4"
     assert rec.params["shift"] == "notfd:1"
     assert dict(rec.rows)["count(0)"] == "0"  # shifted off rank 0
@@ -432,7 +452,7 @@ def test_simulate_flag_overrides_config(tmp_path):
     cfg.write_text("p = 2\nflavor = sym\nk = 4\nsamples = 5000\nseed = 13\n")
     code, out, _ = run_cli("--format", "json", "simulate", str(cfg), "--k", "2")
     assert code == 0
-    assert OutputRecord.from_json(out).params["k"] == "2"
+    assert record_from_json(out).params["k"] == "2"
 
 
 def test_simulate_malformed_config_line(tmp_path):
@@ -680,7 +700,7 @@ def test_params_echo_every_flag_with_a_value(argv):
     given = {word[2:] for word in argv if word.startswith("--")}
     with_value = [flag for flag, (_, default) in fields.items()
                   if default is not None or flag in given]
-    assert list(OutputRecord.from_json(out).params) == with_value
+    assert list(record_from_json(out).params) == with_value
 
 
 def test_main_does_not_build_a_parser(monkeypatch):
@@ -739,7 +759,7 @@ def test_ladder_levels_and_ratio():
     code, out, _ = run_cli("--format", "json", "ladder", "--x", "10", "--exponent",
                            "2", "--depth", "3", "--k", "0")
     assert code == 0
-    values = dict(OutputRecord.from_json(out).rows)
+    values = dict(record_from_json(out).rows)
     assert float(values["L1"]) == pytest.approx(100.0)
     assert float(values["L2"]) == pytest.approx(10_000.0)
     assert values["D_0"] == "1"
@@ -846,7 +866,7 @@ def test_ladder_prints_every_level_up_to_the_depth_bound(x):
     code, out, err = run_cli("--format", "csv", "ladder", "--x", x,
                              "--depth", str(MAX_LADDER_DEPTH))
     assert (code, err) == (0, "")
-    rows = OutputRecord.from_csv(out).rows
+    rows = record_from_csv(out).rows
     assert [label for label, _ in rows] == [f"L{i}" for i in range(1, MAX_LADDER_DEPTH + 1)]
     assert rows[-1][1] == ("inf" if x == "10" else "1")
 
@@ -856,7 +876,7 @@ def test_ladder_counts_below_int64_without_a_cap():
     code, out, err = run_cli("--format", "csv", "ladder", "--x", "10", "--exponent", "1",
                              "--k", "3")
     assert (code, err) == (0, "")
-    values = dict(OutputRecord.from_csv(out).rows)
+    values = dict(record_from_csv(out).rows)
     assert (values["D_3"], values["D_4"]) == ("13840", "1085146345")
 
 
@@ -890,11 +910,11 @@ def test_out_flag_writes_file(tmp_path):
     code, out, _ = run_cli("--format", "csv", "--out", str(target), "table", "--p", "2")
     assert code == 0
     assert out == ""
-    rec = OutputRecord.from_csv(target.read_text())
+    rec = record_from_csv(target.read_text())
     assert dict(rec.rows)["rank0 sym p=2"] == "0.4194"
 
 
 def test_csv_json_round_trip_via_cli():
     _, csv_text, _ = run_cli("--format", "csv", "moments", "--p", "5", "--flavor", "sym")
     _, json_text, _ = run_cli("--format", "json", "moments", "--p", "5", "--flavor", "sym")
-    assert OutputRecord.from_csv(csv_text) == OutputRecord.from_json(json_text)
+    assert record_from_csv(csv_text) == record_from_json(json_text)

@@ -482,6 +482,18 @@ def test_stationary_distribution_beyond_float_range_of_q_power():
         assert rd.dist_value(field, 1) == dist[1]
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 32749])
+@pytest.mark.parametrize("flavor", list(Flavor))
+def test_stationary_distribution_is_non_zero_exactly_on_a_prefix(p, flavor):
+    # cmd_dist formats only the first count_nonzero entries and prints the
+    # rest as "0", so every entry past them must be +0.0
+    dist = rd.stationary_distribution(build_field(p, flavor), 1200)
+    live = np.count_nonzero(dist)
+    assert 0 < live < len(dist)
+    assert (dist[:live] > 0).all()
+    assert not np.signbit(dist[live:]).any() and not dist[live:].any()
+
+
 def test_qr_moment_series_for_large_unitary_p():
     for p in (1009, 32749):
         field = build_field(p, Flavor.UNITARY)
