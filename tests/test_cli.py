@@ -107,17 +107,13 @@ def test_dist_far_past_float_range_of_q_power(p, flavor, rmax):
     assert values[-1] == 0.0
 
 
-def _live_width(field):
-    return int(np.count_nonzero(rd.stationary_distribution(field, 1200)))
-
-
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 32749])
 @pytest.mark.parametrize("flavor", list(Flavor))
 def test_dist_prints_the_underflowed_tail_as_formatted_zeros(p, flavor):
     # cmd_dist formats only the non-zero prefix and writes "0" past it; the
     # rows must be those of formatting every entry of the law
     field = build_field(p, flavor)
-    width = _live_width(field)
+    width = int(np.count_nonzero(rd.stationary_distribution(field, 1200)))
     assert 2 <= width < 1200
     for rmax in sorted({0, width - 2, width - 1, width, width + 1, 1200}):
         every = rd.stationary_distribution(field, rmax).tolist()
