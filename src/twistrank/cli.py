@@ -18,9 +18,9 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import rankdist, twistsim
-from .gf import MAX_P, Flavor, build_field, format_elem, is_prime
+from .gf import MAX_P, Flavor, build_field, is_prime
 from .records import OutputRecord
-from .spaces import fiber_size, hyperbolic_plane, isotropic_slopes
+from .spaces import fiber_size
 from .twistsim import SimConfig
 
 TABLE_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -125,13 +125,24 @@ def cmd_bounds(p: int, deg_k: int) -> list[tuple[str, str]]:
 
 
 def cmd_isotropic(p: int, flavor: Flavor, n: int) -> list[tuple[str, str]]:
-    """Lines by canonical basis, from isotropic_slopes: the first is the
-    unramified line, the other p are the ramified lines of the micro model."""
-    first, *ramified = isotropic_slopes(hyperbolic_plane(build_field(p, flavor)))
+    """The p + 1 isotropic lines of the hyperbolic plane by canonical basis:
+    the unramified line (0, 1), then the p ramified lines (1, t), in the
+    order of isotropic_slopes, which finds them for any Gram matrix.
+
+    On the plane's Gram matrix ((0, 1), (g, 0)), h((0, 1), (0, 1)) = 0 and
+    h((1, t), (1, t)) = conj(t) + g*t. The symplectic form (g = -1) is
+    alternating, so every line is isotropic and t runs over F_p. The
+    unitary one (g = 1) gives Tr(t), which must vanish: with the modulus
+    x^2 - n of odd p, Tr(a + bx) = 2a, so t = bx; with x^2 + x + 1 at
+    p = 2, Tr(a + bx) = b, so t = a.
+    """
+    build_field(p, flavor)  # for its checks of p and the flavor
     rows = [("lines_total", str(p + 1)), ("fiber_size", str(fiber_size(p, n))),
-            ("unramified", "(0, 1)" if first is None else f"(1, {format_elem(*first)})")]
-    return rows + [(f"ramified[{i}]", f"(1, {format_elem(a, b)})")
-                   for i, (a, b) in enumerate(ramified)]
+            ("unramified", "(0, 1)")]
+    if flavor is Flavor.SYMPLECTIC or p == 2:
+        return rows + [(f"ramified[{a}]", f"(1, {a})") for a in range(p)]
+    return rows + [("ramified[0]", "(1, 0)"), ("ramified[1]", "(1, x)")] + [
+        (f"ramified[{b}]", f"(1, {b}x)") for b in range(2, p)]
 
 
 def cmd_simulate(p, flavor, k, samples, seed, shift, y, threads) -> list[tuple[str, str]]:

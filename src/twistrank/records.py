@@ -5,7 +5,9 @@ a record is built, so every encoding of the same record is byte-stable.
 
 Both encoders write their bytes in one pass: to_json those of
 json.dumps(indent=2), to_csv those of csv.writer's excel dialect with "\n"
-row ends (see _csv_field). Each is lossless: json.loads, or csv.reader,
+row ends (see _csv_field). to_csv quotes per column: each column is
+scanned once, and a column without '"', CR or LF needs only the comma
+test (see _csv_column). Each is lossless: json.loads, or csv.reader,
 gives back every string of the record.
 """
 
@@ -21,6 +23,17 @@ def _csv_field(text: str) -> str:
     if "," in text or '"' in text or "\r" in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
+
+
+def _csv_column(items: list[str]) -> list[str]:
+    """_csv_field of each item. The column is scanned once, joined: without
+    a '"', CR or LF in it, a field needs quoting only when it holds ','."""
+    text = "".join(items)
+    if '"' in text or "\r" in text or "\n" in text:
+        return [_csv_field(item) for item in items]
+    if "," not in text:
+        return items
+    return [f'"{item}"' if "," in item else item for item in items]
 
 
 def _container(open_: str, items: list[str], close: str) -> str:
@@ -48,11 +61,13 @@ class OutputRecord:
                 f'  "rows": {_container("[", rows, "]")}\n}}\n')
 
     def to_csv(self) -> str:
-        params = [f"param,{_csv_field(key)},{_csv_field(value)}\n"
-                  for key, value in self.params.items()]
-        rows = [f"row,{_csv_field(label)},{_csv_field(value)}\n" for label, value in self.rows]
+        keys = _csv_column(list(self.params))
+        params = _csv_column(list(self.params.values()))
+        labels = _csv_column([label for label, _ in self.rows])
+        values = _csv_column([value for _, value in self.rows])
         return (f"section,key,value\ncommand,,{_csv_field(self.command)}\n"
-                + "".join(params) + "".join(rows))
+                + "".join([f"param,{key},{value}\n" for key, value in zip(keys, params)])
+                + "".join([f"row,{label},{value}\n" for label, value in zip(labels, values)]))
 
     def to_table(self) -> str:
         lines = [f"# command: {self.command}"]

@@ -66,7 +66,7 @@ class HermitianSpace:
     Unitary flavor: the Gram matrix is hermitian under conjugation.
 
     `entries` holds the non-zero Gram entries g_ij = g0 + g1*x as int
-    tuples (i, j, g0, g1), for `evaluate_form`; it is derived from `gram`,
+    tuples (i, j, g0, g1), for the pairing; it is derived from `gram`,
     so equality and repr leave it out.
     """
 
@@ -119,28 +119,32 @@ def metabolic_space(field: FieldParams, blocks: int) -> HermitianSpace:
     return HermitianSpace(field=field, dim=dim, gram=gram)
 
 
-def evaluate_form(space: HermitianSpace, x, y) -> FqElem:
-    """h(x, y) = sum of x_i * g_ij * conj(y_j), linear in x and
-    conjugate-linear in y; a coordinate over another field raises ValueError.
-
-    The sum runs over the non-zero Gram entries only, in integer
-    coordinates, and builds one FqElem at the end: on a metabolic Gram
-    matrix, with one non-zero entry per row, a pairing costs dim products.
-    """
-    if len(x) != space.dim or len(y) != space.dim:
+def _check_coordinates(space: HermitianSpace, *vectors) -> None:
+    """Raise ValueError unless every vector has dim coordinates in the field."""
+    if any(len(v) != space.dim for v in vectors):
         raise ValueError("vector length does not match the space dimension")
     field = space.field
-    for v in (x, y):
+    for v in vectors:
         for e in v:
+            # identity first: comparing the whole FieldParams is the slow path
             if e.field is not field and e.field != field:
                 raise ValueError("field mismatch in arithmetic")
-    p = field.p
-    if field.modulus is None:
-        return FqElem(field, sum(x[i].c0 * g0 * y[j].c0
-                                 for i, j, g0, _ in space.entries) % p, 0)
+
+
+def _pairing(space: HermitianSpace, x, y) -> tuple[int, int]:
+    """h(x, y) as its coordinates (c0, c1), as in FqElem, for vectors that
+    _check_coordinates has passed.
+
+    The sum runs over the non-zero Gram entries only, in integer
+    coordinates: on a metabolic Gram matrix, with one non-zero entry per
+    row, a pairing costs dim products.
+    """
+    p = space.field.p
+    if space.field.modulus is None:
+        return sum(x[i].c0 * g0 * y[j].c0 for i, j, g0, _ in space.entries) % p, 0
     # with x^2 = -a1*x - a0: u = x_i * g_ij, then u * conj(y_j), where
     # conj(d0 + d1*x) = (d0 - a1*d1) - d1*x
-    a1, a0 = field.modulus
+    a1, a0 = space.field.modulus
     s0 = s1 = 0
     for i, j, g0, g1 in space.entries:
         c0, c1, d0, d1 = x[i].c0, x[i].c1, y[j].c0, y[j].c1
@@ -151,7 +155,14 @@ def evaluate_form(space: HermitianSpace, x, y) -> FqElem:
         cross = u1 * e1
         s0 += u0 * e0 - a0 * cross
         s1 += u0 * e1 + u1 * e0 - a1 * cross
-    return FqElem(field, s0 % p, s1 % p)
+    return s0 % p, s1 % p
+
+
+def evaluate_form(space: HermitianSpace, x, y) -> FqElem:
+    """h(x, y) = sum of x_i * g_ij * conj(y_j), linear in x and
+    conjugate-linear in y; a coordinate over another field raises ValueError."""
+    _check_coordinates(space, x, y)
+    return FqElem(space.field, *_pairing(space, x, y))
 
 
 def _null_space(constraints: list[list[FqElem]], field: FieldParams, dim: int) -> Subspace:
@@ -195,13 +206,22 @@ def is_maximal_isotropic(space: HermitianSpace, sub: Subspace) -> bool:
     The form is non-degenerate, so dim L^perp = dim V - dim L, and L = L^perp
     exactly when 2 dim L = dim V and h(x, y) = 0 for basis vectors x before
     or at y; h(y, x) = +-conj h(x, y) covers the other pairs. The echelon
-    basis is independent, so len(basis) is dim L.
+    basis is independent, so len(basis) is dim L. The basis is checked once,
+    and an alternating form skips the pairs x = y, where h(x, x) = 0; a
+    hermitian h(x, x) lies in F_p and may not vanish.
     """
     if sub.ambient_dim != space.dim:
         raise ValueError("subspace does not live in this space")
     basis = sub.basis
-    return 2 * len(basis) == space.dim and not any(
-        evaluate_form(space, basis[i], y) for i in range(len(basis)) for y in basis[i:])
+    if 2 * len(basis) != space.dim:
+        return False
+    _check_coordinates(space, *basis)
+    skip = 1 if space.field.flavor is Flavor.SYMPLECTIC else 0
+    for i, x in enumerate(basis):
+        for y in basis[i + skip:]:
+            if _pairing(space, x, y) != (0, 0):
+                return False
+    return True
 
 
 def _roots_mod_p(a2: int, a1: int, a0: int, p: int, sqrt: dict[int, int],

@@ -23,13 +23,14 @@ from twistrank.cli import (
     load_sim_config,
     main,
 )
-from twistrank.gf import Flavor, build_field, is_prime
+from twistrank.gf import Flavor, build_field, format_elem, is_prime
 from twistrank.records import OutputRecord
 from twistrank.spaces import (
     enumerate_isotropic_lines,
     evaluate_form,
     fiber_size,
     hyperbolic_plane,
+    isotropic_slopes,
 )
 from twistrank.twistsim import MAX_LADDER_DEPTH
 
@@ -260,6 +261,21 @@ def test_isotropic_rows_match_the_subspace_route(flavor, n):
                                           (32749, Flavor.UNITARY, 1)])
 def test_isotropic_rows_match_the_subspace_route_at_large_p(p, flavor, n):
     assert_isotropic_matches_the_subspace_route(p, flavor, n)
+
+
+@pytest.mark.parametrize("flavor", list(Flavor))
+def test_isotropic_closed_form_is_the_general_solver_over_the_domain(flavor):
+    """cmd_isotropic writes the lines from their closed form; its rows equal
+    those rendered from isotropic_slopes, the solver for any Gram matrix,
+    at every prime below 2000 and at 3067 and 32749."""
+    for p in [p for p in range(2000) if is_prime(p)] + [3067, 32749]:
+        first, *ramified = isotropic_slopes(hyperbolic_plane(build_field(p, flavor)))
+        assert first is None
+        expected = [("lines_total", str(p + 1)), ("fiber_size", str(fiber_size(p, 1))),
+                    ("unramified", "(0, 1)")]
+        expected += [(f"ramified[{i}]", f"(1, {format_elem(*slope)})")
+                     for i, slope in enumerate(ramified)]
+        assert cmd_isotropic(p, flavor, 1) == expected, p
 
 
 def test_simulate_k0_point_mass():

@@ -102,10 +102,19 @@ CSV_AWKWARD = st.one_of(
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(command=CSV_AWKWARD, params=st.dictionaries(CSV_AWKWARD, CSV_AWKWARD, max_size=4),
-       rows=st.lists(st.tuples(CSV_AWKWARD, CSV_AWKWARD), max_size=5))
+       rows=st.lists(st.tuples(CSV_AWKWARD, CSV_AWKWARD), max_size=40))
 @example(command="", params={}, rows=[])
 @example(command="\r", params={"": " "}, rows=[("a\rb", ' "x" '), ("", ",")])
 @example(command='say "hi"', params={"p": "2"}, rows=[("D(0)", "1\n2\r\n3")])
+# to_csv scans each column once: only its last item holds '"', CR or LF
+@example(command="c", params={"a": "1", "b": "2,3", 'k"': "4"},
+         rows=[("x", "(1, 0)"), ("y", "(1, 1)"), ("z", "(1, 2)\r")])
+@example(command="c", params={"a": "1", "b": "2\n"},
+         rows=[("x", "1"), ("y,", "2"), ('z"', "3")])
+@example(command="c", params={"a\r": "1"}, rows=[("x", ","), ("y\n", "a,b")])
+# a column whose only special characters are commas
+@example(command="c", params={"p,q": "2,3", "r": ""},
+         rows=[("a", "(1, x)"), ("b", "7"), ("c", ","), ("d", ",,")])
 def test_csv_is_csv_writer_with_lf_row_ends(command, params, rows):
     rec = OutputRecord(command=command, params=params, rows=rows)
     lines = [["section", "key", "value"], ["command", "", command]]

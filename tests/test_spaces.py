@@ -403,6 +403,65 @@ def test_maximal_isotropic_agrees_with_the_complement(p, flavor, count):
     assert found == expected == count
 
 
+@st.composite
+def metabolic_rows(draw):
+    """p, a flavor, and 1 to 3 rows in the integer coordinates (c0, c1) of
+    metabolic_space(field, 2), out of echelon form.
+
+    Half the draws start from a Lagrangian: in the coordinates
+    (e0, f0, e1, f1) of the two planes, the span of u0 = e0 + s00 f0 + s01 f1
+    and u1 = e1 + s10 f0 + s11 f1, where h(u1, u0) = conj(s01) + g*s10 and
+    h(u_i, u_i) = conj(s_ii) + g*s_ii vanish, with g = h(f, e), -1 or 1 by
+    flavor. Its rows are mixed, and may
+    lose a row, gain a random one or have a random vector added: near
+    misses of every dimension. The other half are random rows."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    flavor = draw(st.sampled_from(list(Flavor)))
+    field = build_field(p, flavor)
+    elems = list(field.elements())
+    elem, unit = st.sampled_from(elems), st.sampled_from(elems[1:])
+    vector = st.lists(elem, min_size=4, max_size=4)
+    if draw(st.booleans()):
+        s01 = draw(elem)
+        if flavor is Flavor.SYMPLECTIC:
+            s00, s10, s11 = draw(elem), s01, draw(elem)
+        else:
+            # t - conj(t) has trace 0
+            s00, s11 = (t - t.conj() for t in (draw(elem), draw(elem)))
+            s10 = -s01.conj()
+        zero, one = field.zero(), field.one()
+        u0, u1 = (one, s00, zero, s01), (zero, s10, one, s11)
+        a, b, c = draw(unit), draw(elem), draw(unit)
+        rows = draw(st.permutations([[a * x + b * y for x, y in zip(u0, u1)],
+                                     [c * y for y in u1]]))
+        tweak = draw(st.sampled_from(["none", "drop", "extra", "perturb"]))
+        if tweak == "drop":
+            rows = rows[:1]
+        elif tweak == "extra":
+            rows.append(draw(vector))
+        elif tweak == "perturb":
+            rows[0] = [x + y for x, y in zip(rows[0], draw(vector))]
+    else:
+        rows = draw(st.lists(vector, min_size=1, max_size=3))
+    return p, flavor, tuple(tuple((e.c0, e.c1) for e in row) for row in rows)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=metabolic_rows())
+# x = e0 + f0 and y = e1 + f1: h(x, y) = 0, but h(x, x) = h(y, y) = Tr(1) = 2
+@example(case=(3, Flavor.UNITARY, (((1, 0), (1, 0), (0, 0), (0, 0)),
+                                   ((0, 0), (0, 0), (1, 0), (1, 0)))))
+def test_maximal_isotropic_agrees_with_the_complement_on_random_rows(case):
+    """The pairing test against the complement route at p = 3, 5 and 7, past
+    the reach of the exhaustive test, on subspaces of dimension 1 to 3."""
+    p, flavor, rows = case
+    field = build_field(p, flavor)
+    space = metabolic_space(field, 2)
+    sub = Subspace(4, [[field.elem(c0, c1) for c0, c1 in row] for row in rows])
+    assume(1 <= len(sub.basis))
+    assert is_maximal_isotropic(space, sub) == (sub == orthogonal_complement(space, sub))
+
+
 def test_lagrangian_census_of_three_hyperbolic_planes():
     """(p+1)(p^2+1)(p^3+1) = 135 of the 1395 3-dim subspaces of F_2^6."""
     field = build_field(2, Flavor.SYMPLECTIC)
