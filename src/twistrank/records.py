@@ -5,10 +5,8 @@ a record is built, so every encoding of the same record is byte-stable.
 
 Both encoders write their bytes in one pass: to_json those of
 json.dumps(indent=2), to_csv those of csv.writer's excel dialect with "\n"
-row ends (see _csv_field). to_csv quotes per column: each column is
-scanned once, and a column without '"', CR or LF needs only the comma
-test (see _csv_column). Each is lossless: json.loads, or csv.reader,
-gives back every string of the record.
+row ends (see _csv_field), quoted per column (see _csv_column). Each is
+lossless: json.loads, or csv.reader, gives back every string of the record.
 """
 
 from __future__ import annotations

@@ -412,9 +412,9 @@ def metabolic_rows(draw):
     (e0, f0, e1, f1) of the two planes, the span of u0 = e0 + s00 f0 + s01 f1
     and u1 = e1 + s10 f0 + s11 f1, where h(u1, u0) = conj(s01) + g*s10 and
     h(u_i, u_i) = conj(s_ii) + g*s_ii vanish, with g = h(f, e), -1 or 1 by
-    flavor. Its rows are mixed, and may
-    lose a row, gain a random one or have a random vector added: near
-    misses of every dimension. The other half are random rows."""
+    flavor. Its rows are mixed, and may lose a row, gain a random one or
+    have a random vector added: near misses of every dimension. The other
+    half are random rows."""
     p = draw(st.sampled_from([3, 5, 7]))
     flavor = draw(st.sampled_from(list(Flavor)))
     field = build_field(p, flavor)
