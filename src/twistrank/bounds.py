@@ -28,9 +28,10 @@ def fermat_unsolvable_density(p: int) -> float:
     check_range(p)
     if not is_prime(p) or p < 3:
         raise ValueError(f"the Fermat bound needs an odd prime, got {p}")
-    value = 1.0
-    for t in rankdist.truncated_terms(lambda i: float(p) ** (-i - 1)):
+    value, i = 1.0, 1
+    while (t := float(p) ** -i) >= rankdist.PRODUCT_EPS:
         value /= 1.0 + t
+        i += 1
     return value
 
 
@@ -74,9 +75,10 @@ def odd_rank_proportion(p: int) -> float:
     check_range(p)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    b = 1.0
-    for t in rankdist.truncated_terms(lambda i: float(p) ** (-i - 1)):
+    b, i = 1.0, 1
+    while (t := float(p) ** -i) >= rankdist.PRODUCT_EPS:
         b *= (1.0 - t) / (1.0 + t)
+        i += 1
     return (1.0 - b) / 2.0
 
 

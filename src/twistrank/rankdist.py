@@ -14,8 +14,8 @@ import numpy as np
 
 from .gf import FieldParams, Flavor
 
-# Infinite products and series are truncated once a factor differs from 1
-# by less than this; the surviving error is far below every tolerance used.
+# Each product and series here and in bounds stops before its first term below
+# this (its terms decrease); the error left is far below every tolerance used.
 PRODUCT_EPS = 1e-16
 
 R_MAX_DEFAULT = 64
@@ -25,21 +25,13 @@ R_MAX_DEFAULT = 64
 CORANK_TERMS = 64
 
 
-def truncated_terms(term):
-    """term(0), term(1), ... up to the first term below PRODUCT_EPS; the
-    terms of every product and series here and in bounds decrease."""
-    i = 0
-    while (t := term(i)) >= PRODUCT_EPS:
-        yield t
-        i += 1
-
-
 def leading_constant(field: FieldParams) -> float:
     """prod_{i>=0} (1 + q^(-i-epsilon))^(-1), the mass at rank 0."""
-    q, p = field.q, field.p
+    q, d = field.q, field.p  # d = q^(i+epsilon), an exact int
     value = 1.0
-    for t in truncated_terms(lambda i: 1.0 / (p * q**i)):  # q^(-i-epsilon)
+    while (t := 1.0 / d) >= PRODUCT_EPS:
         value /= 1.0 + t
+        d *= q
     return value
 
 
@@ -83,10 +75,11 @@ def dist_value(field: FieldParams, r: int) -> float:
 
 def expected_rank(field: FieldParams) -> float:
     """sum_{i>=0} 1/(1 + q^(i+epsilon))."""
-    q, p = field.q, field.p
+    q, d = field.q, field.p  # d = q^(i+epsilon), an exact int
     total = 0.0
-    for t in truncated_terms(lambda i: 1.0 / (1.0 + p * q**i)):
+    while (t := 1.0 / (1.0 + d)) >= PRODUCT_EPS:
         total += t
+        d *= q
     return total
 
 
@@ -98,16 +91,22 @@ def qr_moment(field: FieldParams) -> float:
 def qr_moment_by_series(field: FieldParams) -> float:
     """The q^r-moment by direct summation of q^r * D(r) up to R_MAX_DEFAULT."""
     q = float(field.q)
-    # ranks whose mass underflowed add nothing, and q^r may overflow there
-    return float(sum(q**r * dr for r, dr in enumerate(stationary_distribution(field)) if dr))
+    total = 0.0
+    # ranks whose mass underflowed add nothing, and q^r may overflow there;
+    # a plain loop, since sum() compensates its float additions from Python 3.12 on
+    for r, dr in enumerate(stationary_distribution(field).tolist()):
+        if dr:
+            total += q**r * dr
+    return total
 
 
 def beta(field: FieldParams) -> float:
     """prod_{i>=0} (1 - q^(-i-epsilon)) / (1 + q^(-i-epsilon))."""
-    q, p = field.q, field.p
+    q, d = field.q, field.p  # d = q^(i+epsilon), an exact int
     value = 1.0
-    for t in truncated_terms(lambda i: 1.0 / (p * q**i)):
+    while (t := 1.0 / d) >= PRODUCT_EPS:
         value *= (1.0 - t) / (1.0 + t)
+        d *= q
     return value
 
 

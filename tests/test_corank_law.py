@@ -13,6 +13,7 @@ walk, must both match it to rounding.
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -171,6 +172,39 @@ def test_float_corank_law_cures_the_walk_drift(flavor):
     assert abs(Fraction(rd.corank_law(field, 10**18)[0]) - d0) <= Fraction(1, 10**16)
     if flavor is Flavor.SYMPLECTIC:
         assert abs(Fraction(rd.walk_law(field, 10**18)[0]) - d0) > Fraction(1, 10**14)
+
+
+FAR_PAIRS = [(p, flavor) for p in (2, 3, 5, 7, 11, 13, 101, 1009, 32749) for flavor in Flavor]
+
+
+@pytest.mark.parametrize("p,flavor", FAR_PAIRS)
+def test_far_corank_law_is_the_stationary_law(p, flavor):
+    """At k = 10^18 the closed form's products are D's product formula to
+    rounding, so the two float routes to D certify each other: the same
+    width, normal entries within 1.1e-15 relative (the worst, 1.02e-15, at
+    p = 7 uni) and subnormal ones within one subnormal ulp (rank 14 at
+    p = 1009 sym, 1.3e-8 relative but 5e-324 absolute)."""
+    field = build_field(p, flavor)
+    law = rd.corank_law(field, 10**18)
+    stationary = rd.stationary_distribution(field, 2 * rd.CORANK_TERMS)
+    assert np.flatnonzero(stationary)[-1] + 1 == len(law)
+    for r, (got, want) in enumerate(zip(law.tolist(), stationary.tolist())):
+        if want >= sys.float_info.min:
+            assert abs(got - want) <= 1.1e-15 * want, (r, abs(got - want) / want)
+        else:
+            assert abs(got - want) <= math.ulp(0.0), r
+
+
+@pytest.mark.parametrize("p,flavor", FAR_PAIRS)
+def test_corank_law_tv_to_stationary_is_at_most_p_to_the_minus_k(p, flavor):
+    """TV(P_k, D) <= max(p^-k, 1e-14) at every k < 200 and at k = 10^18; the
+    largest ratio to the bound, 0.58, is at k = 0, p = 2 sym."""
+    field = build_field(p, flavor)
+    stationary = rd.stationary_distribution(field, 2 * rd.CORANK_TERMS)
+    for k in [*range(200), 10**18]:
+        law = rd.corank_law(field, k)
+        gap = np.abs(np.pad(law, (0, len(stationary) - len(law))) - stationary)
+        assert 0.5 * gap.sum() <= max(float(p) ** -k, 1e-14), k
 
 
 @pytest.mark.parametrize("p", [3, 5, 13])

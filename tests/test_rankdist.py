@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from twistrank import bounds
 from twistrank import rankdist as rd
 from twistrank.gf import Flavor, build_field
 from twistrank.twistsim import primes_up_to
@@ -498,3 +499,53 @@ def test_qr_moment_series_for_large_unitary_p():
     for p in (1009, 32749):
         field = build_field(p, Flavor.UNITARY)
         assert rd.qr_moment_by_series(field) == pytest.approx(rd.qr_moment(field), rel=1e-12)
+
+
+def truncated_terms(term):
+    """term(0), term(1), ... up to the first term below PRODUCT_EPS: the
+    generator form kept as the reference the closed-form loops must equal."""
+    i = 0
+    while (t := term(i)) >= rd.PRODUCT_EPS:
+        yield t
+        i += 1
+
+
+def reference_closed_forms(field):
+    """leading_constant, beta, expected_rank and qr_moment_by_series in their
+    generator and numpy-scalar forms, each term a fresh power q**i."""
+    q, p = field.q, field.p
+    d0 = b = 1.0
+    for t in truncated_terms(lambda i: 1.0 / (p * q**i)):
+        d0 /= 1.0 + t
+        b *= (1.0 - t) / (1.0 + t)
+    mean = 0.0
+    for t in truncated_terms(lambda i: 1.0 / (1.0 + p * q**i)):
+        mean += t
+    fq = float(q)
+    moment = float(sum(fq**r * dr for r, dr in enumerate(rd.stationary_distribution(field)) if dr))
+    return d0, b, mean, moment
+
+
+def reference_bounds(p):
+    """fermat_unsolvable_density and odd_rank_proportion in generator form."""
+    value = b = 1.0
+    for t in truncated_terms(lambda i: float(p) ** (-i - 1)):
+        value /= 1.0 + t
+        b *= (1.0 - t) / (1.0 + t)
+    return value, (1.0 - b) / 2.0
+
+
+@pytest.mark.parametrize("flavor", list(Flavor))
+def test_closed_forms_are_bitwise_the_generator_forms(flavor):
+    """The loops over exact integer powers (rankdist) and a running float
+    exponent (bounds) do every term's IEEE operation on the same operands
+    as the generator forms, so each value is equal, not merely close."""
+    for p in [p for p in DOMAIN_PRIMES if p < 2000] + [3067, 32749]:
+        field = build_field(p, flavor)
+        got = (rd.leading_constant(field), rd.beta(field), rd.expected_rank(field),
+               rd.qr_moment_by_series(field))
+        assert got == reference_closed_forms(field), p
+        fermat, odd = reference_bounds(p)
+        if p >= 3:
+            assert bounds.fermat_unsolvable_density(p) == fermat, p
+        assert bounds.odd_rank_proportion(p) == odd, p
