@@ -216,6 +216,7 @@ SHIFT = (_parse_shift, "'fd' or 'notfd:<r>' with r >= 0", lambda r: f"notfd:{r}"
 Y = (_parse_y, "a positive finite number or 'exact'", lambda y: "exact" if y is None else fmt(y))
 
 REQUIRED = object()
+FORMATS = ("csv", "json", "table")
 
 # per command: its function, its help, and per flag its parser and default
 # (REQUIRED, None for absent, or the text of the value); the flags are in the
@@ -324,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Rank statistics of twist families: distributions, bounds, "
                     "isotropic structures, and Monte Carlo simulation.",
     )
-    parser.add_argument("--format", choices=("csv", "json", "table"), default="table",
+    parser.add_argument("--format", choices=FORMATS, default="table",
                         help="output encoding (default: table)")
     parser.add_argument("--out", metavar="PATH", default=None,
                         help="write output to PATH instead of stdout")
@@ -344,10 +345,58 @@ def build_parser() -> argparse.ArgumentParser:
 PARSER = build_parser()
 
 
+def parse_plain(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace PARSER.parse_args returns for a plain argv, read from
+    COMMANDS; None for any other argv. A plain argv is leading --format F and
+    --out PATH pairs, a command, for simulate an optional config path, then
+    each of the command's flags at most once, every required one, with a value
+    not starting with "-". So argparse alone handles --help, abbreviations,
+    --flag=value, negative values and every syntax error."""
+    args = {"format": "table", "out": None}
+    i = 0
+    while argv[i:i + 1] in (["--format"], ["--out"]) and i + 1 < len(argv):
+        flag, value = argv[i][2:], argv[i + 1]
+        if value.startswith("-") or (flag == "format" and value not in FORMATS):
+            return None
+        args[flag] = value
+        i += 2
+    if i == len(argv) or argv[i] not in COMMANDS:
+        return None
+    args["cmd"] = cmd = argv[i]
+    fields = COMMANDS[cmd][2]
+    args.update(dict.fromkeys(fields))
+    i += 1
+    if cmd == "simulate":
+        config = argv[i] if i < len(argv) and not argv[i].startswith("-") else None
+        args["config"] = config
+        i += config is not None
+    flags, values = argv[i::2], argv[i + 1::2]
+    if len(flags) != len(values) or len(set(flags)) != len(flags):
+        return None
+    for flag, value in zip(flags, values):
+        if not flag.startswith("--") or flag[2:] not in fields or value.startswith("-"):
+            return None
+        args[flag[2:]] = value
+    if any(args[flag] is None for flag, (_, default) in fields.items() if default is REQUIRED):
+        return None
+    return argparse.Namespace(**args)
+
+
 def main(argv=None) -> int:
-    args = PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parse_plain(argv) or PARSER.parse_args(argv)
+    # rendering and writing a large record can run out of memory too
     try:
-        record = run_command(args)
+        text = run_command(args).render(args.format)
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            except OSError as exc:
+                print(f"error: cannot write {args.out!r}: {exc}", file=sys.stderr)
+                return 1
+        else:
+            sys.stdout.write(text)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -356,16 +405,6 @@ def main(argv=None) -> int:
         reason = f": {exc}" if str(exc) else ""
         print(f"error: out of memory{reason}", file=sys.stderr)
         return 1
-    text = record.render(args.format)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out!r}: {exc}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(text)
     return 0
 
 

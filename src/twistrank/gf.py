@@ -8,6 +8,7 @@ automorphism a -> a^p used as the conjugation involution.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 
 # p^2 must stay a comfortable machine integer; the statistics of interest
@@ -102,8 +103,10 @@ def build_field(p: int, flavor: Flavor) -> FieldParams:
 
     The quadratic modulus is chosen deterministically: x^2+x+1 for p = 2,
     x^2 - n for odd p with n the smallest positive non-residue mod p. Both
-    have no root in F_p, so they are irreducible.
+    have no root in F_p, so they are irreducible. A numpy integer p is kept
+    as a Python int, so q and every power of it are exact.
     """
+    p = operator.index(p)
     check_range(p)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")

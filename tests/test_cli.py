@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -723,6 +724,103 @@ def test_main_does_not_build_a_parser(monkeypatch):
     assert run_cli("moments", "--p", "2", "--flavor", "sym")[0] == 0
 
 
+def plain_argv_variants(argv):
+    """argv under each output prefix, with its flags reversed, with a simulate
+    config path, and with an empty first value: every one still plain."""
+    head = next(i for i, word in enumerate(argv) if word in COMMANDS)
+    top, cmd, rest = argv[:head], argv[head], argv[head + 1:]
+    config = [rest.pop(0)] if cmd == "simulate" and rest and not rest[0].startswith("-") else []
+    pairs = [rest[i:i + 2] for i in range(0, len(rest), 2)]
+    bodies = [[*config, *sum(pairs, [])], [*config, *sum(pairs[::-1], [])]]
+    if cmd == "simulate":
+        bodies += [["run.cfg", *sum(pairs, [])], ["", *sum(pairs[::-1], [])]]
+    if pairs:
+        bodies.append([*config, pairs[0][0], "", *sum(pairs[1:], [])])
+    prefixes = [top, [], ["--out", "out.txt"], ["--out", "o", "--format", "csv"],
+                ["--format", "json", "--out", ""], ["--format", "csv", "--format", "table"],
+                *(["--format", fmt] for fmt in cli.FORMATS)]
+    return [[*prefix, cmd, *body] for prefix in prefixes for body in bodies]
+
+
+def plain_argv_corpus():
+    """README's examples, every perfbench op's argv, and each command with all
+    of its flags and with its required ones only."""
+    from test_perfbench_contract import ROOT, load
+
+    workloads = load("workloads")
+    corpus = [*readme_cli_examples()]
+    corpus += [op.label.split() for build in workloads.WORKLOADS.values()
+               for op in build(1, ROOT) if op.fmt != "text"]
+    for cmd, (_, _, fields) in COMMANDS.items():
+        corpus.append([cmd, *(word for flag, (_, default) in fields.items()
+                              for word in (f"--{flag}", default if isinstance(default, str)
+                                           else "7"))])
+        corpus.append([cmd, *VALID_REQUIRED.get(cmd, ())])
+    return corpus
+
+
+def test_plain_argv_parse_is_argparse_namespace():
+    parser = cli.build_parser()
+    corpus = plain_argv_corpus()
+    assert len(corpus) > 40
+    for base in corpus:
+        for argv in plain_argv_variants(base):
+            assert cli.parse_plain(argv) == parser.parse_args(argv), argv
+
+
+ARGPARSE_ONLY = [
+    [], ["--help"], ["-h"], ["dist", "--help"], ["simulate", "-h"], ["--format", "json"],
+    ["simulate", "--samp", "10"], ["--form", "json", "table"], ["simulate", "--k=5"],
+    ["--format=json", "table"], ["simulate", "--k", "-3"], ["simulate", "--y", "-1e-3"],
+    ["simulate", "--k", "1", "--k", "2"], ["dist", "--p", "2"], ["ladder", "--x", "10", "--cap", "5"],
+    ["--format", "xml", "table"], ["--format", "xml", "--format", "json", "table"],
+    ["--out", "-", "table"], ["--out", "--format", "table"], ["simulate", "--k", "5", "run.cfg"],
+    ["simulate", "a.cfg", "b.cfg"], ["simulate", "-5"], ["table", "--p"], ["tab"],
+    ["table", "--", "--p", "2"], ["moments", "--p", "2", "--flavor", "sym", "--format", "json"],
+    ["dist", "--p", "2", "--flavor", "sym", "extra"], ["table", "-p", "2"], ["table", "--P", "2"],
+    ["bounds", "--p", "2", "--degK"], ["isotropic", "--p", "2", "--flavor", "sym", "--n", "--p"],
+]
+
+
+@pytest.mark.parametrize("argv", ARGPARSE_ONLY, ids=map(" ".join, ARGPARSE_ONLY))
+def test_argparse_only_forms_are_left_to_argparse(argv):
+    assert cli.parse_plain(argv) is None
+
+
+FUZZ_VALUES = ["2", "sym", "10", "", "json", "csv", "o.txt", "run.cfg"]
+FUZZ_ODD = ["-3", "-", "--", "-h", "--k=5", "--samp", "--format", "--out", "xml", *COMMANDS]
+FUZZ_PARSER = cli.build_parser()
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_parse_plain_is_argparse_or_declines(data):
+    # a plain argv parses as argparse parses it; anything else, including
+    # whatever argparse refuses or answers with help, is declined
+    cmd = data.draw(st.sampled_from(sorted(COMMANDS)))
+    values = st.sampled_from([*FUZZ_VALUES, "-3", "--k=5"])
+    flags = st.sampled_from([*(f"--{flag}" for flag in COMMANDS[cmd][2]), "--samp", "-h"])
+    top = data.draw(st.lists(st.sampled_from(
+        [*(("--format", fmt) for fmt in ("csv", "json", "table", "xml")),
+         *(("--out", path) for path in ("o.txt", "", "-3"))]), max_size=2))
+    chosen = data.draw(st.dictionaries(flags, values, max_size=4))
+    required = VALID_REQUIRED.get(cmd, ())
+    for flag, value in zip(required[::2], required[1::2]):
+        chosen.setdefault(flag, value)
+    pairs = data.draw(st.permutations(sorted(chosen.items())))
+    argv = [*sum(map(list, top), []), cmd, *sum(map(list, pairs), [])]
+    words = st.sampled_from([*FUZZ_VALUES, *FUZZ_ODD])
+    for at, word in data.draw(st.lists(st.tuples(st.integers(0, 12), words), max_size=1)):
+        argv.insert(at, word)
+    plain = cli.parse_plain(argv)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            parsed = FUZZ_PARSER.parse_args(argv)
+        except SystemExit:
+            parsed = None
+    assert plain is None or plain == parsed, argv
+
+
 @pytest.mark.parametrize("cmd", COMMANDS)
 def test_command_help_exits_zero(cmd):
     out = io.StringIO()
@@ -737,14 +835,18 @@ def readme_blocks():
     return README.read_text(encoding="utf-8").split("```")[1::2]
 
 
+def readme_cli_examples():
+    """The argv of each `twistrank ...` line in README.md."""
+    return [line.split(" #", 1)[0].split()[1:]
+            for block in readme_blocks() for line in block.splitlines()
+            if line.startswith("twistrank ")]
+
+
 def test_readme_cli_examples_run(tmp_path, monkeypatch):
-    blocks = readme_blocks()
-    config = next(block for block in blocks if block.lstrip().startswith("# run.cfg"))
+    config = next(block for block in readme_blocks() if block.lstrip().startswith("# run.cfg"))
     (tmp_path / "run.cfg").write_text(config)
     monkeypatch.chdir(tmp_path)
-    examples = [line.split(" #", 1)[0].split()[1:]
-                for block in blocks for line in block.splitlines()
-                if line.startswith("twistrank ")]
+    examples = readme_cli_examples()
     assert len(examples) == 9
     for argv in examples:
         code, out, err = run_cli(*argv)
@@ -840,6 +942,31 @@ def test_ladder_depth_bounded():
     assert err.startswith("error: --depth must be <= ") and err.count("\n") == 1, err
 
 
+def test_out_of_memory_while_rendering_is_one_error_line():
+    """dist --rmax 4000000 costs about 225 B of peak memory a row, so under a
+    1 GiB address space it runs out while its table renders: that must end in
+    the one error line too, not in a traceback. A subprocess keeps the limit
+    out of the test process."""
+    script = (
+        "import io, json, resource\n"
+        "from contextlib import redirect_stderr, redirect_stdout\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from twistrank.cli import main\n"
+        "out, err = io.StringIO(), io.StringIO()\n"
+        "with redirect_stdout(out), redirect_stderr(err):\n"
+        "    code = main(['dist', '--p', '2', '--flavor', 'sym', '--rmax', '4000000'])\n"
+        "print(json.dumps([code, out.getvalue(), err.getvalue()]))\n"
+    )
+    src = str(Path(__file__).parent.parent / "src")
+    # one OpenBLAS thread, so the import's reserved buffers do not grow with the core count
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout) == [1, "", "error: out of memory\n"]
+
+
 def test_huge_p_is_refused_in_bounded_time(tmp_path):
     """A --p far past MAX_P, here 2^89 - 1, gets the range message at once
     from every command that takes one and from the config key: the range is
@@ -924,6 +1051,43 @@ def test_out_flag_writes_file(tmp_path):
     assert out == ""
     rec = record_from_csv(target.read_text())
     assert dict(rec.rows)["rank0 sym p=2"] == "0.4194"
+
+
+STDLIB_BYTES_ARGV = [
+    "dist --p 2 --flavor sym --rmax 1200",
+    "dist --p 3 --flavor uni --rmax 400",
+    "table",
+    "moments --p 2 --flavor sym",
+    "moments --p 32749 --flavor uni",
+    "bounds --p 2",
+    "bounds --p 32749 --degK 3",
+    "isotropic --p 2 --flavor uni",
+    "isotropic --p 3 --flavor uni",
+    "isotropic --p 47 --flavor uni",
+    "isotropic --p 32749 --flavor uni",
+    "isotropic --p 3067 --flavor sym --n 2",
+    "simulate --p 3 --flavor uni --k 20 --samples 1000000 --seed 1 --y 0.5",
+    "ladder --x 100 --exponent 1 --depth 3 --k 2 --density 0.5 --seed 3",
+    "ladder --x 10 --exponent 1 --k 3",
+]
+
+
+@pytest.mark.parametrize("command", STDLIB_BYTES_ARGV)
+def test_json_and_csv_output_are_the_stdlib_bytes(command):
+    # OutputRecord lays out JSON and quotes CSV itself, so its bytes must be
+    # those of json.dumps(indent=2) and of csv.writer (excel dialect, "\n"
+    # row ends); every CSV row must read as three fields, since a comma left
+    # unquoted splits a field and writes back unchanged
+    code, out, err = run_cli("--format", "json", *command.split())
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    code, out, err = run_cli("--format", "csv", *command.split())
+    assert (code, err) == (0, "")
+    rows = list(csv.reader(io.StringIO(out, newline="")))
+    rewritten = io.StringIO(newline="")
+    csv.writer(rewritten, lineterminator="\n").writerows(rows)
+    assert rewritten.getvalue() == out
+    assert all(len(row) == 3 for row in rows)
 
 
 def test_csv_json_round_trip_via_cli():

@@ -7,6 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twistrank.gf import MAX_P, Flavor, FqElem, build_field, format_elem, is_prime
+from twistrank.rankdist import stationary_distribution
+from twistrank.twistsim import primes_up_to
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 DOMAIN_PRIMES = [p for p in range(2, MAX_P + 1) if is_prime(p)]
@@ -69,6 +71,17 @@ def test_build_field_rejects_oversized_prime():
     with pytest.raises(ValueError):
         build_field(65537, Flavor.SYMPLECTIC)
     assert MAX_P == 1 << 15
+
+
+def test_build_field_takes_numpy_integer_primes_as_ints():
+    # an np.int64 q would wrap stationary_distribution's q^r at rank 32 (p = 2
+    # uni), and an odd numpy p would fail in smallest_nonresidue's pow
+    for p in primes_up_to(60):
+        for flavor in Flavor:
+            field, want = build_field(p, flavor), build_field(int(p), flavor)
+            assert field == want and type(field.p) is type(field.q) is int
+            law, want_law = stationary_distribution(field), stationary_distribution(want)
+            assert law.tobytes() == want_law.tobytes()
 
 
 def test_f4_multiplication_by_hand():

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.stats import kstest
+from scipy.special import chdtrc
+from scipy.stats import chi2, kstest
 
 from twistrank import rankdist as rd
 from twistrank.gf import Flavor, build_field, is_prime
@@ -519,6 +520,24 @@ def test_chi2_pooling_is_bitwise_the_one_bin_loop():
         observed, expected = pooled_by_loop(counts.astype(float), law * emp.total)
         want = float(((observed - expected) ** 2 / expected).sum())
         assert (stat, dof) == (want, len(expected) - 1)
+
+
+def test_chi2_pvalue_is_chi2_sf_bitwise():
+    # chi2_against calls the ufunc scipy.stats.chi2.sf evaluates, without its
+    # argument checks; every p-value it prints must be the same float
+    dof = np.arange(1, 400)[:, None]
+    x = np.concatenate([[0.0, 5e-324, 1e-300, 1e-8, 0.5], np.linspace(1, 1000, 400),
+                        [1500.0, 3000.0, 1e4, 1e6, 1e308, np.inf]])
+    assert chdtrc(dof, x).tobytes() == chi2.sf(x, dof).tobytes()
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        n = int(rng.integers(2, 40))
+        counts = rng.integers(0, 10**int(rng.integers(1, 9)), n) + (np.arange(n) == 0)
+        law = rng.random(n) ** rng.uniform(1, 40)
+        law /= law.sum()
+        emp = EmpiricalDistribution(counts=counts, total=int(counts.sum()), reference=law)
+        stat, dof, pvalue = emp.chi2_against(law)
+        assert pvalue == float(chi2.sf(stat, dof))
 
 
 def test_simulate_bounded_error_mode_stays_close():
