@@ -1,13 +1,13 @@
 """Closed-form density and rank-growth bound calculators.
 
-Each calculator recomputes its product or series directly (independently
-of the distribution code paths) so the two routes can certify each other;
-reports carry a formula string because equivalent product forms with
-shifted indices are the main source of silent errors here.
+Each bound is read off the products and series of rankdist; reports carry
+a formula string because equivalent product forms with shifted indices
+are the main source of silent errors here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import rankdist
@@ -28,11 +28,8 @@ def fermat_unsolvable_density(p: int) -> float:
     check_range(p)
     if not is_prime(p) or p < 3:
         raise ValueError(f"the Fermat bound needs an odd prime, got {p}")
-    value, i = 1.0, 1
-    while (t := float(p) ** -i) >= rankdist.PRODUCT_EPS:
-        value /= 1.0 + t
-        i += 1
-    return value
+    # the symplectic rank-0 mass, whose product runs over p^(-i-1)
+    return rankdist.leading_constant(build_field(p, Flavor.SYMPLECTIC))
 
 
 def rank_zero_density_bound(field: FieldParams) -> float:
@@ -61,12 +58,14 @@ def avg_rank_bound(field: FieldParams, deg_k: int) -> float:
 def no_growth_proportion_bound(field: FieldParams) -> float:
     """Lower bound for the proportion of degree-p cyclic extensions with
     no rank growth, p the field's characteristic: D(0) when p = 2, else
-    (p-1)(D(0) - (p-2)/(p-1))."""
+    (p-1)(D(0) - (p-2)/(p-1)). Since D(0) = p/(p+1) R with
+    R = prod_{i>=1} (1 + t_i)^(-1), that is (2 - p(p-1)(1 - R))/(p+1), and
+    1 - R = -expm1(-sum_{i>=1} log1p(t_i)) comes without cancellation."""
     p = field.p
-    d0 = rankdist.dist_value(field, 0)
     if p == 2:
-        return d0
-    return max(0.0, (p - 1) * (d0 - (p - 2) / (p - 1)))
+        return rankdist.dist_value(field, 0)
+    one_minus_r = -math.expm1(-math.fsum(map(math.log1p, rankdist.inverse_powers(field, 1))))
+    return (2 - p * (p - 1) * one_minus_r) / (p + 1)
 
 
 def odd_rank_proportion(p: int) -> float:
@@ -75,11 +74,7 @@ def odd_rank_proportion(p: int) -> float:
     check_range(p)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    b, i = 1.0, 1
-    while (t := float(p) ** -i) >= rankdist.PRODUCT_EPS:
-        b *= (1.0 - t) / (1.0 + t)
-        i += 1
-    return (1.0 - b) / 2.0
+    return rankdist.odd_mass(build_field(p, Flavor.SYMPLECTIC))
 
 
 def reports(p: int, deg_k: int = 1) -> list[BoundReport]:

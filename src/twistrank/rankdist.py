@@ -14,10 +14,6 @@ import numpy as np
 
 from .gf import FieldParams, Flavor
 
-# Each product and series here and in bounds stops before its first term below
-# this (its terms decrease); the error left is far below every tolerance used.
-PRODUCT_EPS = 1e-16
-
 R_MAX_DEFAULT = 64
 
 # p^-j <= 2^-64 from j = 64 on, so every factor 1 - p^-j, 1 + (-1/p)^j of
@@ -25,14 +21,24 @@ R_MAX_DEFAULT = 64
 CORANK_TERMS = 64
 
 
-def leading_constant(field: FieldParams) -> float:
-    """prod_{i>=0} (1 + q^(-i-epsilon))^(-1), the mass at rank 0."""
-    q, d = field.q, field.p  # d = q^(i+epsilon), an exact int
-    value = 1.0
-    while (t := 1.0 / d) >= PRODUCT_EPS:
-        value /= 1.0 + t
+def inverse_powers(field: FieldParams, start: int = 0) -> list[float]:
+    """t_i = q^(-i-epsilon) for i >= start, up to the last not below 2^-60 of
+    the first. Each later term is at most 1/q of the one before, so the
+    terms left out add less than 2^-59 of the first to any series of them
+    here. Every closed form below is a math.fsum over this list."""
+    q = field.q
+    d = field.p * q**start  # q^(i+epsilon), an exact int
+    last = d << 60
+    terms = []
+    while d <= last:
+        terms.append(1.0 / d)
         d *= q
-    return value
+    return terms
+
+
+def leading_constant(field: FieldParams) -> float:
+    """prod_{i>=0} (1 + t_i)^(-1), the mass at rank 0."""
+    return math.exp(-math.fsum(map(math.log1p, inverse_powers(field))))
 
 
 def zeros(n: int, dtype=np.float64) -> np.ndarray:
@@ -74,13 +80,8 @@ def dist_value(field: FieldParams, r: int) -> float:
 
 
 def expected_rank(field: FieldParams) -> float:
-    """sum_{i>=0} 1/(1 + q^(i+epsilon))."""
-    q, d = field.q, field.p  # d = q^(i+epsilon), an exact int
-    total = 0.0
-    while (t := 1.0 / (1.0 + d)) >= PRODUCT_EPS:
-        total += t
-        d *= q
-    return total
+    """sum_{i>=0} t_i/(1 + t_i) = sum_{i>=0} 1/(1 + q^(i+epsilon))."""
+    return math.fsum(t / (1.0 + t) for t in inverse_powers(field))
 
 
 def qr_moment(field: FieldParams) -> float:
@@ -100,19 +101,19 @@ def qr_moment_by_series(field: FieldParams) -> float:
     return total
 
 
+def log_beta(field: FieldParams) -> float:
+    """log beta = sum_{i>=0} log((1 - t_i)/(1 + t_i)) = -2 sum_{i>=0} atanh(t_i)."""
+    return -2.0 * math.fsum(map(math.atanh, inverse_powers(field)))
+
+
 def beta(field: FieldParams) -> float:
-    """prod_{i>=0} (1 - q^(-i-epsilon)) / (1 + q^(-i-epsilon))."""
-    q, d = field.q, field.p  # d = q^(i+epsilon), an exact int
-    value = 1.0
-    while (t := 1.0 / d) >= PRODUCT_EPS:
-        value *= (1.0 - t) / (1.0 + t)
-        d *= q
-    return value
+    """prod_{i>=0} (1 - t_i)/(1 + t_i)."""
+    return math.exp(log_beta(field))
 
 
 def odd_mass(field: FieldParams) -> float:
-    """Total mass on odd ranks, (1 - beta)/2."""
-    return (1.0 - beta(field)) / 2.0
+    """Total mass on odd ranks, (1 - beta)/2, without subtracting beta from 1."""
+    return -math.expm1(log_beta(field)) / 2.0
 
 
 def markov_entry_exact(field: FieldParams, r: int, s: int) -> Fraction:

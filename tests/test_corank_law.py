@@ -177,22 +177,40 @@ def test_float_corank_law_cures_the_walk_drift(flavor):
 FAR_PAIRS = [(p, flavor) for p in (2, 3, 5, 7, 11, 13, 101, 1009, 32749) for flavor in Flavor]
 
 
+def exact_stationary_law(field, width):
+    """D(0..width-1) in rationals: D(r) is proportional to
+    prod_{i=1..r} q^(1-epsilon)/(q^i - 1). The weights past width are left
+    out of the total; where they are below the float range, as at the width
+    of a float law, that moves no value by more than 1e-300 of itself."""
+    q, up = field.q, field.q // field.p
+    weights = [Fraction(1)]
+    for r in range(1, width):
+        weights.append(weights[-1] * Fraction(up, q**r - 1))
+    total = sum(weights)
+    return [w / total for w in weights]
+
+
 @pytest.mark.parametrize("p,flavor", FAR_PAIRS)
 def test_far_corank_law_is_the_stationary_law(p, flavor):
     """At k = 10^18 the closed form's products are D's product formula to
-    rounding, so the two float routes to D certify each other: the same
-    width, normal entries within 1.1e-15 relative (the worst, 1.02e-15, at
-    p = 7 uni) and subnormal ones within one subnormal ulp (rank 14 at
-    p = 1009 sym, 1.3e-8 relative but 5e-324 absolute)."""
+    rounding, so both float routes to D, corank_law and
+    stationary_distribution, have the same width and match the exact law:
+    normal entries within 1.1e-15 relative for corank_law (the worst,
+    1.02e-15, at p = 3 uni, rank 17) and 6e-16 for stationary_distribution
+    (the worst, 5.9e-16, at p = 5 sym), and subnormal ones within one
+    subnormal ulp (the worst, 0.82 of it, at p = 1009 sym)."""
     field = build_field(p, flavor)
     law = rd.corank_law(field, 10**18)
     stationary = rd.stationary_distribution(field, 2 * rd.CORANK_TERMS)
     assert np.flatnonzero(stationary)[-1] + 1 == len(law)
-    for r, (got, want) in enumerate(zip(law.tolist(), stationary.tolist())):
-        if want >= sys.float_info.min:
-            assert abs(got - want) <= 1.1e-15 * want, (r, abs(got - want) / want)
-        else:
-            assert abs(got - want) <= math.ulp(0.0), r
+    exact = exact_stationary_law(field, len(law))
+    for route, bound in ((law, 1.1e-15), (stationary, 6e-16)):
+        for r, (got, want) in enumerate(zip(route.tolist(), exact)):
+            error = abs(Fraction(got) - want)
+            if want >= sys.float_info.min:
+                assert error <= bound * want, (r, float(error / want))
+            else:
+                assert error <= math.ulp(0.0), r
 
 
 @pytest.mark.parametrize("p,flavor", FAR_PAIRS)
