@@ -309,21 +309,21 @@ def strata_from_counts(usable: Sequence[int], n: int, k: int) -> tuple[int, int]
     decrease, as the levels do not."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    for j in (k, k + 1):
-        if math.comb(n, j) >= 2**63:
-            raise ValueError(f"stratum count bound C({n}, {j}) is not below 2^63, the int64 "
-                             "range of the counts; lower x or k, or shrink the place model")
     if k > n:
         return 0, 0
     # valid[m](t) = number of m-subsets of the first t places obeying the
     # first m thresholds. u_m never decreases, so valid[m] is constant past
     # u_m, and the DP runs on the first u_k places alone; after level k its
-    # last entry is |D_k|. A (k + 1)-tuple's top pick t < u_{k+1} sits over
-    # valid[k](t) k-tuples, so |D_{k+1}| sums valid[k] over the first u_k
-    # entries and adds |D_k| for each of the u_{k+1} - u_k others (none past
-    # the n places). The sums are exact modulo 2^64, so a count below 2^63
-    # is right even where a middle level wraps.
+    # last entry is |D_k| <= C(u_k, k). The int64 sums are exact modulo 2^64,
+    # so with that bound below 2^63 every entry of level k is right even
+    # where a middle level wraps. A (k + 1)-tuple's top pick t < u_{k+1} sits
+    # over valid[k](t) k-tuples, so |D_{k+1}| sums valid[k] over the first
+    # u_k entries, in Python ints, and adds |D_k| for each of the
+    # u_{k+1} - u_k others (none past the n places).
     u_k = usable[k - 1] if k else 0
+    if math.comb(u_k, k) >= 2**63:
+        raise ValueError(f"stratum count bound C({u_k}, {k}) is not below 2^63, the int64 "
+                         "range of the counts; lower x or k, or shrink the place model")
     u_top = usable[k] if k < n else u_k
     current = np.ones(u_k + 1, dtype=np.int64)
     for u in usable[:k]:
@@ -331,7 +331,7 @@ def strata_from_counts(usable: Sequence[int], n: int, k: int) -> tuple[int, int]
         current[0] = 0
         current[u + 1 :] = current[u]
     d_k = int(current[-1])
-    return d_k, (int(current[:u_k].sum()) + (u_top - u_k) * d_k) % 2**64
+    return d_k, sum(current[:u_k].tolist()) + (u_top - u_k) * d_k
 
 
 def strata_cardinality(p1_norms: np.ndarray, ladder: FanLadder, k: int,

@@ -1,5 +1,7 @@
+import bisect
 import csv
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -33,9 +35,10 @@ from twistrank.spaces import (
     hyperbolic_plane,
     isotropic_slopes,
 )
-from twistrank.twistsim import MAX_LADDER_DEPTH
+from twistrank.twistsim import MAX_LADDER_DEPTH, FanLadder
 
 from record_parsers import record_from_csv, record_from_json
+from transcripts import LADDER_PAST_INT64
 
 DATA_DIR = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
@@ -1017,6 +1020,41 @@ def test_ladder_counts_below_int64_without_a_cap():
     assert (code, err) == (0, "")
     values = dict(record_from_csv(out).rows)
     assert (values["D_3"], values["D_4"]) == ("13840", "1085146345")
+
+
+def strata_in_python_ints(norms, levels, k):
+    """(|D_k|, |D_{k+1}|) over the listed norms, ascending, by the stratum DP
+    in Python ints: after level m, counts[t] is the number of m-tuples of the
+    first t places whose i-th pick lies below the i-th level, for t up to
+    u_m, the number of places below level m; it is constant from there on."""
+    counts, strata = [1], []
+    for level in levels[:k + 1]:
+        u = bisect.bisect_left(norms, level)
+        picks = counts[:u] + counts[-1:] * (u - len(counts))
+        counts = [0, *itertools.accumulate(picks)]
+        strata.append(counts[-1])
+    return ([1] + strata)[k], strata[k]
+
+
+@pytest.mark.parametrize("x,exponent,k", LADDER_PAST_INT64,
+                         ids=[f"x{x}-e{e}-k{k}" for x, e, k in LADDER_PAST_INT64])
+def test_ladder_counts_past_the_int64_range_of_all_places(x, exponent, k):
+    """The int64 DP needs only C(u_k, k) below 2^63, which bounds |D_k|, not
+    a bound on all n places. These inputs are refused by the latter; each
+    answers as the DP over build_place_model's listed places in Python ints
+    counts, or, with an empty top stratum, is refused as empty."""
+    levels = FanLadder(float(exponent)).levels(float(x), k + 1)
+    norms = twistsim.build_place_model(levels[-1], 1.0, 0).tolist()
+    d_k, d_k1 = strata_in_python_ints(norms, levels, k)
+    code, out, err = run_cli("--format", "csv", "ladder", "--x", x, "--exponent", exponent,
+                             "--k", str(k))
+    if d_k1 == 0:
+        assert (code, out) == (1, "")
+        assert err == f"error: stratum k={k + 1} is empty at x={float(x)}; enlarge x\n"
+    else:
+        assert (code, err) == (0, "")
+        values = dict(record_from_csv(out).rows)
+        assert (values[f"D_{k}"], values[f"D_{k + 1}"]) == (str(d_k), str(d_k1))
 
 
 def test_ladder_has_no_cap_flag():

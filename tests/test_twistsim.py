@@ -638,12 +638,14 @@ def test_strata_count_past_the_ladder_depth_bound():
 
 def test_strata_counts_up_to_the_int64_bound():
     # every threshold is at least 10^6, above every norm, so |D_m| = C(1000, m);
-    # C(1000, 6) > 10^15, C(1000, 7) < 2^63 <= C(1000, 8)
+    # C(1000, 6) > 10^15, C(1000, 7) < 2^63 <= C(1000, 8). Only |D_k| is held
+    # in int64, so k = 7 answers, with |D_8| past 2^63, and k = 8 is refused
     norms = np.arange(2, 1002)
     ladder = FanLadder(1.0)
     assert strata_cardinality(norms, ladder, 6, 1e6) == (math.comb(1000, 6), math.comb(1000, 7))
+    assert strata_cardinality(norms, ladder, 7, 1e6) == (math.comb(1000, 7), math.comb(1000, 8))
     with pytest.raises(ValueError, match="^stratum count bound C\\(1000, 8\\) is not below 2\\^63"):
-        strata_cardinality(norms, ladder, 7, 1e6)
+        strata_cardinality(norms, ladder, 8, 1e6)
     # the middle levels wrap in int64, but the sums are exact modulo 2^64
     assert strata_cardinality(norms, ladder, 998, 1e6) == (math.comb(1000, 2), 1000)
     assert strata_cardinality(p1_norms(2000, 1.0, seed=0), ladder, 1, 2000.0)[0] == 303
