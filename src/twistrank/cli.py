@@ -290,7 +290,7 @@ def run_command(args) -> OutputRecord:
     params echo every flag that has a value, in table order."""
     func, _, fields = COMMANDS[args.cmd]
     path = getattr(args, "config", None)
-    options = load_sim_config(path) if path else {}
+    options = load_sim_config(path) if path is not None else {}
     values, params, sources = [], {}, {}
     for (flag, (parser, default)), name in zip(fields.items(), _param_names(func), strict=True):
         parse, expected, echo = parser
@@ -388,7 +388,7 @@ def main(argv=None) -> int:
     # rendering and writing a large record can run out of memory too
     try:
         text = run_command(args).render(args.format)
-        if args.out:
+        if args.out is not None:
             try:
                 with open(args.out, "w", encoding="utf-8") as handle:
                     handle.write(text)

@@ -566,6 +566,17 @@ def test_config_not_utf8_names_its_path(tmp_path):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("--out", "", "moments", "--p", "2", "--flavor", "sym"), "cannot write ''"),
+    (("simulate", "", "--k", "3"), "cannot read config ''"),
+], ids=["out", "config"])
+def test_an_empty_path_fails_as_a_path(argv, message):
+    # "" names no file: open("") fails, rather than the path reading as absent
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}: ") and err.count("\n") == 1
+
+
 CONFIG_LINE = st.tuples(
     st.sampled_from(["", " ", "#"]),
     st.sampled_from([*SIM_CONFIG_FIELDS, "walkers", ""]),
@@ -978,7 +989,8 @@ def test_huge_p_is_refused_in_bounded_time(tmp_path):
     huge = str(2**89 - 1)
     config = tmp_path / "sim.cfg"
     config.write_text(f"p = {huge}\n", encoding="utf-8")
-    commands = [["dist", "--p", huge, "--flavor", "sym"], ["table", "--p", f"2,{huge}"],
+    commands = [["dist", "--p", huge, "--flavor", "sym"], ["table", "--p", huge],
+                ["table", "--p", f"2,{huge}"],
                 ["moments", "--p", huge, "--flavor", "uni"], ["bounds", "--p", huge],
                 ["isotropic", "--p", huge, "--flavor", "sym"], ["simulate", "--p", huge],
                 ["simulate", str(config)]]
