@@ -38,10 +38,9 @@ from twistrank.spaces import (
 from twistrank.twistsim import MAX_LADDER_DEPTH, FanLadder
 
 from record_parsers import record_from_csv, record_from_json
-from transcripts import LADDER_PAST_INT64
+from transcripts import LADDER_PAST_INT64, readme_blocks, readme_cli_examples, readme_config
 
 DATA_DIR = Path(__file__).parent / "data"
-README = Path(__file__).parent.parent / "README.md"
 
 
 def run_cli(*argv):
@@ -844,21 +843,8 @@ def test_command_help_exits_zero(cmd):
     assert all(f"--{flag}" in out.getvalue() for flag in COMMANDS[cmd][2])
 
 
-def readme_blocks():
-    """The fenced blocks of README.md, each with its info string line."""
-    return README.read_text(encoding="utf-8").split("```")[1::2]
-
-
-def readme_cli_examples():
-    """The argv of each `twistrank ...` line in README.md."""
-    return [line.split(" #", 1)[0].split()[1:]
-            for block in readme_blocks() for line in block.splitlines()
-            if line.startswith("twistrank ")]
-
-
 def test_readme_cli_examples_run(tmp_path, monkeypatch):
-    config = next(block for block in readme_blocks() if block.lstrip().startswith("# run.cfg"))
-    (tmp_path / "run.cfg").write_text(config)
+    (tmp_path / "run.cfg").write_text(readme_config())
     monkeypatch.chdir(tmp_path)
     examples = readme_cli_examples()
     assert len(examples) == 9

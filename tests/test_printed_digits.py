@@ -15,7 +15,7 @@ odd_rank_proportion(p) are D(0) and the odd mass of the symplectic field,
 no_growth_proportion is D(0) at p = 2 and (p - 1) D(0) - (p - 2) above,
 avg_rank_bound is [K:Q] E[rank].
 
-Each product and series runs over the terms with t_i > 2^-112 and bounds
+Each product and series runs over the terms with t_i >= 2^-112 and bounds
 the rest: with S = sum_{i>=n} t_i <= 2 t_n, the tail of D(0) lies in
 [1, e^S] within [1, 1 + 4 t_n], that of beta in [1 - 4 t_n, 1] and that of
 E[rank] in [0, 2 t_n], so every interval is narrower than 2^-110. Its

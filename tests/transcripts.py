@@ -24,6 +24,7 @@ import json
 import os
 import shlex
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -71,7 +72,7 @@ def readme_config() -> str:
     return next(block for block in readme_blocks() if block.lstrip().startswith("# run.cfg"))
 
 
-def readme_examples() -> list[list[str]]:
+def readme_cli_examples() -> list[list[str]]:
     """The argv of each `twistrank ...` line in README.md."""
     return [line.split(" #", 1)[0].split()[1:]
             for block in readme_blocks() for line in block.splitlines()
@@ -81,7 +82,7 @@ def readme_examples() -> list[list[str]]:
 def error_argv() -> list[list[str]]:
     """The command lines README quotes an error line for, and the error
     inputs of tests/test_cli.py that need no file of their own."""
-    argv = [
+    return [
         # README
         ["dist", "--p", "2", "--flavor", "sym", "--rmax", "x"],
         ["bounds", "--p", "3", "--degK", "0"],
@@ -146,7 +147,6 @@ def error_argv() -> list[list[str]]:
         ["bounds", "--p", HUGE_P], ["isotropic", "--p", HUGE_P, "--flavor", "sym"],
         ["simulate", "--p", HUGE_P],
     ]
-    return argv
 
 
 def per_prime_argv(p: int) -> list[list[str]]:
@@ -223,7 +223,7 @@ def simulate_argv() -> list[list[str]]:
 
 def corpus() -> list[list[str]]:
     """Every command line of the corpus, each once, in a fixed order."""
-    argv = [*readme_examples(), *([*fmt, "table"] for fmt in FORMATS)]
+    argv = [*readme_cli_examples(), *([*fmt, "table"] for fmt in FORMATS)]
     for p in PRIMES:
         argv += per_prime_argv(p)
     for p in NEAR_BOUNDARY_PRIMES:
@@ -265,8 +265,6 @@ def dump(entries: dict[str, list]) -> str:
 
 
 def main() -> int:
-    import tempfile
-
     with tempfile.TemporaryDirectory() as directory:
         entries = replay(Path(directory))
     old = load() if CORPUS_PATH.exists() else {}
