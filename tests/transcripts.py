@@ -1,4 +1,4 @@
-"""The output corpus: each command line of CORPUS with the sha256 of its
+"""The output corpus: each command line of corpus() with the sha256 of its
 stdout, its stderr text and its exit code, as tests/data/transcripts.json
 pins them.
 
