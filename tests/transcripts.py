@@ -178,6 +178,15 @@ def near_boundary_argv(p: int) -> list[list[str]]:
     return argv
 
 
+def digit_boundary_argv() -> list[list[str]]:
+    """dist and isotropic where the index of their rows gains a digit."""
+    argv = [[*fmt, "dist", "--p", "2", "--flavor", "sym", "--rmax", rmax]
+            for rmax in ("9", "10", "99", "100", "999", "1000") for fmt in FORMATS]
+    argv += [[*fmt, "isotropic", "--p", p, "--flavor", flavor]
+             for p in ("11", "101", "1009") for flavor in FLAVORS for fmt in FORMATS]
+    return argv
+
+
 def ladder_argv() -> list[list[str]]:
     argv = [["ladder", "--x", x, "--exponent", e, *k]
             for x in ("1", "1.5", "2", "10", "100", "1000")
@@ -228,7 +237,7 @@ def corpus() -> list[list[str]]:
         argv += per_prime_argv(p)
     for p in NEAR_BOUNDARY_PRIMES:
         argv += near_boundary_argv(p)
-    argv += [*ladder_argv(), *simulate_argv(), *error_argv()]
+    argv += [*digit_boundary_argv(), *ladder_argv(), *simulate_argv(), *error_argv()]
     return list({shlex.join(words): words for words in argv}.values())
 
 
