@@ -19,11 +19,14 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import rankdist, twistsim
 from .gf import MAX_P, Flavor, build_field, is_prime
-from .records import OutputRecord
+from .records import OutputRecord, Run
 from .spaces import fiber_size
 from .twistsim import SimConfig
 
 TABLE_PRIMES = (2, 3, 5, 7, 11, 13)
+
+# dist refuses a larger --rmax: its table output would pass about 1.5 GB
+MAX_RMAX = 10**8
 
 # simulate prints every rank that holds a count, and every rank at or above
 # which the run expects more than this many samples
@@ -93,15 +96,20 @@ def cmd_table(p_list) -> list[tuple[str, str]]:
     return rows
 
 
-def cmd_dist(p: int, flavor: Flavor, r_max: int) -> list[tuple[str, str]]:
+def cmd_dist(p: int, flavor: Flavor, r_max: int) -> list:
     """D(0..r_max). The law is non-zero exactly on a prefix, which the running
-    product of stationary_distribution ends at its first 0.0, so only that
-    prefix is formatted and the rest print as fmt(0.0), "0"."""
-    dist = rankdist.stationary_distribution(build_field(p, flavor), r_max)
-    live = np.count_nonzero(dist)
+    product of stationary_distribution ends at its first 0.0, and that prefix
+    is at most 46 ranks in every field of the domain. So only ranks up to
+    R_MAX_DEFAULT are computed and the live ones formatted; the rest print
+    as fmt(0.0), "0", in one Run."""
+    if r_max > MAX_RMAX:
+        raise ValueError(f"r_max must be <= {MAX_RMAX}, got {r_max}")
+    dist = rankdist.stationary_distribution(build_field(p, flavor),
+                                            min(r_max, rankdist.R_MAX_DEFAULT))
+    live = int(np.count_nonzero(dist))
     # Python floats format faster than boxed np.float64 scalars
     rows = [(f"D({r})", fmt(value)) for r, value in enumerate(dist[:live].tolist())]
-    return rows + [(f"D({r})", "0") for r in range(live, r_max + 1)]
+    return rows + [Run("D({})", "0", live, r_max + 1)]
 
 
 def cmd_moments(p: int, flavor: Flavor) -> list[tuple[str, str]]:
@@ -124,7 +132,7 @@ def cmd_bounds(p: int, deg_k: int) -> list[tuple[str, str]]:
     return rows
 
 
-def cmd_isotropic(p: int, flavor: Flavor, n: int) -> list[tuple[str, str]]:
+def cmd_isotropic(p: int, flavor: Flavor, n: int) -> list:
     """The p + 1 isotropic lines of the hyperbolic plane by canonical basis:
     the unramified line (0, 1), then the p ramified lines (1, t), in the
     order of isotropic_slopes, which finds them for any Gram matrix.
@@ -140,9 +148,9 @@ def cmd_isotropic(p: int, flavor: Flavor, n: int) -> list[tuple[str, str]]:
     rows = [("lines_total", str(p + 1)), ("fiber_size", str(fiber_size(p, n))),
             ("unramified", "(0, 1)")]
     if flavor is Flavor.SYMPLECTIC or p == 2:
-        return rows + [(f"ramified[{a}]", f"(1, {a})") for a in range(p)]
-    return rows + [("ramified[0]", "(1, 0)"), ("ramified[1]", "(1, x)")] + [
-        (f"ramified[{b}]", f"(1, {b}x)") for b in range(2, p)]
+        return rows + [Run("ramified[{}]", "(1, {})", 0, p)]
+    return rows + [("ramified[0]", "(1, 0)"), ("ramified[1]", "(1, x)"),
+                   Run("ramified[{}]", "(1, {}x)", 2, p)]
 
 
 def cmd_simulate(p, flavor, k, samples, seed, shift, y, threads) -> list[tuple[str, str]]:

@@ -119,11 +119,12 @@ def metabolic_space(field: FieldParams, blocks: int) -> HermitianSpace:
     return HermitianSpace(field=field, dim=dim, gram=gram)
 
 
-def _check_coordinates(space: HermitianSpace, *vectors) -> None:
+def _check_coordinates(space: HermitianSpace, vectors) -> None:
     """Raise ValueError unless every vector has dim coordinates in the field."""
-    if any(len(v) != space.dim for v in vectors):
-        raise ValueError("vector length does not match the space dimension")
-    field = space.field
+    dim, field = space.dim, space.field
+    for v in vectors:
+        if len(v) != dim:
+            raise ValueError("vector length does not match the space dimension")
     for v in vectors:
         for e in v:
             # identity first: comparing the whole FieldParams is the slow path
@@ -141,7 +142,10 @@ def _pairing(space: HermitianSpace, x, y) -> tuple[int, int]:
     """
     p = space.field.p
     if space.field.modulus is None:
-        return sum(x[i].c0 * g0 * y[j].c0 for i, j, g0, _ in space.entries) % p, 0
+        s0 = 0
+        for i, j, g0, _ in space.entries:
+            s0 += x[i].c0 * g0 * y[j].c0
+        return s0 % p, 0
     # with x^2 = -a1*x - a0: u = x_i * g_ij, then u * conj(y_j), where
     # conj(d0 + d1*x) = (d0 - a1*d1) - d1*x
     a1, a0 = space.field.modulus
@@ -161,7 +165,7 @@ def _pairing(space: HermitianSpace, x, y) -> tuple[int, int]:
 def evaluate_form(space: HermitianSpace, x, y) -> FqElem:
     """h(x, y) = sum of x_i * g_ij * conj(y_j), linear in x and
     conjugate-linear in y; a coordinate over another field raises ValueError."""
-    _check_coordinates(space, x, y)
+    _check_coordinates(space, (x, y))
     return FqElem(space.field, *_pairing(space, x, y))
 
 
@@ -215,11 +219,13 @@ def is_maximal_isotropic(space: HermitianSpace, sub: Subspace) -> bool:
     basis = sub.basis
     if 2 * len(basis) != space.dim:
         return False
-    _check_coordinates(space, *basis)
+    _check_coordinates(space, basis)
+    n = len(basis)
     skip = 1 if space.field.flavor is Flavor.SYMPLECTIC else 0
-    for i, x in enumerate(basis):
-        for y in basis[i + skip:]:
-            if _pairing(space, x, y) != (0, 0):
+    for i in range(n):
+        x = basis[i]
+        for j in range(i + skip, n):
+            if _pairing(space, x, basis[j]) != (0, 0):
                 return False
     return True
 

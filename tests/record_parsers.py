@@ -1,4 +1,5 @@
-"""Parse rendered CSV and JSON output back into an OutputRecord.
+"""Parse rendered CSV and JSON output back into an OutputRecord, and expand
+the Run that may end a record's rows.
 
 The CLI only writes records; the tests read them back to check values and
 that both encodings are lossless.
@@ -8,7 +9,17 @@ import csv
 import io
 import json
 
-from twistrank.records import OutputRecord
+from twistrank.records import OutputRecord, Run
+
+
+def expanded(rows: list) -> list[tuple[str, str]]:
+    """The rows of a record or a command, with the Run that may end them
+    written out as plain rows by str.format."""
+    if rows and isinstance(rows[-1], Run):
+        run = rows[-1]
+        return [*rows[:-1], *((run.label.format(i), run.value.format(i))
+                              for i in range(run.start, run.stop))]
+    return list(rows)
 
 
 def record_from_json(text: str) -> OutputRecord:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from twistrank.spaces import (
 )
 from twistrank.twistsim import MAX_LADDER_DEPTH, FanLadder
 
-from record_parsers import record_from_csv, record_from_json
+from record_parsers import expanded, record_from_csv, record_from_json
 from transcripts import LADDER_PAST_INT64, readme_blocks, readme_cli_examples, readme_config
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -122,7 +123,19 @@ def test_dist_prints_the_underflowed_tail_as_formatted_zeros(p, flavor):
     for rmax in sorted({0, width - 2, width - 1, width, width + 1, 1200}):
         every = rd.stationary_distribution(field, rmax).tolist()
         expected = [(f"D({r})", cli.fmt(v)) for r, v in enumerate(every)]
-        assert cli.cmd_dist(p, flavor, rmax) == expected, (p, flavor, rmax)
+        assert expanded(cli.cmd_dist(p, flavor, rmax)) == expected, (p, flavor, rmax)
+
+
+def test_dist_past_the_underflow():
+    """D(r) underflows to 0.0 from rank 46 on at p = 2 sym; every rank past
+    it up to --rmax is printed, as "0", in well under a minute."""
+    start = time.perf_counter()
+    code, out, err = run_cli("dist", "--p", "2", "--flavor", "sym", "--rmax", "1000000")
+    seconds = time.perf_counter() - start
+    assert (code, err) == (0, "") and seconds < 60, seconds
+    lines = out.splitlines()
+    assert sum(line.startswith("D(") for line in lines) == 1_000_001
+    assert lines[-1] == "D(1000000)  0"
 
 
 def test_dist_rejects_bad_flavor():
@@ -207,7 +220,7 @@ def test_isotropic_top_of_domain_unitary():
     """p = 32749 in the unitary flavor: p + 1 lines over F_{p^2}."""
     p = 32749
     field = build_field(p, Flavor.UNITARY)
-    rows = cmd_isotropic(p, Flavor.UNITARY, 1)
+    rows = expanded(cmd_isotropic(p, Flavor.UNITARY, 1))
     lines = [value for label, value in rows if label.startswith(("unramified", "ramified["))]
     assert len(lines) == p + 1 == int(dict(rows)["lines_total"])
     assert len(set(lines)) == p + 1
@@ -241,7 +254,7 @@ def reference_isotropic_rows(p, flavor, n):
 
 def assert_isotropic_matches_the_subspace_route(p, flavor, n):
     expected = reference_isotropic_rows(p, flavor, n)
-    assert cmd_isotropic(p, flavor, n) == expected
+    assert expanded(cmd_isotropic(p, flavor, n)) == expected
     record = OutputRecord(command="isotropic", rows=expected,
                           params={"p": str(p), "flavor": flavor.value, "n": str(n)})
     for fmt in ("table", "csv", "json"):
@@ -266,6 +279,18 @@ def test_isotropic_rows_match_the_subspace_route_at_large_p(p, flavor, n):
     assert_isotropic_matches_the_subspace_route(p, flavor, n)
 
 
+@pytest.mark.parametrize("args", [("--flavor", "uni"), ("--flavor", "sym", "--n", "2")])
+def test_isotropic_lines_at_the_largest_p(args):
+    """The p + 1 lines are written from their closed form in O(p), so at
+    p = 32749 all of them print in well under a minute; testing all q + 1
+    candidate lines would not."""
+    start = time.perf_counter()
+    code, out, err = run_cli("isotropic", "--p", "32749", *args)
+    seconds = time.perf_counter() - start
+    assert (code, err) == (0, "") and seconds < 60, seconds
+    assert sum(line.startswith("ramified[") for line in out.splitlines()) == 32749
+
+
 @pytest.mark.parametrize("flavor", list(Flavor))
 def test_isotropic_closed_form_is_the_general_solver_over_the_domain(flavor):
     """cmd_isotropic writes the lines from their closed form; its rows equal
@@ -278,7 +303,7 @@ def test_isotropic_closed_form_is_the_general_solver_over_the_domain(flavor):
                     ("unramified", "(0, 1)")]
         expected += [(f"ramified[{i}]", f"(1, {format_elem(*slope)})")
                      for i, slope in enumerate(ramified)]
-        assert cmd_isotropic(p, flavor, 1) == expected, p
+        assert expanded(cmd_isotropic(p, flavor, 1)) == expected, p
 
 
 def test_simulate_k0_point_mass():
@@ -657,6 +682,9 @@ def test_bad_flag_value_names_the_flag(cmd, flag, value, expected):
     (("dist", "--p", "32770", "--flavor", "sym"),
      "--p = 32770 exceeds the supported range (p <= 32768)"),
     (("dist", "--p", "2", "--flavor", "sym", "--rmax", "-1"), "--rmax must be non-negative"),
+    # the cap is checked before anything is computed, at any size
+    *((("dist", "--p", "2", "--flavor", "sym", "--rmax", str(rmax)),
+       f"--rmax must be <= 100000000, got {rmax}") for rmax in (10**8 + 1, 10**17, 10**30)),
     (("bounds", "--p", "3", "--degK", "0"), "--degK must be >= 1, got 0"),
     (("bounds", "--p", "3", "--degK", str(10**400)),
      "--degK is too large for a float, got a 1329-bit integer"),
@@ -674,7 +702,8 @@ def test_bad_flag_value_names_the_flag(cmd, flag, value, expected):
     (("ladder", "--x", "10", "--seed", "-4"), "--seed must be non-negative"),
     (("ladder", "--x", "10", "--sieve-cap", "0"), "--sieve-cap must be >= 2, got 0"),
     (("simulate", "--samples", str(2**62 + 1)), f"--samples must be <= 2^62, got {2**62 + 1}"),
-], ids=["table-p", "dist-p-composite-past-range", "dist-rmax", "bounds-degK",
+], ids=["table-p", "dist-p-composite-past-range", "dist-rmax", "dist-rmax-cap",
+        "dist-rmax-cap-far", "dist-rmax-cap-past-intp", "bounds-degK",
         "bounds-degK-float-range", "isotropic-n", "ladder-depth", "ladder-depth-bound",
         "ladder-exponent", "ladder-density", "ladder-seed", "ladder-sieve-cap",
         "ladder-density-no-k", "ladder-seed-no-k", "ladder-sieve-cap-no-k",
@@ -684,11 +713,9 @@ def test_range_error_names_the_flag(argv, message):
 
 
 @pytest.mark.parametrize("argv", [
-    ("dist", "--p", "2", "--flavor", "sym", "--rmax", str(10**17)),
     ("simulate", "--k", "3", "--shift", f"notfd:{10**17}"),
-    ("dist", "--p", "2", "--flavor", "sym", "--rmax", str(10**30)),
     ("simulate", "--k", "3", "--shift", f"notfd:{10**30}"),
-], ids=["dist-rmax", "simulate-shift", "dist-rmax-past-intp", "simulate-shift-past-intp"])
+], ids=["simulate-shift", "simulate-shift-past-intp"])
 def test_out_of_memory_is_one_error_line(argv):
     # each needs an array of about 711 PiB or more, more than any address
     # space holds; past 2^63 elements numpy rejects the shape itself
@@ -943,10 +970,10 @@ def test_ladder_depth_bounded():
 
 
 def test_out_of_memory_while_rendering_is_one_error_line():
-    """dist --rmax 4000000 costs about 225 B of peak memory a row, so under a
-    1 GiB address space it runs out while its table renders: that must end in
-    the one error line too, not in a traceback. A subprocess keeps the limit
-    out of the test process."""
+    """The table of dist --rmax 40000000 is 600 MB of text, and joining it
+    from its parts takes as much again, so under a 1 GiB address space it
+    runs out while it renders: that must end in the one error line too, not
+    in a traceback. A subprocess keeps the limit out of the test process."""
     script = (
         "import io, json, resource\n"
         "from contextlib import redirect_stderr, redirect_stdout\n"
@@ -954,7 +981,7 @@ def test_out_of_memory_while_rendering_is_one_error_line():
         "from twistrank.cli import main\n"
         "out, err = io.StringIO(), io.StringIO()\n"
         "with redirect_stdout(out), redirect_stderr(err):\n"
-        "    code = main(['dist', '--p', '2', '--flavor', 'sym', '--rmax', '4000000'])\n"
+        "    code = main(['dist', '--p', '2', '--flavor', 'sym', '--rmax', '40000000'])\n"
         "print(json.dumps([code, out.getvalue(), err.getvalue()]))\n"
     )
     src = str(Path(__file__).parent.parent / "src")

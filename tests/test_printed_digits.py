@@ -39,6 +39,8 @@ import pytest
 from twistrank import cli
 from twistrank.gf import MAX_P, Flavor
 
+from record_parsers import expanded
+
 TAIL_BITS = 112
 GRID = 1 << 128  # every interval endpoint is an integer multiple of 1/GRID
 FLAVORS = {Flavor.SYMPLECTIC: 1, Flavor.UNITARY: 2}  # q = p^power
@@ -186,6 +188,6 @@ def test_dist_prints_every_normal_value_right():
             r += 1
             num, den = num * up, den * (q**r - 1)
         checked += len(right)
-        wrong += misprints(dict(cli.cmd_dist(p, flavor, r - 1)), right, (p, flavor.value))
+        wrong += misprints(dict(expanded(cli.cmd_dist(p, flavor, r - 1))), right, (p, flavor.value))
     assert checked == 76_783  # the normal values of D over the whole domain
     assert not wrong, f"{len(wrong)} misprints, e.g. {wrong[:5]}"

@@ -494,6 +494,16 @@ def test_stationary_distribution_is_non_zero_exactly_on_a_prefix(p, flavor):
     assert not np.signbit(dist[live:]).any() and not dist[live:].any()
 
 
+def test_stationary_distribution_is_non_zero_on_at_most_46_ranks_over_the_domain():
+    # cmd_dist computes D only up to R_MAX_DEFAULT and prints every later
+    # rank as "0"; p = 2 sym is the widest law
+    widths = {(p, flavor): int(np.count_nonzero(
+                  rd.stationary_distribution(build_field(p, flavor), rd.R_MAX_DEFAULT)))
+              for p in DOMAIN_PRIMES for flavor in Flavor}
+    assert len(widths) == 7024
+    assert max(widths.values()) == widths[2, Flavor.SYMPLECTIC] == 46 < rd.R_MAX_DEFAULT
+
+
 def test_qr_moment_series_for_large_unitary_p():
     for p in (1009, 32749):
         field = build_field(p, Flavor.UNITARY)

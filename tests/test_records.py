@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twistrank.records import OutputRecord
+from twistrank.records import OutputRecord, Run
 
-from record_parsers import record_from_csv, record_from_json
+from record_parsers import expanded, record_from_csv, record_from_json
 
 
 def sample_record():
@@ -149,3 +149,43 @@ def test_table_rendering_contains_rows():
 def test_render_unknown_format():
     with pytest.raises(ValueError):
         sample_record().render("xml")
+
+
+# ASCII template text without braces, weighted toward what the formats quote,
+# escape or pad: comma, quote, percent, space, backslash, CR, LF and tab
+TEMPLATE_TEXT = st.text(st.one_of(st.sampled_from(',"% \\\r\n\t()[]x'),
+                                  st.characters(min_codepoint=32, max_codepoint=126,
+                                                exclude_characters="{}")), max_size=6)
+# templates with and without the '{}' slot
+TEMPLATE = st.lists(TEMPLATE_TEXT, min_size=1, max_size=2).map("{}".join)
+# runs that start at 0, across the digit boundaries, or anywhere below them
+START = st.one_of(st.sampled_from([0, 8, 9, 10, 98, 99, 100, 998, 999, 1000]),
+                  st.integers(0, 1100))
+LENGTH = st.one_of(st.just(0), st.integers(1, 12), st.integers(1, 1200))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(params=st.dictionaries(TEMPLATE_TEXT, TEMPLATE_TEXT, max_size=2),
+       rows=st.lists(st.tuples(CSV_AWKWARD, CSV_AWKWARD), max_size=3),
+       label=TEMPLATE, value=TEMPLATE, start=START, length=LENGTH)
+@example(params={}, rows=[], label="D({})", value="0", start=5, length=0)
+@example(params={"p": "2"}, rows=[], label="D({})", value="0", start=0, length=0)
+@example(params={}, rows=[], label="ramified[{}]", value="(1, {}x)", start=2, length=999)
+@example(params={}, rows=[("lines_total", "12"), ("a much longer label", "0")],
+         label="ramified[{}]", value="(1, {})", start=0, length=11)
+# past the 65536 rows of one grid, in the group of five-digit indices
+@example(params={}, rows=[("D(0)", "1")], label="D({})", value="0", start=0, length=100_010)
+def test_run_encodes_as_its_expanded_rows(params, rows, label, value, start, length):
+    """Every encoding of a record that ends with a Run is, byte for byte,
+    that of the same record with the run written out as plain rows."""
+    run = Run(label, value, start, start + length)
+    record = OutputRecord(command="c", params=params, rows=[*rows, run])
+    plain = OutputRecord(command="c", params=params, rows=expanded(record.rows))
+    assert len(plain.rows) == len(rows) + length
+    for fmt in ("json", "csv", "table"):
+        got, want = record.render(fmt), plain.render(fmt)
+        if got != want:  # megabytes of text are too long for pytest to diff
+            at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                      min(len(got), len(want)))
+            near = slice(max(at - 40, 0), at + 40)
+            pytest.fail(f"{fmt} differs at {at}: {got[near]!r} != {want[near]!r}")
