@@ -34,7 +34,7 @@ def fermat_unsolvable_density(p: int) -> float:
 
 def rank_zero_density_bound(field: FieldParams) -> float:
     """Density of rank-zero twists, certified above 1 - q^(1-eps)/(q-1)."""
-    value = rankdist.dist_value(field, 0)
+    value = rankdist.leading_constant(field)
     q = field.q
     floor_bound = 1.0 - (q // field.p) / (q - 1)
     if not value > floor_bound:
@@ -63,7 +63,7 @@ def no_growth_proportion_bound(field: FieldParams) -> float:
     1 - R = -expm1(-sum_{i>=1} log1p(t_i)) comes without cancellation."""
     p = field.p
     if p == 2:
-        return rankdist.dist_value(field, 0)
+        return rankdist.leading_constant(field)
     one_minus_r = -math.expm1(-math.fsum(map(math.log1p, rankdist.inverse_powers(field, 1))))
     return (2 - p * (p - 1) * one_minus_r) / (p + 1)
 
@@ -78,50 +78,24 @@ def odd_rank_proportion(p: int) -> float:
 
 
 def reports(p: int, deg_k: int = 1) -> list[BoundReport]:
-    """All bound reports for one prime, both flavors where applicable."""
+    """All bound reports for one prime, both flavors where applicable. The
+    Fermat density and the odd-rank proportion are read off the symplectic
+    field, as fermat_unsolvable_density and odd_rank_proportion read them."""
     # build_field refuses a p past MAX_P before any primality test runs
-    fields = [build_field(p, flavor) for flavor in (Flavor.SYMPLECTIC, Flavor.UNITARY)]
-    out = []
+    sym, uni = (build_field(p, flavor) for flavor in (Flavor.SYMPLECTIC, Flavor.UNITARY))
+    rows = []
     if p >= 3:
-        out.append(
-            BoundReport(
-                name="fermat_unsolvable_density",
-                flavor=Flavor.SYMPLECTIC,
-                value=fermat_unsolvable_density(p),
-                formula="prod_{i>=1} (1+p^-i)^-1",
-            )
-        )
-    for field in fields:
-        out.append(
-            BoundReport(
-                name="rank_zero_density",
-                flavor=field.flavor,
-                value=rank_zero_density_bound(field),
-                formula="prod_{i>=0} (1+q^(-i-eps))^-1 > 1 - q^(1-eps)/(q-1)",
-            )
-        )
-        out.append(
-            BoundReport(
-                name="avg_rank_bound",
-                flavor=field.flavor,
-                value=avg_rank_bound(field, deg_k),
-                formula=f"{deg_k} * sum_{{i>=0}} 1/(1+q^(i+eps))",
-            )
-        )
-        out.append(
-            BoundReport(
-                name="no_growth_proportion",
-                flavor=field.flavor,
-                value=no_growth_proportion_bound(field),
-                formula="D(0) if p=2 else (p-1)(D(0)-(p-2)/(p-1))",
-            )
-        )
-    out.append(
-        BoundReport(
-            name="odd_rank_proportion",
-            flavor=Flavor.SYMPLECTIC,
-            value=odd_rank_proportion(p),
-            formula="(1-beta)/2, beta = prod_{i>=1} (1-p^-i)/(1+p^-i)",
-        )
-    )
-    return out
+        rows.append(("fermat_unsolvable_density", sym, rankdist.leading_constant(sym),
+                     "prod_{i>=1} (1+p^-i)^-1"))
+    for field in (sym, uni):
+        rows += [
+            ("rank_zero_density", field, rank_zero_density_bound(field),
+             "prod_{i>=0} (1+q^(-i-eps))^-1 > 1 - q^(1-eps)/(q-1)"),
+            ("avg_rank_bound", field, avg_rank_bound(field, deg_k),
+             f"{deg_k} * sum_{{i>=0}} 1/(1+q^(i+eps))"),
+            ("no_growth_proportion", field, no_growth_proportion_bound(field),
+             "D(0) if p=2 else (p-1)(D(0)-(p-2)/(p-1))"),
+        ]
+    rows.append(("odd_rank_proportion", sym, rankdist.odd_mass(sym),
+                 "(1-beta)/2, beta = prod_{i>=1} (1-p^-i)/(1+p^-i)"))
+    return [BoundReport(name, field.flavor, value, formula) for name, field, value, formula in rows]

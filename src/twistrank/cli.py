@@ -87,7 +87,7 @@ def cmd_table(p_list) -> list[tuple[str, str]]:
     for p in p_list:
         fields = [build_field(p, flavor) for flavor in (Flavor.SYMPLECTIC, Flavor.UNITARY)]
         for stat, func in (
-            ("rank0", lambda f: rankdist.dist_value(f, 0)),
+            ("rank0", rankdist.leading_constant),
             ("odd", rankdist.odd_mass),
             ("mean", rankdist.expected_rank),
         ):
@@ -97,9 +97,9 @@ def cmd_table(p_list) -> list[tuple[str, str]]:
 
 
 def cmd_dist(p: int, flavor: Flavor, r_max: int) -> list:
-    """D(0..r_max). The law is non-zero exactly on a prefix, which the running
-    product of stationary_distribution ends at its first 0.0, and that prefix
-    is at most 46 ranks in every field of the domain. So only ranks up to
+    """D(0..r_max). The law is non-zero exactly on a prefix, which
+    corank_law's running product ends at its first 0.0, and that prefix is
+    at most 46 ranks in every field of the domain. So only ranks up to
     R_MAX_DEFAULT are computed and the live ones formatted; the rest print
     as fmt(0.0), "0", in one Run."""
     if r_max > MAX_RMAX:

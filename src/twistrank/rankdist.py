@@ -8,6 +8,7 @@ and q^(1-epsilon) are always exact integers.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -16,9 +17,11 @@ from .gf import FieldParams, Flavor
 
 R_MAX_DEFAULT = 64
 
-# p^-j <= 2^-64 from j = 64 on, so every factor 1 - p^-j, 1 + (-1/p)^j of
-# corank_law is exactly 1.0 there, and p^-(c(c+1)/2) is 0.0 from rank 64
+# p^64 > p * 2^60 for every p, so from i = 64 on each (-1/p)^i of corank_law
+# is past inverse_powers' cut and left out, and its factor is 1
 CORANK_TERMS = 64
+# from this k on, corank_law is D bitwise: no (-1/p)^i term is left
+FAR_K = 3 * CORANK_TERMS
 
 
 def inverse_powers(field: FieldParams, start: int = 0) -> list[float]:
@@ -36,9 +39,10 @@ def inverse_powers(field: FieldParams, start: int = 0) -> list[float]:
     return terms
 
 
-def leading_constant(field: FieldParams) -> float:
-    """prod_{i>=0} (1 + t_i)^(-1), the mass at rank 0."""
-    return math.exp(-math.fsum(map(math.log1p, inverse_powers(field))))
+def leading_constant(field: FieldParams, tail: Sequence[float] = ()) -> float:
+    """prod_{i>=0} (1 + t_i)^(-1), the mass at rank 0, times (1 + x)^(-1)
+    for each x of tail, all in one fsum."""
+    return math.exp(-math.fsum(map(math.log1p, [*inverse_powers(field), *tail])))
 
 
 def zeros(n: int, dtype=np.float64) -> np.ndarray:
@@ -51,24 +55,12 @@ def zeros(n: int, dtype=np.float64) -> np.ndarray:
 
 
 def stationary_distribution(field: FieldParams, r_max: int = R_MAX_DEFAULT) -> np.ndarray:
-    """D(0..r_max) by the running product D(r) = D(r-1) * q^(1-epsilon)/(q^r - 1).
-
-    Once the product underflows to 0.0 every later value is 0.0 too, so the
-    loop stops there; q^r then never grows past the float range.
-    """
+    """D(0..r_max): corank_law at FAR_K, zero-padded or cut to r_max + 1 ranks."""
     if r_max < 0:
         raise ValueError("r_max must be non-negative")
-    q = field.q
-    up = float(q // field.p)  # q^(1-epsilon)
+    law = corank_law(field, FAR_K)[: r_max + 1]
     probs = zeros(r_max + 1)
-    value = leading_constant(field)
-    q_next = 1
-    for r in range(r_max + 1):
-        probs[r] = value
-        q_next *= q  # q^(r+1)
-        value *= up / (q_next - 1)
-        if value == 0.0:
-            break
+    probs[: len(law)] = law
     return probs
 
 
@@ -76,7 +68,8 @@ def dist_value(field: FieldParams, r: int) -> float:
     """Probability of rank r under the stationary distribution."""
     if r < 0:
         raise ValueError("rank must be non-negative")
-    return float(stationary_distribution(field, r)[r])
+    law = corank_law(field, FAR_K)
+    return float(law[r]) if r < len(law) else 0.0
 
 
 def expected_rank(field: FieldParams) -> float:
@@ -253,38 +246,50 @@ def walk_law(field: FieldParams, k: int, *, y: float | None = None) -> np.ndarra
 
 
 def corank_law(field: FieldParams, k: int) -> np.ndarray:
-    """Law of the rank after k steps of the exact-coin walk from rank 0, in
-    closed form, over ranks 0..W-1 for the last non-zero rank W-1 <= k, as
-    walk_law gives it.
+    """Law of the rank after k steps of the exact-coin walk from rank 0, over
+    ranks 0..W-1 for the last non-zero rank W-1 <= k, as walk_law gives it.
 
     It is the corank law of a uniform random k x k symmetric matrix over F_p
     (sym) or hermitian matrix over F_{p^2} (uni) (Poonen-Rains, JAMS 25,
-    2012), written with exponents rather than huge powers:
-        sym: p^(-c(c+1)/2) prod_{j=c+1}^{k} (1 - p^-j)
-             / prod_{i=1}^{(k-c)//2} (1 - p^(-2i)),
-        uni: p^(-c^2) prod_{j=c+1}^{k} (1 - p^(-2j))
-             prod_{i=1}^{k-c} (1 + (-1/p)^i) / (1 - p^(-2i)).
-    Each product stops at CORANK_TERMS, where its factor is exactly 1.0, and
-    k is clamped in Python ints, so any k costs the same.
+    2012): with x = -1/p, m = k - c and D's product formula,
+        P_k(0) = D(0) / prod_{i>k} (1 + x^i),
+        P_k(c+1) = P_k(c) * q^(1-epsilon)/(q^(c+1) - 1) * (1 - x^m),
+    where sym takes only the odd i and the even m. At m = 0 the factor is 0,
+    so the law ends at rank k at the latest. Each x^i below inverse_powers'
+    cut is left out, and a factor with an x^m is one int/int division, so
+    from k = FAR_K on the law is D's running product bitwise, and any k
+    costs the same: it is clamped in Python ints.
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    n = min(k, CORANK_TERMS)
-    c = np.arange(n + 1)
-    j = np.arange(1.0, n + 1)
-    # k - c, clamped only where it is at least 2 * CORANK_TERMS, so spread is exact
-    rest = min(k, 3 * CORANK_TERMS) - c
-    p = float(field.p)
-    even = 1.0 - p ** (-2 * j)
-    if field.flavor is Flavor.SYMPLECTIC:
-        head = p ** -(c * (c + 1) // 2)
-        above, below = 1.0 - p**-j, 1.0 / even
-        spread = np.minimum(rest // 2, n)
-    else:
-        head = p ** -(c * c)
-        above, below = even, (1.0 + (-1.0 / p) ** j) / even
-        spread = np.minimum(rest, n)
-    # above's product over j > c, below's over i <= spread
-    law = (head * np.append(np.cumprod(above[::-1])[::-1], 1.0)
-           * np.append(1.0, np.cumprod(below))[spread])
-    return law[: np.flatnonzero(law)[-1] + 1]
+    p, q = field.p, field.q
+    sym = field.flavor is Flavor.SYMPLECTIC
+    cut = p << 60  # x^i is kept while p^i <= cut
+    # x^i for i > k, odd i only for sym
+    step = 2 if sym else 1
+    i = (min(k, CORANK_TERMS) + 1) | sym
+    power, stride = p**i, p**step
+    tail = []
+    while power <= cut:
+        tail.append((-1.0) ** i / power)
+        i += step
+        power *= stride
+    value = leading_constant(field, tail)
+    law = [value]
+    up = q // p  # q^(1-epsilon)
+    up_float = float(up)
+    m, pm = k, p ** min(k, CORANK_TERMS)  # pm = p^m while m <= CORANK_TERMS
+    q_next = q  # q^(c+1)
+    while True:
+        if pm <= cut and (not m & 1 or not sym):
+            # (1 - x^m) = (p^m - (-1)^m) / p^m
+            value *= up * (pm + 1 if m & 1 else pm - 1) / (pm * (q_next - 1))
+        else:
+            value *= up_float / (q_next - 1)
+        if value == 0.0:
+            return np.array(law)
+        law.append(value)
+        q_next *= q
+        if m <= CORANK_TERMS:
+            pm //= p
+        m -= 1

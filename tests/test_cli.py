@@ -368,8 +368,8 @@ def test_simulate_prints_the_ranks_the_sampler_can_reach(k):
 
 def test_simulate_computes_the_k_step_law_once(monkeypatch):
     """The printed reference is the law the sample was drawn from, so the
-    command computes the k-step law once: corank_law's closed form with the
-    exact coin, and walk_law's walk with --y, which has no closed form."""
+    command computes the k-step law once: corank_law's running product with
+    the exact coin, and walk_law's walk with --y, which has no closed form."""
     calls = []
 
     def counted(name):
@@ -390,17 +390,56 @@ def test_simulate_computes_the_k_step_law_once(monkeypatch):
 
 
 def test_simulate_past_the_float_range_prints_the_k_1e18_rows():
-    """corank_law keeps every non-zero rank, so no k is refused: past
-    3 * CORANK_TERMS no product of the closed form changes, so neither do
-    the law and the seeded run."""
+    """corank_law keeps every non-zero rank and clamps k in Python ints, so
+    no k is refused and each run takes well under a minute: from FAR_K on
+    the law is D's running product, so neither it nor the seeded run
+    changes."""
     outputs = []
     for k in (10**18, 10**700):
+        start = time.perf_counter()
         code, out, err = run_cli("simulate", "--p", "2", "--flavor", "sym", "--k", str(k),
                                  "--samples", str(2**62), "--seed", "1")
-        assert (code, err) == (0, "")
+        seconds = time.perf_counter() - start
+        assert (code, err) == (0, "") and seconds < 60, seconds
         outputs.append([line for line in out.splitlines() if not line.startswith("# k:")])
     assert outputs[0] == outputs[1]
     assert any(line.startswith("count(") for line in outputs[0])
+
+
+@pytest.mark.parametrize("args", [("--p", "2", "--flavor", "sym"),
+                                  ("--p", "32749", "--flavor", "sym"),
+                                  ("--p", "2", "--flavor", "sym", "--y", "0.5")],
+                         ids=["exact-coin", "largest-p", "bounded-error-coin"])
+def test_simulate_cost_bounded_in_k(args):
+    """k = 10^18 at 2^62 samples answers in well under a minute, where a
+    cost linear in k would never finish. corank_law stops where its product
+    underflows, at p = 32749 sym too, where the exact-coin walk took 821
+    steps to repeat, the most of any field. With y = 0.5 the coin stays near
+    3/8 at every rank, so walk_law keeps about 620 ranks until it repeats."""
+    start = time.perf_counter()
+    code, out, err = run_cli("simulate", *args, "--k", str(10**18), "--samples", str(2**62),
+                             "--seed", "1")
+    seconds = time.perf_counter() - start
+    assert (code, err) == (0, "") and seconds < 60, seconds
+    assert any(line.startswith("count(") for line in out.splitlines())
+
+
+@pytest.mark.parametrize("p, flavor, r", [(1657, "sym", 1), (4871, "uni", 9),
+                                          (15559, "uni", 1)])
+def test_far_simulate_reference_prints_the_dist_digits(p, flavor, r):
+    """At k = 10^18 the exact-coin law simulate draws from is D bitwise, so
+    its ref(r) prints dist's D(r). These three printed another last digit
+    when that law was a cumulative product. Rank 9 of p = 4871 uni is past
+    the ranks simulate prints, so the reference it returns is read too."""
+    field = build_field(p, Flavor.parse(flavor))
+    want = dict(expanded(cli.cmd_dist(p, field.flavor, r)))[f"D({r})"]
+    far = ("--k", str(10**18), "--samples", str(2**62), "--seed", "1")
+    emp = twistsim.simulate(twistsim.SimConfig(field=field, k=10**18, samples=2**62, seed=1))
+    assert cli.fmt(emp.reference[r]) == want
+    code, out, err = run_cli("--format", "json", "simulate", "--p", str(p), "--flavor", flavor,
+                             *far)
+    assert (code, err) == (0, "")
+    assert dict(record_from_json(out).rows).get(f"ref({r})", want) == want
 
 
 def test_simulate_independent_of_blas_threads():

@@ -7,8 +7,8 @@ Schur complement keeps it (1 - 1/p) or raises it to c + 1 (1/p). Those are
 the walk's exact transition probabilities, so three routes must agree: the
 closed-form counts below, the chain of markov_entry_exact, and an exhaustive
 census of matrices reduced by spaces.rref. rankdist.corank_law, the float
-closed form simulate draws from with the exact coin, and walk_law, the float
-walk, must both match it to rounding.
+running product simulate draws from with the exact coin, and walk_law, the
+float walk, must both match it to rounding.
 """
 
 import itertools
@@ -21,7 +21,7 @@ import pytest
 
 from twistrank import bounds
 from twistrank import rankdist as rd
-from twistrank.gf import Flavor, build_field
+from twistrank.gf import Flavor, build_field, is_prime
 from twistrank.spaces import rref
 
 
@@ -130,42 +130,48 @@ def test_corank_law_is_the_matrix_census(p, flavor, k_max):
 
 
 @pytest.mark.parametrize("flavor", list(Flavor))
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_float_corank_law_is_the_exact_law(p, flavor):
-    """rankdist.corank_law agrees with the Fraction law at every rank to
-    (k + 2) * 2^-52 relative; the worst case here, (7, uni, k = 5, rank 0),
-    takes under half of that budget."""
+    """rankdist.corank_law has the width of the Fraction law rounded to
+    floats at every k < 64, and agrees with it within 1.34e-15 relative at
+    every normal rank, the worst of the cumulative products it replaced (at
+    p = 3 uni, k = 41, rank 21); its own worst is 1.11e-15, at p = 2 sym,
+    k = 30, rank 29. A subnormal rank is within one subnormal ulp (the
+    worst, 0.94 of it, at p = 2 uni, k = 48, rank 32)."""
     field = build_field(p, flavor)
-    for k in range(13):
-        law = rd.corank_law(field, k)
+    for k in range(64):
+        law = rd.corank_law(field, k).tolist()
         exact = exact_corank_law(field, k)
-        assert len(law) == len(exact), k
+        assert len(law) == np.count_nonzero([float(x) for x in exact]), k
         for r, (got, want) in enumerate(zip(law, exact)):
-            error = abs(Fraction(got) - want) / want
-            assert error <= Fraction(k + 2, 2**52), (k, r, float(error))
+            error = abs(Fraction(got) - want)
+            if want >= sys.float_info.min:
+                assert error <= 1.34e-15 * want, (k, r, float(error / want))
+            else:
+                assert error <= math.ulp(0.0), (k, r)
 
 
 @pytest.mark.parametrize("flavor", list(Flavor))
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 32749])
 def test_float_corank_law_is_the_walk(p, flavor):
-    """The closed form and the walk end at the same rank and agree to 1e-13
-    at every k, 10^700 included; the largest gap, 9e-14 at (32749, sym,
-    k = 10^18), is the walk's own drift at rank 0. Past 3 * CORANK_TERMS no
-    product of the closed form changes, so neither does its law."""
+    """The running product and the walk end at the same rank and agree to
+    1e-13 at every k, 10^700 included; the largest gap, 9e-14 at (32749,
+    sym, k = 10^18), is the walk's own drift at rank 0. From FAR_K on no
+    (-1/p)^i term is left in the product, so the law no longer changes."""
     field = build_field(p, flavor)
     for k in (0, 1, 2, 5, 20, 60, 1000, 10**18, 10**700):
         law = rd.corank_law(field, k)
         walked = rd.walk_law(field, k)
         assert len(law) == len(walked), k
         assert np.abs(law - walked).max() <= 1e-13, k
-    assert law.tobytes() == rd.corank_law(field, 3 * rd.CORANK_TERMS).tobytes()
+    assert law.tobytes() == rd.corank_law(field, rd.FAR_K).tobytes()
 
 
 @pytest.mark.parametrize("flavor", list(Flavor))
 def test_float_corank_law_cures_the_walk_drift(flavor):
     """At p = 32749 the walk loses about an ulp of rank-0 mass per step
     until it repeats, 821 steps in for sym, so its k = 10^18 rank 0 is
-    9e-14 below D(0). The closed form's rank 0 is D(0) to 1e-16, checked
+    9e-14 below D(0). The running product's rank 0 is D(0) to 1e-16, checked
     against the exact stationary weights."""
     field = build_field(32749, flavor)
     d0 = 1 / sum(rd.stationary_weight_exact(field, r) for r in range(40))
@@ -192,25 +198,47 @@ def exact_stationary_law(field, width):
 
 @pytest.mark.parametrize("p,flavor", FAR_PAIRS)
 def test_far_corank_law_is_the_stationary_law(p, flavor):
-    """At k = 10^18 the closed form's products are D's product formula to
-    rounding, so both float routes to D, corank_law and
-    stationary_distribution, have the same width and match the exact law:
-    normal entries within 1.1e-15 relative for corank_law (the worst,
-    1.02e-15, at p = 3 uni, rank 17) and 6e-16 for stationary_distribution
+    """At k = 10^18 corank_law is D's running product, the one float route
+    to D, and matches the exact law: normal entries within 6e-16 relative
     (the worst, 5.9e-16, at p = 5 sym), and subnormal ones within one
     subnormal ulp (the worst, 0.82 of it, at p = 1009 sym)."""
     field = build_field(p, flavor)
     law = rd.corank_law(field, 10**18)
-    stationary = rd.stationary_distribution(field, 2 * rd.CORANK_TERMS)
-    assert np.flatnonzero(stationary)[-1] + 1 == len(law)
     exact = exact_stationary_law(field, len(law))
-    for route, bound in ((law, 1.1e-15), (stationary, 6e-16)):
-        for r, (got, want) in enumerate(zip(route.tolist(), exact)):
-            error = abs(Fraction(got) - want)
-            if want >= sys.float_info.min:
-                assert error <= bound * want, (r, float(error / want))
-            else:
-                assert error <= math.ulp(0.0), r
+    for r, (got, want) in enumerate(zip(law.tolist(), exact)):
+        error = abs(Fraction(got) - want)
+        if want >= sys.float_info.min:
+            assert error <= 6e-16 * want, (r, float(error / want))
+        else:
+            assert error <= math.ulp(0.0), r
+
+
+def running_product(field):
+    """D(0), D(1), ... up to its first 0.0, by the float running product
+    D(r) = D(r-1) * q^(1-epsilon)/(q^r - 1) from leading_constant."""
+    q, up = field.q, float(field.q // field.p)
+    value, q_next, law = rd.leading_constant(field), 1, []
+    while value:
+        law.append(value)
+        q_next *= q
+        value *= up / (q_next - 1)
+    return law
+
+
+def test_far_corank_law_is_d_bitwise_over_the_domain():
+    """From FAR_K = 3 * CORANK_TERMS on, every (-1/p)^i term of corank_law
+    is past inverse_powers' cut, so its law is D's running product bitwise,
+    and it is stationary_distribution's non-zero prefix, for every field of
+    the domain, at k = 10^700 too."""
+    for p in [p for p in range(2**15) if is_prime(p)]:
+        for flavor in Flavor:
+            field = build_field(p, flavor)
+            want = np.array(running_product(field))
+            stationary = rd.stationary_distribution(field, rd.R_MAX_DEFAULT)
+            padded = np.pad(want, (0, len(stationary) - len(want)))
+            assert stationary.tobytes() == padded.tobytes(), (p, flavor)
+            for k in (rd.FAR_K, 10**18, 10**700):
+                assert rd.corank_law(field, k).tobytes() == want.tobytes(), (p, flavor, k)
 
 
 @pytest.mark.parametrize("p,flavor", FAR_PAIRS)

@@ -390,7 +390,7 @@ def test_walk_law_qr_moment_is_exact_at_every_k(p, flavor):
     coin always lands), so from rank 0 E_k[q^r] = 1 + q/p - (q/p) q^-k,
     which tends to qr_moment (Poonen-Rains, JAMS 25, 2012). At k = 10^18
     q^-k is taken as 0. The sum over the float law is taken exactly, for
-    the walk and for the closed form of corank_law."""
+    the walk and for corank_law's running product."""
     field = build_field(p, flavor)
     q, up = field.q, field.q // p
     for k in (0, 1, 2, 5, 20, 60, 1000, 10**18):
@@ -480,6 +480,16 @@ def test_stationary_distribution_beyond_float_range_of_q_power():
         assert dist[-1] == 0.0
         assert rd.dist_value(field, r_max) == 0.0
         assert rd.dist_value(field, 1) == dist[1]
+
+
+def test_dist_value_far_past_the_law_is_zero():
+    """dist_value reads the law's non-zero prefix, so a rank far past it is
+    0.0 with no array of that many ranks."""
+    field = build_field(2, Flavor.SYMPLECTIC)
+    law = rd.corank_law(field, rd.FAR_K).tolist()
+    assert [rd.dist_value(field, r) for r in range(len(law) + 1)] == [*law, 0.0]
+    assert rd.dist_value(field, 10**18) == 0.0
+    assert rd.dist_value(field, 10**700) == 0.0
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 32749])

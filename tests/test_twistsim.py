@@ -384,7 +384,7 @@ TOP_OF_DOMAIN = pytest.mark.parametrize("flavor, y", [
 
 
 def k_step_law(field, k, y):
-    """The law simulate draws from: the closed form with the exact coin,
+    """The law simulate draws from: corank_law with the exact coin,
     the walk with the bounded-error coin."""
     return rd.corank_law(field, k) if y is None else rd.walk_law(field, k, y=y)
 
@@ -421,7 +421,7 @@ def test_leak_guard_fires_past_the_certified_depth(flavor, y):
     leaked mass for a guard to fire on: simulate answers. With y, past the
     step where walk_law repeats, a run depends on k only through its phase
     in the cycle, and each law here is a fixed point; corank_law, for the
-    exact coin, is the same law at every k >= 3 * CORANK_TERMS. So
+    exact coin, is the same law at every k >= FAR_K. So
     k = 10^300 and k = 10^700 draw the k = 10^18 counts from the k = 10^18
     law."""
     field = build_field(2, flavor)
