@@ -433,11 +433,10 @@ def test_far_simulate_reference_prints_the_dist_digits(p, flavor, r):
     the ranks simulate prints, so the reference it returns is read too."""
     field = build_field(p, Flavor.parse(flavor))
     want = dict(expanded(cli.cmd_dist(p, field.flavor, r)))[f"D({r})"]
-    far = ("--k", str(10**18), "--samples", str(2**62), "--seed", "1")
     emp = twistsim.simulate(twistsim.SimConfig(field=field, k=10**18, samples=2**62, seed=1))
     assert cli.fmt(emp.reference[r]) == want
     code, out, err = run_cli("--format", "json", "simulate", "--p", str(p), "--flavor", flavor,
-                             *far)
+                             "--k", str(10**18), "--samples", str(2**62), "--seed", "1")
     assert (code, err) == (0, "")
     assert dict(record_from_json(out).rows).get(f"ref({r})", want) == want
 
