@@ -97,19 +97,17 @@ def cmd_table(p_list) -> list[tuple[str, str]]:
 
 
 def cmd_dist(p: int, flavor: Flavor, r_max: int) -> list:
-    """D(0..r_max). The law is non-zero exactly on a prefix, which
-    corank_law's running product ends at its first 0.0, and that prefix is
-    at most 46 ranks in every field of the domain. So only ranks up to
-    R_MAX_DEFAULT are computed and the live ones formatted; the rest print
-    as fmt(0.0), "0", in one Run."""
+    """D(0..r_max). corank_law at FAR_K is D's non-zero prefix, which its
+    running product ends at the first rank that rounds to 0.0; only those
+    ranks are formatted, and the rest print as fmt(0.0), "0", in one Run."""
     if r_max > MAX_RMAX:
         raise ValueError(f"r_max must be <= {MAX_RMAX}, got {r_max}")
-    dist = rankdist.stationary_distribution(build_field(p, flavor),
-                                            min(r_max, rankdist.R_MAX_DEFAULT))
-    live = int(np.count_nonzero(dist))
+    if r_max < 0:
+        raise ValueError("r_max must be non-negative")
+    law = rankdist.corank_law(build_field(p, flavor), rankdist.FAR_K)[: r_max + 1]
     # Python floats format faster than boxed np.float64 scalars
-    rows = [(f"D({r})", fmt(value)) for r, value in enumerate(dist[:live].tolist())]
-    return rows + [Run("D({})", "0", live, r_max + 1)]
+    rows = [(f"D({r})", fmt(value)) for r, value in enumerate(law.tolist())]
+    return rows + [Run("D({})", "0", len(law), r_max + 1)]
 
 
 def cmd_moments(p: int, flavor: Flavor) -> list[tuple[str, str]]:

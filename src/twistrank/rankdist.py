@@ -83,14 +83,12 @@ def qr_moment(field: FieldParams) -> float:
 
 
 def qr_moment_by_series(field: FieldParams) -> float:
-    """The q^r-moment by direct summation of q^r * D(r) up to R_MAX_DEFAULT."""
+    """The q^r-moment by direct summation of q^r * D(r) over D's non-zero prefix."""
     q = float(field.q)
     total = 0.0
-    # ranks whose mass underflowed add nothing, and q^r may overflow there;
     # a plain loop, since sum() compensates its float additions from Python 3.12 on
-    for r, dr in enumerate(stationary_distribution(field).tolist()):
-        if dr:
-            total += q**r * dr
+    for r, dr in enumerate(corank_law(field, FAR_K).tolist()):
+        total += q**r * dr
     return total
 
 

@@ -26,6 +26,10 @@ from .spaces import fiber_size, hyperbolic_plane, isotropic_slopes
 MAX_SAMPLES = 1 << 62
 CHUNK_SAMPLES = MAX_SAMPLES  # a run is one chunk; kept for perfbench's provenance
 
+# simulate refuses a larger shift: each shifted rank costs about 0.84 KB of
+# rows, so 10^6 of them take about 3.6 s and 0.9 GB
+MAX_SHIFT = 10**6
+
 # `ladder` prints one row per level; a deeper request is refused before any
 # level is built, so memory and time stay bounded whatever --depth says
 MAX_LADDER_DEPTH = 10_000
@@ -203,6 +207,8 @@ class SimConfig:
             raise ValueError("seed must be non-negative")
         if self.shift < 0:
             raise ValueError("shift must be non-negative")
+        if self.shift > MAX_SHIFT:
+            raise ValueError(f"shift must be <= {MAX_SHIFT}, got {self.shift}")
         if self.chebotarev_y is not None and not (
                 math.isfinite(self.chebotarev_y) and self.chebotarev_y > 0):
             raise ValueError("chebotarev_y must be positive and finite")
@@ -309,29 +315,21 @@ def strata_from_counts(usable: Sequence[int], n: int, k: int) -> tuple[int, int]
     decrease, as the levels do not."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    if k > n:
+    # the m-th pick lies among the first u_m places, so there is none while
+    # u_m < m, nor past the n places
+    if k > n or any(u < m for m, u in enumerate(usable[:k], 1)):
         return 0, 0
-    # valid[m](t) = number of m-subsets of the first t places obeying the
-    # first m thresholds. u_m never decreases, so valid[m] is constant past
-    # u_m, and the DP runs on the first u_k places alone; after level k its
-    # last entry is |D_k| <= C(u_k, k). The int64 sums are exact modulo 2^64,
-    # so with that bound below 2^63 every entry of level k is right even
-    # where a middle level wraps. A (k + 1)-tuple's top pick t < u_{k+1} sits
-    # over valid[k](t) k-tuples, so |D_{k+1}| sums valid[k] over the first
-    # u_k entries, in Python ints, and adds |D_k| for each of the
-    # u_{k+1} - u_k others (none past the n places).
+    # after level m, valid[j] counts the m-subsets of the first m + j places
+    # obeying the first m thresholds; it grows while j <= u_m - m and is
+    # constant after, and |D_k| = valid[u_k - k] needs no later entry. A
+    # (k + 1)-tuple's top pick t < u_{k+1} sits over valid[t - k] k-tuples.
     u_k = usable[k - 1] if k else 0
-    if math.comb(u_k, k) >= 2**63:
-        raise ValueError(f"stratum count bound C({u_k}, {k}) is not below 2^63, the int64 "
-                         "range of the counts; lower x or k, or shrink the place model")
     u_top = usable[k] if k < n else u_k
-    current = np.ones(u_k + 1, dtype=np.int64)
-    for u in usable[:k]:
-        current[1 : u + 1] = np.cumsum(current[:u])
-        current[0] = 0
-        current[u + 1 :] = current[u]
-    d_k = int(current[-1])
-    return d_k, sum(current[:u_k].tolist()) + (u_top - u_k) * d_k
+    valid = [1] * (u_k - k + 1)
+    for m, u in enumerate(usable[:k], 1):
+        grown = list(itertools.accumulate(valid[: u - m + 1]))
+        valid = grown + grown[-1:] * (len(valid) - len(grown))
+    return valid[-1], sum(valid[:-1]) + (u_top - u_k) * valid[-1]
 
 
 def strata_cardinality(p1_norms: np.ndarray, ladder: FanLadder, k: int,

@@ -54,7 +54,9 @@ def exact_corank_law(field, k):
 
 
 def chain_law(field, k):
-    """The law after k exact steps of the walk from rank 0."""
+    """The law after k exact steps of the walk from rank 0: row 0 of P^k in
+    Fractions, P's entries from markov_entry_exact. The one exact walk
+    reference of the tests."""
     law = [Fraction(1)]
     for _ in range(k):
         nxt = [Fraction(0)] * (len(law) + 1)

@@ -26,7 +26,10 @@ The printed text must be the correctly rounded 12-significant-digit text
 (`%.12g`) of every number in the interval, and a `table` cell the 4-decimal
 truncation; an interval that holds a rounding boundary fails, as the right
 text is then unknown. `dist` is checked at every rank whose value lies in
-the normal float range. The standard library alone computes the intervals.
+the normal float range. Past it, where a float holds fewer than 12 digits, a
+`dist` value must print as `%.12g` of the float nearest its exact value, and
+the law must end, printing "0" from there on, at the first rank whose exact
+value rounds to 0.0. The standard library alone computes the intervals.
 """
 
 from __future__ import annotations
@@ -190,4 +193,27 @@ def test_dist_prints_every_normal_value_right():
         checked += len(right)
         wrong += misprints(dict(expanded(cli.cmd_dist(p, flavor, r - 1))), right, (p, flavor.value))
     assert checked == 76_783  # the normal values of D over the whole domain
+    assert not wrong, f"{len(wrong)} misprints, e.g. {wrong[:5]}"
+
+
+def test_dist_prints_every_subnormal_value_as_the_nearest_float():
+    wrong, checked = [], 0
+    for p, flavor in FIELDS:
+        q = p ** FLAVORS[flavor]
+        up = q // p
+        lo, hi = closed_forms(p, flavor)["d0"]
+        # as above; an int / int quotient is the nearest float, also where it
+        # is subnormal, and both ends of the interval must round alike
+        right, r, num, den = {}, 0, 1, GRID
+        while True:
+            nearest = lo * num / den
+            if lo * num << 1022 < den:
+                right[f"D({r})"] = cli.fmt(nearest) if nearest == hi * num / den else None
+                if nearest == 0.0:
+                    break
+            r += 1
+            num, den = num * up, den * (q**r - 1)
+        checked += len(right)
+        wrong += misprints(dict(expanded(cli.cmd_dist(p, flavor, r))), right, (p, flavor.value))
+    assert checked == 8_354  # the subnormal values of D and the first 0.0 of each field
     assert not wrong, f"{len(wrong)} misprints, e.g. {wrong[:5]}"

@@ -495,8 +495,8 @@ def test_dist_value_far_past_the_law_is_zero():
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 32749])
 @pytest.mark.parametrize("flavor", list(Flavor))
 def test_stationary_distribution_is_non_zero_exactly_on_a_prefix(p, flavor):
-    # cmd_dist formats only the first count_nonzero entries and prints the
-    # rest as "0", so every entry past them must be +0.0
+    # stationary_distribution pads D's non-zero prefix, which cmd_dist
+    # formats, with +0.0, which cmd_dist prints as "0"
     dist = rd.stationary_distribution(build_field(p, flavor), 1200)
     live = np.count_nonzero(dist)
     assert 0 < live < len(dist)
@@ -505,8 +505,8 @@ def test_stationary_distribution_is_non_zero_exactly_on_a_prefix(p, flavor):
 
 
 def test_stationary_distribution_is_non_zero_on_at_most_46_ranks_over_the_domain():
-    # cmd_dist computes D only up to R_MAX_DEFAULT and prints every later
-    # rank as "0"; p = 2 sym is the widest law
+    # the default width holds all of D in every field of the domain; p = 2
+    # sym is the widest law
     widths = {(p, flavor): int(np.count_nonzero(
                   rd.stationary_distribution(build_field(p, flavor), rd.R_MAX_DEFAULT)))
               for p in DOMAIN_PRIMES for flavor in Flavor}

@@ -24,6 +24,8 @@ from twistrank.twistsim import (
     strata_from_counts,
 )
 
+from test_corank_law import chain_law
+
 SIX_PAIRS = [(p, flavor) for p in (2, 3, 5, 7, 11, 13) for flavor in Flavor]
 
 
@@ -433,18 +435,6 @@ def test_leak_guard_fires_past_the_certified_depth(flavor, y):
         assert far.counts.sum() == 2**62
 
 
-def exact_walk_law(field, k):
-    """Row 0 of P^k in Fractions, P's entries from markov_entry_exact."""
-    law = [Fraction(1)]
-    for _ in range(k):
-        nxt = [Fraction(0)] * (len(law) + 1)
-        for r, mass in enumerate(law):
-            for s in range(max(0, r - 1), r + 2):
-                nxt[s] += mass * rd.markov_entry_exact(field, r, s)
-        law = nxt
-    return law
-
-
 def test_walk_law_small_k_drops_no_rank():
     """Below the depth where any rank's mass underflows to 0, walk_law
     spans every rank 0..k."""
@@ -465,7 +455,7 @@ def test_walk_law_certified_by_exact_rationals():
         for flavor in Flavor:
             field = build_field(p, flavor)
             for k in range(13):
-                exact = exact_walk_law(field, k)
+                exact = chain_law(field, k)
                 law = rd.walk_law(field, k)
                 assert len(law) == len(exact), (p, flavor, k)
                 for r, (got, want) in enumerate(zip(law, exact)):
@@ -636,17 +626,15 @@ def test_strata_count_past_the_ladder_depth_bound():
     assert strata_cardinality(np.arange(2, 2 + k), FanLadder(1.0), k, 1e6) == (1, 0)
 
 
-def test_strata_counts_up_to_the_int64_bound():
+def test_strata_counts_past_the_int64_range():
     # every threshold is at least 10^6, above every norm, so |D_m| = C(1000, m);
-    # C(1000, 6) > 10^15, C(1000, 7) < 2^63 <= C(1000, 8). Only |D_k| is held
-    # in int64, so k = 7 answers, with |D_8| past 2^63, and k = 8 is refused
+    # C(1000, 6) > 10^15 and C(1000, 7) < 2^63 <= C(1000, 8). The counts are
+    # Python ints, so every k answers exactly
     norms = np.arange(2, 1002)
     ladder = FanLadder(1.0)
     assert strata_cardinality(norms, ladder, 6, 1e6) == (math.comb(1000, 6), math.comb(1000, 7))
     assert strata_cardinality(norms, ladder, 7, 1e6) == (math.comb(1000, 7), math.comb(1000, 8))
-    with pytest.raises(ValueError, match="^stratum count bound C\\(1000, 8\\) is not below 2\\^63"):
-        strata_cardinality(norms, ladder, 8, 1e6)
-    # the middle levels wrap in int64, but the sums are exact modulo 2^64
+    assert strata_cardinality(norms, ladder, 8, 1e6) == (math.comb(1000, 8), math.comb(1000, 9))
     assert strata_cardinality(norms, ladder, 998, 1e6) == (math.comb(1000, 2), 1000)
     assert strata_cardinality(p1_norms(2000, 1.0, seed=0), ladder, 1, 2000.0)[0] == 303
 
@@ -707,8 +695,8 @@ def test_strata_prefix_dp_matches_the_full_array_dp(seed):
 
 
 def test_strata_top_level_matches_the_full_array_dp():
-    """The (k + 1)-th count is closed-form past the DP over the first u_k
-    places; it equals the full-array DP's level k + 1, also where the middle
+    """The (k + 1)-th count is closed-form past the DP's last level; it
+    equals the full-array DP's level k + 1, also where that DP's middle
     levels wrap in int64 (k = 998 over 1000 places)."""
     cases = [(np.arange(2, 1002), FanLadder(1.0), 1e6, (0, 1, 6, 998, 999, 1000, 1001))]
     norms = p1_norms(10**6, 0.5, seed=3)
