@@ -107,21 +107,6 @@ def odd_mass(field: FieldParams) -> float:
     return -math.expm1(log_beta(field)) / 2.0
 
 
-def markov_entry_exact(field: FieldParams, r: int, s: int) -> Fraction:
-    """Exact rational transition probability, for cross-checks."""
-    if r < 0 or s < 0:
-        raise ValueError("ranks must be non-negative")
-    q, p = field.q, field.p
-    qr = Fraction(1, q**r)
-    if s == r - 1:
-        return 1 - qr
-    if s == r:
-        return (1 - Fraction(1, p)) * qr
-    if s == r + 1:
-        return qr / p
-    return Fraction(0)
-
-
 def stationary_weight_exact(field: FieldParams, r: int) -> Fraction:
     """Unnormalized stationary weight prod_{i=1..r} q^(1-epsilon)/(q^i - 1)."""
     q = field.q

@@ -3,7 +3,9 @@
 A sample is a rank walk: each ramified place first tosses the Frobenius
 coin (localization vanishes with probability q^(-r)), then draws a
 character whose Kummer line may or may not match the transverse line.
-The marginal one-step law equals the rank-transition operator exactly.
+The marginal one-step law equals the rank-transition operator exactly; the
+exhaustive micro model that shows it, micro_transition_law, is a test
+oracle in tests/oracles.py, not part of this module.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import itertools
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 import scipy.stats  # noqa: F401  # the benchmark reads its import time (ROADMAP items 0, 1)
@@ -20,7 +21,6 @@ from scipy.special import chdtrc
 
 from .gf import FieldParams
 from .rankdist import corank_law, walk_law, zeros
-from .spaces import fiber_size, hyperbolic_plane, isotropic_slopes
 
 # counts are int64 and sum to samples, so totals fit
 MAX_SAMPLES = 1 << 62
@@ -150,32 +150,6 @@ class FanLadder:
             yield level
             prod = prod * level
             level = max(self._base(prod), x * level)
-
-
-def micro_transition_law(field: FieldParams, r: int, n: int) -> dict[int, Fraction]:
-    """Exhaustive one-step law of the micro model at rank r.
-
-    The rank falls when the Frobenius coin fails, with probability
-    1 - q^(-r). Otherwise the transverse line V is one of the p ramified
-    lines of the hyperbolic plane (every isotropic line but the first,
-    unramified one), and a character, one of p^(2n-1)(p-1) of order p^n,
-    has its Kummer line in blocks of fiber_size: character f lands on
-    ramified line f // fiber_size. The rank rises exactly when that line is
-    V. The (character, V) pairs are counted as ints, over the integer
-    slopes of the lines, and the result must equal the operator entries
-    exactly.
-    """
-    if r < 0:
-        raise ValueError("rank must be non-negative")
-    ramified = isotropic_slopes(hyperbolic_plane(field))[1:]
-    block = fiber_size(field.p, n)
-    chars = range(len(ramified) * block)
-    pairs = len(ramified) * len(chars)
-    rises = sum(ramified.count(ramified[f // block]) for f in chars)
-    coin = Fraction(1, field.q**r)
-    law = {r - 1: 1 - coin, r: coin * Fraction(pairs - rises, pairs),
-           r + 1: coin * Fraction(rises, pairs)}
-    return {s: w for s, w in law.items() if w != 0}
 
 
 @dataclass(frozen=True, kw_only=True)

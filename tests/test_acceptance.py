@@ -17,16 +17,11 @@ from twistrank import bounds, rankdist as rd
 from twistrank import twistsim as ts
 from twistrank.cli import cmd_table, fmt_trunc4, main
 from twistrank.gf import Flavor, build_field
-from twistrank.spaces import (
-    Subspace,
-    enumerate_isotropic_lines,
-    evaluate_form,
-    hyperbolic_plane,
-)
+from twistrank.spaces import enumerate_isotropic_lines, hyperbolic_plane
+
+from oracles import SIX_PAIRS, brute_force_isotropic_lines, markov_row_exact, micro_transition_law
 
 DATA_DIR = Path(__file__).parent / "data"
-
-SIX_PAIRS = [(p, flavor) for p in (2, 3, 5, 7, 11, 13) for flavor in Flavor]
 
 # Reference grid, row order (rank0, odd, mean) x (sym, uni), columns p.
 REFERENCE_TABLE = {
@@ -120,17 +115,9 @@ def test_criterion_4_isotropic_census():
             field = build_field(p, flavor)
             space = hyperbolic_plane(field)
             lines = enumerate_isotropic_lines(space)
-            # independent route: span every isotropic vector of k^2
-            brute = set()
-            elems = list(field.elements())
-            for v0 in elems:
-                for v1 in elems:
-                    v = (v0, v1)
-                    if any(v) and not evaluate_form(space, v, v):
-                        brute.add(Subspace(2, [v]))
             # the first line is the unramified one, the other p are ramified
             unramified, *ramified = lines
-            ok = ok and len(lines) == p + 1 and set(lines) == brute
+            ok = ok and len(lines) == p + 1 and set(lines) == brute_force_isotropic_lines(space)
             ok = ok and len(ramified) == p
             ok = ok and unramified not in ramified
     elapsed = time.monotonic() - start
@@ -148,13 +135,7 @@ def test_criterion_5_micro_model_matches_operator():
             field = build_field(p, flavor)
             for n in (1, 2):
                 for r in range(4):
-                    law = ts.micro_transition_law(field, r, n)
-                    target = {
-                        s: rd.markov_entry_exact(field, r, s)
-                        for s in range(max(0, r - 1), r + 2)
-                        if rd.markov_entry_exact(field, r, s)
-                    }
-                    ok = ok and law == target
+                    ok = ok and micro_transition_law(field, r, n) == markov_row_exact(field, r)
     report("criterion 5: micro-model transition law equals the operator", ok)
 
 

@@ -1,19 +1,12 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from twistrank import bounds, rankdist
 from twistrank.gf import Flavor, build_field
 
-ALL_PAIRS = [(p, flavor) for p in (2, 3, 5, 7, 11, 13) for flavor in Flavor]
-
-
-def trunc4(value):
-    return int(value * 10000) / 10000
+from harness import run_python
+from oracles import SIX_PAIRS, trunc4
 
 
 def test_fermat_density_spot_values():
@@ -58,7 +51,7 @@ def test_rank_zero_bound_examples():
 
 
 def test_rank_zero_bound_agrees_with_distribution():
-    for p, flavor in ALL_PAIRS:
+    for p, flavor in SIX_PAIRS:
         field = build_field(p, flavor)
         assert abs(
             bounds.rank_zero_density_bound(field) - rankdist.dist_value(field, 0)
@@ -118,7 +111,7 @@ def test_density_reports_lie_in_unit_interval():
 
 
 def test_bounds_cross_check_against_distribution_routes():
-    for p, flavor in ALL_PAIRS:
+    for p, flavor in SIX_PAIRS:
         field = build_field(p, flavor)
         assert abs(
             bounds.avg_rank_bound(field, 1) - rankdist.expected_rank(field)
@@ -142,11 +135,7 @@ def test_huge_p_is_refused_before_trial_division():
         "    except ValueError as exc:\n"
         "        print(json.dumps([name, str(exc)]))\n"
     )
-    src = str(Path(__file__).parent.parent / "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
+    done = run_python(script)
     message = f"p = {2**89 - 1} exceeds the supported range (p <= 32768)"
     assert [json.loads(line) for line in done.stdout.splitlines()] == [
         ["odd_rank_proportion", message], ["fermat_unsolvable_density", message]]

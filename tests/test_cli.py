@@ -1,11 +1,6 @@
-import bisect
 import csv
 import io
-import itertools
 import json
-import os
-import subprocess
-import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -27,7 +22,7 @@ from twistrank.cli import (
     load_sim_config,
     main,
 )
-from twistrank.gf import Flavor, build_field, format_elem, is_prime
+from twistrank.gf import Flavor, build_field, format_elem
 from twistrank.records import OutputRecord
 from twistrank.spaces import (
     enumerate_isotropic_lines,
@@ -38,6 +33,8 @@ from twistrank.spaces import (
 )
 from twistrank.twistsim import MAX_LADDER_DEPTH, FanLadder
 
+from harness import ROOT, load, run_python
+from oracles import DOMAIN_PRIMES, SPOT_PRIMES, strata
 from record_parsers import expanded, record_from_csv, record_from_json
 from transcripts import LADDER_PAST_INT64, readme_blocks, readme_cli_examples, readme_config
 
@@ -274,7 +271,7 @@ def assert_isotropic_matches_the_subspace_route(p, flavor, n):
 def test_isotropic_rows_match_the_subspace_route(flavor, n):
     """cmd_isotropic renders from integer coordinates; its rows and all three
     encodings equal those of the Subspace route, for every prime below 200."""
-    for p in filter(is_prime, range(200)):
+    for p in [p for p in DOMAIN_PRIMES if p < 200]:
         assert_isotropic_matches_the_subspace_route(p, flavor, n)
 
 
@@ -298,7 +295,7 @@ def test_isotropic_closed_form_is_the_general_solver_over_the_domain(flavor):
     """cmd_isotropic writes the lines from their closed form; its rows equal
     those rendered from isotropic_slopes, the solver for any Gram matrix,
     at every prime below 2000 and at 3067 and 32749."""
-    for p in [p for p in range(2000) if is_prime(p)] + [3067, 32749]:
+    for p in SPOT_PRIMES:
         first, *ramified = isotropic_slopes(hyperbolic_plane(build_field(p, flavor)))
         assert first is None
         expected = [("lines_total", str(p + 1)), ("fiber_size", str(fiber_size(p, 1))),
@@ -475,14 +472,8 @@ def test_simulate_independent_of_blas_threads():
         " samples=2**62, seed=1, chebotarev_y=0.5))\n"
         "print(json.dumps([emp.counts.tolist(), [x.hex() for x in emp.reference]]))\n"
     )
-    src = str(Path(__file__).parent.parent / "src")
-    runs = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, check=True)
-        runs.append(json.loads(done.stdout))
+    runs = [json.loads(run_python(script, OPENBLAS_NUM_THREADS=threads).stdout)
+            for threads in ("1", "2")]
     assert runs[0] == runs[1]
     assert sum(runs[0][0]) == 2**62
 
@@ -839,8 +830,6 @@ def plain_argv_variants(argv):
 def plain_argv_corpus():
     """README's examples, every perfbench op's argv, and each command with all
     of its flags and with its required ones only."""
-    from test_perfbench_contract import ROOT, load
-
     workloads = load("workloads")
     corpus = [*readme_cli_examples()]
     corpus += [op.label.split() for build in workloads.WORKLOADS.values()
@@ -985,12 +974,8 @@ def test_ladder_cost_bounded_in_k():
         "        code = main(['ladder', *argv, '--k', str(10**30)])\n"
         "    print(json.dumps([code, time.perf_counter() - start, err.getvalue()]))\n"
     )
-    src = str(Path(__file__).parent.parent / "src")
     # one OpenBLAS thread, so the import's reserved buffers do not grow with the core count
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
+    done = run_python(script, OPENBLAS_NUM_THREADS="1")
     runs = [json.loads(line) for line in done.stdout.splitlines()]
     assert len(runs) == 2
     for code, seconds, err in runs:
@@ -1012,12 +997,8 @@ def test_ladder_depth_bounded():
         "    code = main(['ladder', '--x', '10', '--depth', str(10**30)])\n"
         "print(json.dumps([code, time.perf_counter() - start, err.getvalue()]))\n"
     )
-    src = str(Path(__file__).parent.parent / "src")
     # one OpenBLAS thread, so the import's reserved buffers do not grow with the core count
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
+    done = run_python(script, OPENBLAS_NUM_THREADS="1")
     code, seconds, err = json.loads(done.stdout)
     assert code == 1 and seconds < 1.0, (code, seconds, err)
     assert err.startswith("error: --depth must be <= ") and err.count("\n") == 1, err
@@ -1038,12 +1019,8 @@ def test_out_of_memory_while_rendering_is_one_error_line():
         "    code = main(['dist', '--p', '2', '--flavor', 'sym', '--rmax', '40000000'])\n"
         "print(json.dumps([code, out.getvalue(), err.getvalue()]))\n"
     )
-    src = str(Path(__file__).parent.parent / "src")
     # one OpenBLAS thread, so the import's reserved buffers do not grow with the core count
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=60)
+    done = run_python(script, check=False, OPENBLAS_NUM_THREADS="1")
     assert (done.returncode, done.stderr) == (0, "")
     assert json.loads(done.stdout) == [1, "", "error: out of memory\n"]
 
@@ -1071,11 +1048,7 @@ def test_huge_p_is_refused_in_bounded_time(tmp_path):
         "        code = main(argv)\n"
         "    print(json.dumps([code, out.getvalue(), err.getvalue()]))\n"
     )
-    src = str(Path(__file__).parent.parent / "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", script, json.dumps(commands)], env=env,
-                          capture_output=True, text=True, timeout=60, check=True)
+    done = run_python(script, json.dumps(commands))
     runs = [json.loads(line) for line in done.stdout.splitlines()]
     range_error = f"= {huge} exceeds the supported range (p <= 32768)\n"
     assert runs[:-1] == [[1, "", f"error: --p {range_error}"]] * (len(commands) - 1)
@@ -1101,20 +1074,6 @@ def test_ladder_counts_below_int64_without_a_cap():
     assert (values["D_3"], values["D_4"]) == ("13840", "1085146345")
 
 
-def strata_in_python_ints(norms, levels, k):
-    """(|D_k|, |D_{k+1}|) over the listed norms, ascending, by the stratum DP
-    in Python ints: after level m, counts[t] is the number of m-tuples of the
-    first t places whose i-th pick lies below the i-th level, for t up to
-    u_m, the number of places below level m; it is constant from there on."""
-    counts, strata = [1], []
-    for level in levels[:k + 1]:
-        u = bisect.bisect_left(norms, level)
-        picks = counts[:u] + counts[-1:] * (u - len(counts))
-        counts = [0, *itertools.accumulate(picks)]
-        strata.append(counts[-1])
-    return ([1] + strata)[k], strata[k]
-
-
 @pytest.mark.parametrize("x,exponent,k", LADDER_PAST_INT64,
                          ids=[f"x{x}-e{e}-k{k}" for x, e, k in LADDER_PAST_INT64])
 def test_ladder_counts_past_the_int64_range_of_all_places(x, exponent, k):
@@ -1124,7 +1083,7 @@ def test_ladder_counts_past_the_int64_range_of_all_places(x, exponent, k):
     empty top stratum, is refused as empty."""
     levels = FanLadder(float(exponent)).levels(float(x), k + 1)
     norms = twistsim.build_place_model(levels[-1], 1.0, 0).tolist()
-    d_k, d_k1 = strata_in_python_ints(norms, levels, k)
+    d_k, d_k1 = strata(norms, levels)[k:]
     code, out, err = run_cli("--format", "csv", "ladder", "--x", x, "--exponent", exponent,
                              "--k", str(k))
     if d_k1 == 0:

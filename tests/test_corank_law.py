@@ -5,13 +5,12 @@ Bordering a matrix of corank c by a new column v and diagonal entry d drops
 the corank to c - 1 unless v lies in the image (probability q^-c); then the
 Schur complement keeps it (1 - 1/p) or raises it to c + 1 (1/p). Those are
 the walk's exact transition probabilities, so three routes must agree: the
-closed-form counts below, the chain of markov_entry_exact, and an exhaustive
-census of matrices reduced by spaces.rref. rankdist.corank_law, the float
-running product simulate draws from with the exact coin, and walk_law, the
-float walk, must both match it to rounding.
+closed-form counts, the chain of markov_entry_exact, and an exhaustive
+census of matrices reduced by spaces.rref (all three in tests/oracles.py).
+rankdist.corank_law, the float running product simulate draws from with the
+exact coin, and walk_law, the float walk, must both match it to rounding.
 """
 
-import itertools
 import math
 import sys
 from fractions import Fraction
@@ -21,70 +20,10 @@ import pytest
 
 from twistrank import bounds
 from twistrank import rankdist as rd
-from twistrank.gf import Flavor, build_field, is_prime
-from twistrank.spaces import rref
+from twistrank.gf import Flavor, build_field
 
-
-def exact_corank_law(field, k):
-    """P(corank = c) for c = 0..k, from the number of rank-rho matrices.
-
-    sym, out of p^(k(k+1)/2) symmetric matrices (MacWilliams 1969):
-        prod_{i=1}^{rho//2} p^(2i)/(p^(2i) - 1) * prod_{i=0}^{rho-1} (p^(k-i) - 1);
-    uni, out of p^(k^2) hermitian matrices (after Carlitz-Hodges 1955): a
-    radical, [k rho]_{p^2}, times the nonsingular rho x rho hermitian
-    matrices, p^(rho(rho-1)/2) * prod_{i=1}^{rho} (p^i + (-1)^i).
-    """
-    p = field.p
-    law = [Fraction(0)] * (k + 1)
-    for rank in range(k + 1):
-        if field.flavor is Flavor.SYMPLECTIC:
-            count = Fraction(math.prod(p ** (k - i) - 1 for i in range(rank)))
-            for i in range(1, rank // 2 + 1):
-                count *= Fraction(p ** (2 * i), p ** (2 * i) - 1)
-            total = p ** (k * (k + 1) // 2)
-        else:
-            q = p * p
-            radicals = Fraction(math.prod(q ** (k - i) - 1 for i in range(rank)),
-                                math.prod(q ** (i + 1) - 1 for i in range(rank)))
-            count = radicals * p ** (rank * (rank - 1) // 2) * math.prod(
-                p ** i + (-1) ** i for i in range(1, rank + 1))
-            total = p ** (k * k)
-        law[k - rank] = count / total
-    return law
-
-
-def chain_law(field, k):
-    """The law after k exact steps of the walk from rank 0: row 0 of P^k in
-    Fractions, P's entries from markov_entry_exact. The one exact walk
-    reference of the tests."""
-    law = [Fraction(1)]
-    for _ in range(k):
-        nxt = [Fraction(0)] * (len(law) + 1)
-        for r, mass in enumerate(law):
-            for s in range(max(0, r - 1), r + 2):
-                nxt[s] += mass * rd.markov_entry_exact(field, r, s)
-        law = nxt
-    return law
-
-
-def census_law(field, k):
-    """Corank frequencies over every symmetric (sym) or hermitian (uni)
-    k x k matrix, each reduced by spaces.rref."""
-    elems = list(field.elements())
-    diagonal = [e for e in elems if e.conj() == e]
-    upper = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    counts = [0] * (k + 1)
-    for diag in itertools.product(diagonal, repeat=k):
-        for off in itertools.product(elems, repeat=len(upper)):
-            m = [[field.zero()] * k for _ in range(k)]
-            for i, d in enumerate(diag):
-                m[i][i] = d
-            for (i, j), g in zip(upper, off):
-                m[i][j] = g
-                m[j][i] = g.conj() if field.flavor is Flavor.UNITARY else g
-            counts[k - len(rref(m))] += 1
-    total = sum(counts)
-    return [Fraction(c, total) for c in counts]
+from oracles import (DOMAIN_PRIMES, FAR_PAIRS, census_law, chain_law, exact_corank_law,
+                     exact_stationary_law, running_product)
 
 
 @pytest.mark.parametrize("flavor", list(Flavor))
@@ -184,22 +123,6 @@ def test_float_corank_law_cures_the_walk_drift(flavor):
         assert abs(Fraction(rd.walk_law(field, 10**18)[0]) - d0) > Fraction(1, 10**14)
 
 
-FAR_PAIRS = [(p, flavor) for p in (2, 3, 5, 7, 11, 13, 101, 1009, 32749) for flavor in Flavor]
-
-
-def exact_stationary_law(field, width):
-    """D(0..width-1) in rationals: D(r) is proportional to
-    prod_{i=1..r} q^(1-epsilon)/(q^i - 1). The weights past width are left
-    out of the total; where they are below the float range, as at the width
-    of a float law, that moves no value by more than 1e-300 of itself."""
-    q, up = field.q, field.q // field.p
-    weights = [Fraction(1)]
-    for r in range(1, width):
-        weights.append(weights[-1] * Fraction(up, q**r - 1))
-    total = sum(weights)
-    return [w / total for w in weights]
-
-
 @pytest.mark.parametrize("p,flavor", FAR_PAIRS)
 def test_far_corank_law_is_the_stationary_law(p, flavor):
     """At k = 10^18 corank_law is D's running product, the one float route
@@ -217,27 +140,15 @@ def test_far_corank_law_is_the_stationary_law(p, flavor):
             assert error <= math.ulp(0.0), r
 
 
-def running_product(field):
-    """D(0), D(1), ... up to its first 0.0, by the float running product
-    D(r) = D(r-1) * q^(1-epsilon)/(q^r - 1) from leading_constant."""
-    q, up = field.q, float(field.q // field.p)
-    value, q_next, law = rd.leading_constant(field), 1, []
-    while value:
-        law.append(value)
-        q_next *= q
-        value *= up / (q_next - 1)
-    return law
-
-
 def test_far_corank_law_is_d_bitwise_over_the_domain():
     """From FAR_K = 3 * CORANK_TERMS on, every (-1/p)^i term of corank_law
     is past inverse_powers' cut, so its law is D's running product bitwise,
     and it is stationary_distribution's non-zero prefix, for every field of
     the domain, at k = 10^700 too."""
-    for p in [p for p in range(2**15) if is_prime(p)]:
+    for p in DOMAIN_PRIMES:
         for flavor in Flavor:
             field = build_field(p, flavor)
-            want = np.array(running_product(field))
+            want = np.array(running_product(field, rd.leading_constant(field)))
             stationary = rd.stationary_distribution(field, rd.R_MAX_DEFAULT)
             padded = np.pad(want, (0, len(stationary) - len(want)))
             assert stationary.tobytes() == padded.tobytes(), (p, flavor)

@@ -6,22 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twistrank.gf import MAX_P, Flavor, FqElem, build_field, format_elem, is_prime
+from twistrank.gf import MAX_P, Flavor, FqElem, build_field, format_elem
 from twistrank.rankdist import stationary_distribution
-from twistrank.twistsim import primes_up_to
 
-SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
-DOMAIN_PRIMES = [p for p in range(2, MAX_P + 1) if is_prime(p)]
-
-
-def all_fields_q_le(limit):
-    fields = []
-    for p in range(2, limit + 1):
-        if is_prime(p):
-            fields.append(build_field(p, Flavor.SYMPLECTIC))
-            if p * p <= limit:
-                fields.append(build_field(p, Flavor.UNITARY))
-    return fields
+from oracles import DOMAIN_PRIMES, SMALL_PRIMES, fields_q_le, primes_up_to
 
 
 def test_build_field_symplectic():
@@ -76,7 +64,7 @@ def test_build_field_rejects_oversized_prime():
 def test_build_field_takes_numpy_integer_primes_as_ints():
     # an np.int64 q would wrap stationary_distribution's q^r at rank 32 (p = 2
     # uni), and an odd numpy p would fail in smallest_nonresidue's pow
-    for p in primes_up_to(60):
+    for p in np.array(primes_up_to(60)):
         for flavor in Flavor:
             field, want = build_field(p, flavor), build_field(int(p), flavor)
             assert field == want and type(field.p) is type(field.q) is int
@@ -91,7 +79,7 @@ def test_f4_multiplication_by_hand():
 
 
 def test_multiplicative_identity():
-    for field in all_fields_q_le(25):
+    for field in fields_q_le(25):
         one = field.one()
         for a in field.elements():
             assert a * one == a
@@ -110,7 +98,7 @@ def test_inverse_of_zero_raises():
 
 
 def test_inverse_times_self_is_one():
-    for field in all_fields_q_le(49):
+    for field in fields_q_le(49):
         one = field.one()
         for a in field.elements():
             if a:
@@ -156,7 +144,7 @@ def test_field_axioms_on_seeded_random_triples():
 
 
 def test_conj_is_multiplicative_involution_exhaustive():
-    for field in all_fields_q_le(49):
+    for field in fields_q_le(49):
         for a in field.elements():
             assert a.conj().conj() == a
             for b in field.elements():
@@ -164,7 +152,7 @@ def test_conj_is_multiplicative_involution_exhaustive():
 
 
 def test_multiplicative_group_order_exhaustive():
-    for field in all_fields_q_le(49):
+    for field in fields_q_le(49):
         one = field.one()
         for a in field.elements():
             if a:
@@ -226,9 +214,10 @@ def test_str_of_field_elements():
 
 
 def test_format_elem_is_the_text_of_every_element():
-    """format_elem(c0, c1), which the CLI calls on integer coordinates, is
-    str(FqElem): over every element of F_4, F_9, F_25 and F_49, and on 1000
-    seeded elements of F_{32749^2}."""
+    """format_elem(c0, c1) is str(FqElem): over every element of F_4, F_9,
+    F_25 and F_49, and on 1000 seeded elements of F_{32749^2}. The CLI does
+    not call it (`isotropic` writes its lines from Run templates); it is the
+    text of str(FqElem) and of the rows tests/test_cli.py expects."""
     for p in (2, 3, 5, 7):
         for a in build_field(p, Flavor.UNITARY).elements():
             assert format_elem(a.c0, a.c1) == str(a)

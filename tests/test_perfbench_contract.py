@@ -9,26 +9,10 @@ harness modules from their files and do not change them.
 """
 
 import argparse
-import functools
-import importlib.util
-import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-PERFBENCH = ROOT / "perfbench"
-
-
-@functools.cache
-def load(name):
-    """perfbench/<name>.py as a module, under a name no test imports; it is
-    registered in sys.modules, where dataclasses looks up its annotations."""
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
+from harness import ROOT, load
 
 
 def test_tracer_installs_and_uninstalls():

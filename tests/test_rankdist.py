@@ -9,16 +9,9 @@ from hypothesis import strategies as st
 
 from twistrank import rankdist as rd
 from twistrank.gf import Flavor, build_field
-from twistrank.twistsim import primes_up_to
 
-ALL_PAIRS = [(p, flavor) for p in (2, 3, 5, 7, 11, 13) for flavor in Flavor]
-
-# the advertised domain: every prime p <= 2^15
-DOMAIN_PRIMES = [int(p) for p in primes_up_to(2**15)]
-
-
-def trunc4(value):
-    return int(value * 10000) / 10000
+from oracles import (DOMAIN_FIELDS, DOMAIN_PRIMES, SIX_PAIRS, SPOT_PRIMES, markov_entry_exact,
+                     markov_row_exact, trunc4)
 
 
 def test_dist_value_reference_spot_values():
@@ -29,7 +22,7 @@ def test_dist_value_reference_spot_values():
 
 
 def test_dist_value_ratio_identity():
-    for p, flavor in ALL_PAIRS:
+    for p, flavor in SIX_PAIRS:
         field = build_field(p, flavor)
         q = field.q
         up = q // p
@@ -60,7 +53,7 @@ def test_markov_entries_rank0_q2():
     assert row[1] == 0.5
     assert row[2] == 0.0
     with pytest.raises(ValueError):
-        rd.markov_entry_exact(field, 0, -1)
+        markov_entry_exact(field, 0, -1)
 
 
 def test_markov_entries_rank2_q2():
@@ -80,7 +73,7 @@ def test_markov_entries_rank1_q4():
 
 
 def test_markov_rows_stochastic_float():
-    for p, flavor in ALL_PAIRS:
+    for p, flavor in SIX_PAIRS:
         field = build_field(p, flavor)
         for r in range(65):
             assert abs(operator_row(field, r, 64).sum() - 1.0) < 1e-15
@@ -96,10 +89,7 @@ def test_markov_rows_stochastic_exact():
         build_field(3, Flavor.UNITARY),
     ):
         for r in range(30):
-            total = sum(
-                rd.markov_entry_exact(field, r, s) for s in range(max(0, r - 1), r + 2)
-            )
-            assert total == 1
+            assert sum(markov_row_exact(field, r).values()) == 1
 
 
 def test_stationary_balance_equation_exact():
@@ -108,15 +98,15 @@ def test_stationary_balance_equation_exact():
                   build_field(2, Flavor.UNITARY), build_field(3, Flavor.UNITARY)):
         weights = [rd.stationary_weight_exact(field, r) for r in range(32)]
         for s in range(31):
-            inflow = weights[s] * rd.markov_entry_exact(field, s, s)
+            inflow = weights[s] * markov_entry_exact(field, s, s)
             if s >= 1:
-                inflow += weights[s - 1] * rd.markov_entry_exact(field, s - 1, s)
-            inflow += weights[s + 1] * rd.markov_entry_exact(field, s + 1, s)
+                inflow += weights[s - 1] * markov_entry_exact(field, s - 1, s)
+            inflow += weights[s + 1] * markov_entry_exact(field, s + 1, s)
             assert inflow == weights[s]
 
 
 def test_stationarity_l1():
-    for p, flavor in ALL_PAIRS:
+    for p, flavor in SIX_PAIRS:
         field = build_field(p, flavor)
         dist = rd.stationary_distribution(field, 64)
         assert np.abs(rd.apply(field, dist) - dist).sum() < 1e-10
@@ -156,7 +146,7 @@ def test_operator_rows_and_stationarity_over_domain(p, flavor, r_max):
         assert abs(row.sum() - 1.0) <= 1e-15
         neighbours = range(max(0, r - 1), r + 2)
         for s in neighbours:
-            exact = float(rd.markov_entry_exact(field, r, s))
+            exact = float(markov_entry_exact(field, r, s))
             if exact >= 1e-300:
                 assert abs(row[s] - exact) <= 1e-15 * exact
             else:
@@ -197,7 +187,7 @@ def test_tv_to_stationary_never_increases():
 
 
 def test_qr_moment_formula_vs_series():
-    for p, flavor in ALL_PAIRS:
+    for p, flavor in SIX_PAIRS:
         field = build_field(p, flavor)
         assert rd.qr_moment(field) == 1 + field.q // p
         assert abs(rd.qr_moment_by_series(field) - rd.qr_moment(field)) < 1e-8
@@ -207,7 +197,7 @@ def test_qr_weighted_tail_is_dominated_beyond_truncation():
     """Past r = 64 the weighted terms q^r D(r) shrink by at least half per
     step: q^(r+1) D(r+1) / (q^r D(r)) = q^(2-eps)/(q^(r+1)-1), checked in
     exact integer arithmetic, so the truncated series is safe."""
-    for p, flavor in ALL_PAIRS:
+    for p, flavor in SIX_PAIRS:
         field = build_field(p, flavor)
         q = field.q
         for r in (64, 65, 100):
@@ -220,7 +210,7 @@ def test_expected_rank_spot_value():
 
 
 def test_expected_rank_matches_series():
-    for p, flavor in ALL_PAIRS:
+    for p, flavor in SIX_PAIRS:
         field = build_field(p, flavor)
         dist = rd.stationary_distribution(field, 64)
         mean = float(np.arange(65) @ dist)
@@ -233,7 +223,7 @@ def test_odd_mass_spot_value():
 
 
 def test_odd_mass_matches_series():
-    for p, flavor in ALL_PAIRS:
+    for p, flavor in SIX_PAIRS:
         field = build_field(p, flavor)
         odd_series = rd.stationary_distribution(field, 64)[1::2].sum()
         assert abs(rd.odd_mass(field) - odd_series) < 1e-8
@@ -242,7 +232,7 @@ def test_odd_mass_matches_series():
 def test_normalization_with_tail():
     """The mass past rank 64 is below 2^-1000 for every field here, so
     D(0..64) sums to 1."""
-    for p, flavor in ALL_PAIRS:
+    for p, flavor in SIX_PAIRS:
         field = build_field(p, flavor)
         assert abs(rd.stationary_distribution(field, 64).sum() - 1.0) < 1e-12
 
@@ -287,29 +277,9 @@ def test_tail_bound_is_finite_without_warnings(p, flavor, r_max):
 # walk_law: the k-step law of the rank walk
 # ---------------------------------------------------------------------------
 
-def operator_walk(field, k):
-    """The point mass at rank 0 after k operator applications, as a reference."""
-    law = np.eye(k + 1)[0]
-    for _ in range(k):
-        law = rd.apply(field, law)
-    return law
-
-
-def test_walk_law_equals_operator_walk():
-    for p, flavor in ALL_PAIRS:
-        field = build_field(p, flavor)
-        for k in (1, 5, 20, 1000):
-            law = rd.walk_law(field, k)
-            reference = operator_walk(field, k)
-            # the law spans through its last non-zero rank, at most rank k
-            assert 1 <= len(law) <= k + 1
-            assert law[-1] > 0
-            probs = np.pad(law, (0, k + 1 - len(law)))
-            assert probs.tobytes() == reference.tobytes()
-
-
 def stepped_walk_law(field, k, y):
-    """The full k-step loop over ranks 0..k, with nothing trimmed."""
+    """The point mass at rank 0 after the full k-step loop over ranks 0..k,
+    with nothing trimmed: the reference walk."""
     down, stay, up = rd._step_coefficients(rd.coin_table(field, k + 1, y), field.p)
     law = np.eye(k + 1)[0]
     for _ in range(k):
@@ -318,14 +288,19 @@ def stepped_walk_law(field, k, y):
 
 
 @pytest.mark.parametrize("p,flavor,y", [
-    (p, flavor, y) for p in (2, 3, 32749) for flavor in Flavor for y in (None, 50.0, 2.0)
+    (p, flavor, y) for p in (2, 3, 5, 7, 11, 13, 32749) for flavor in Flavor
+    for y in (None, 50.0, 2.0) if y is None or p in (2, 3, 32749)
 ] + [(2, Flavor.UNITARY, 3.0)])  # from step 351 this walk alternates between two states
 def test_walk_law_is_bitwise_the_stepped_loop(p, flavor, y):
+    """The law spans through its last non-zero rank, at most rank k, and is
+    bitwise the loop's, which is zero past it."""
     field = build_field(p, flavor)
-    for k in (0, 1, 20, 1000):
+    for k in (0, 1, 5, 20, 1000):
         law = rd.walk_law(field, k, y=y)
         probs = stepped_walk_law(field, k, y)
         width = len(law)
+        assert 1 <= width <= k + 1
+        assert law[-1] > 0
         assert law.tobytes() == probs[:width].tobytes()
         assert not probs[width:].any()
 
@@ -509,7 +484,7 @@ def test_stationary_distribution_is_non_zero_on_at_most_46_ranks_over_the_domain
     # sym is the widest law
     widths = {(p, flavor): int(np.count_nonzero(
                   rd.stationary_distribution(build_field(p, flavor), rd.R_MAX_DEFAULT)))
-              for p in DOMAIN_PRIMES for flavor in Flavor}
+              for p, flavor in DOMAIN_FIELDS}
     assert len(widths) == 7024
     assert max(widths.values()) == widths[2, Flavor.SYMPLECTIC] == 46 < rd.R_MAX_DEFAULT
 
@@ -532,6 +507,6 @@ def test_closed_forms_are_bitwise_the_generator_forms(flavor):
     operation of the generator form over numpy scalars on the same operands,
     so the two are equal, not merely close. (The printed digits of D(0),
     beta and the mean rank are certified by tests/test_printed_digits.py.)"""
-    for p in [p for p in DOMAIN_PRIMES if p < 2000] + [3067, 32749]:
+    for p in SPOT_PRIMES:
         field = build_field(p, flavor)
         assert rd.qr_moment_by_series(field) == reference_qr_moment(field), p

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from twistrank.gf import Flavor, build_field, is_prime
+from twistrank.gf import Flavor, build_field
 from twistrank.spaces import (
     HermitianSpace,
     Subspace,
@@ -20,7 +20,8 @@ from twistrank.spaces import (
     orthogonal_complement,
     rref,
 )
-from twistrank.twistsim import micro_transition_law
+
+from oracles import brute_force_isotropic_lines, fields_q_le, micro_transition_law
 
 
 def basis_vector(field, dim, i):
@@ -63,16 +64,6 @@ def gaussian_subspace_count(q, dim):
         return num // den
 
     return sum(gauss_binom(dim, r) for r in range(dim + 1))
-
-
-def fields_q_le(limit, min_dim_elems=None):
-    fields = []
-    for p in range(2, limit + 1):
-        if is_prime(p):
-            fields.append(build_field(p, Flavor.SYMPLECTIC))
-            if p * p <= limit:
-                fields.append(build_field(p, Flavor.UNITARY))
-    return fields
 
 
 def test_form_on_hyperbolic_basis():
@@ -509,16 +500,6 @@ def test_subspace_rejects_rows_of_the_wrong_length():
     for rows in ((short,), (basis_vector(field, 4, 0), long_)):
         with pytest.raises(ValueError, match="vector length does not match the ambient dimension"):
             Subspace(4, rows)
-
-
-def brute_force_isotropic_lines(space):
-    """Independent census: span every isotropic nonzero vector."""
-    field = space.field
-    lines = set()
-    for v in all_vectors(field, 2):
-        if any(v) and not evaluate_form(space, v, v):
-            lines.add(Subspace(2, [v]))
-    return lines
 
 
 def test_isotropic_line_counts():

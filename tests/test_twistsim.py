@@ -17,16 +17,13 @@ from twistrank.twistsim import (
     SimConfig,
     build_place_model,
     count_places,
-    micro_transition_law,
     primes_up_to,
     simulate,
     strata_cardinality,
     strata_from_counts,
 )
 
-from test_corank_law import chain_law
-
-SIX_PAIRS = [(p, flavor) for p in (2, 3, 5, 7, 11, 13) for flavor in Flavor]
+from oracles import SIX_PAIRS, chain_law, markov_row_exact, micro_transition_law, strata
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +239,7 @@ def test_micro_law_exact_equivalence_with_operator():
             for n in (1, 2) if p <= 5 else (1,):
                 for r in range(4):
                     law = micro_transition_law(field, r, n)
-                    expected = {
-                        s: rd.markov_entry_exact(field, r, s)
-                        for s in range(max(0, r - 1), r + 2)
-                        if rd.markov_entry_exact(field, r, s)
-                    }
-                    assert law == expected
+                    assert law == markov_row_exact(field, r)
                     assert sum(law.values()) == 1
 
 
@@ -639,16 +631,6 @@ def test_strata_counts_past_the_int64_range():
     assert strata_cardinality(p1_norms(2000, 1.0, seed=0), ladder, 1, 2000.0)[0] == 303
 
 
-def full_array_strata(norms, ladder, k, x):
-    """The stratum DP as it ran before it was cut to the usable prefix:
-    every level over the whole universe."""
-    current = np.ones(len(norms) + 1, dtype=np.int64)
-    for threshold in itertools.islice(ladder.iter_levels(x), k):
-        contrib = np.where(norms < threshold, current[:-1], 0)
-        current = np.concatenate(([0], np.cumsum(contrib)))
-    return int(current[-1])
-
-
 @pytest.mark.parametrize("norms, exponent, x, k, count", [
     # L_1(3) = 9 and L_2(3) = 81 are norms, and a place must lie strictly below
     ([2, 3, 5, 7, 9, 11, 81, 83], 2.0, 3.0, 1, 4),
@@ -687,17 +669,16 @@ def test_strata_prefix_dp_matches_the_full_array_dp(seed):
     norms = p1_norms(10**6, 0.5, seed)
     for exponent, x in ((1.0, 10.0), (1.0, 100.0), (1.5, 20.0), (2.0, 7.0)):
         ladder = FanLadder(exponent)
-        # C(len(norms), 5) is past 2^63, so D_0..D_4 are the counts in range
+        want = strata(norms, ladder.levels(x, 4))
         for k in range(4):
-            assert strata_cardinality(norms, ladder, k, x) == (
-                full_array_strata(norms, ladder, k, x),
-                full_array_strata(norms, ladder, k + 1, x)), (exponent, x, k)
+            assert strata_cardinality(norms, ladder, k, x) == tuple(want[k:k + 2]), (
+                exponent, x, k)
 
 
 def test_strata_top_level_matches_the_full_array_dp():
     """The (k + 1)-th count is closed-form past the DP's last level; it
-    equals the full-array DP's level k + 1, also where that DP's middle
-    levels wrap in int64 (k = 998 over 1000 places)."""
+    equals the whole-universe DP's level k + 1, also where the middle levels
+    are past 2^63 (k = 998 over 1000 places)."""
     cases = [(np.arange(2, 1002), FanLadder(1.0), 1e6, (0, 1, 6, 998, 999, 1000, 1001))]
     norms = p1_norms(10**6, 0.5, seed=3)
     cases += [(norms, FanLadder(exponent), x, range(4))
@@ -706,10 +687,9 @@ def test_strata_top_level_matches_the_full_array_dp():
         n = len(norms)
         usable = np.searchsorted(norms, list(itertools.islice(ladder.iter_levels(x),
                                                               min(max(ks) + 1, n)))).tolist()
+        want = strata(norms, ladder.levels(x, max(ks) + 1))
         for k in ks:
-            assert strata_from_counts(usable, n, k) == (
-                full_array_strata(norms, ladder, k, x),
-                full_array_strata(norms, ladder, k + 1, x)), (ladder, x, k)
+            assert strata_from_counts(usable, n, k) == tuple(want[k:k + 2]), (ladder, x, k)
 
 
 @pytest.mark.parametrize("k", [0, 1, 3])
