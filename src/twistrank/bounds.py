@@ -71,9 +71,6 @@ def no_growth_proportion_bound(field: FieldParams) -> float:
 def odd_rank_proportion(p: int) -> float:
     """Proportion of twists with odd rank, (1 - beta)/2 with
     beta = prod_{i>=1} (1 - p^(-i))/(1 + p^(-i))."""
-    check_range(p)
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
     return rankdist.odd_mass(build_field(p, Flavor.SYMPLECTIC))
 
 

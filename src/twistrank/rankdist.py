@@ -45,21 +45,12 @@ def leading_constant(field: FieldParams, tail: Sequence[float] = ()) -> float:
     return math.exp(-math.fsum(map(math.log1p, [*inverse_powers(field), *tail])))
 
 
-def zeros(n: int, dtype=np.float64) -> np.ndarray:
-    """np.zeros(n, dtype), raising MemoryError also where numpy rejects n as
-    larger than any address space (it raises ValueError there)."""
-    try:
-        return np.zeros(n, dtype)
-    except ValueError as exc:
-        raise MemoryError(str(exc)) from None
-
-
 def stationary_distribution(field: FieldParams, r_max: int = R_MAX_DEFAULT) -> np.ndarray:
     """D(0..r_max): corank_law at FAR_K, zero-padded or cut to r_max + 1 ranks."""
     if r_max < 0:
         raise ValueError("r_max must be non-negative")
     law = corank_law(field, FAR_K)[: r_max + 1]
-    probs = zeros(r_max + 1)
+    probs = np.zeros(r_max + 1)
     probs[: len(law)] = law
     return probs
 
@@ -170,14 +161,29 @@ def apply(field: FieldParams, probs: np.ndarray) -> np.ndarray:
     return _step(probs * down, probs * stay, probs * up)
 
 
-def _walk_states(field: FieldParams, y: float | None):
-    """The law after each step of the walk from rank 0, without its trailing
-    exact zeros (rank 0 always stays). A zero adds exactly nothing to any
-    later step, so each law is bitwise the full (k+1)-wide loop's, cut after
-    its last non-zero rank. The coin table grows by doubling with the width."""
+def walk_law(field: FieldParams, k: int, *, y: float | None = None) -> np.ndarray:
+    """Law of the rank after k steps of the walk from rank 0, over ranks
+    0..W-1 for the last non-zero rank W-1 <= k.
+
+    y selects the bounded-error coin as in coin_table. Each step grows the
+    law by one rank, on a coin table grown by doubling, and trims its
+    trailing exact zeros (rank 0 always stays). A zero adds exactly nothing
+    to any later step, so the law is bitwise the full k-step loop's over
+    ranks 0..k, cut after its last non-zero rank: nothing is truncated.
+
+    A step is a function of the law alone, so once it repeats bitwise (a
+    float fixed point, or rarely a short float cycle, found by Brent's
+    method) every later law is known: the loop takes only the steps of k's
+    phase in the cycle, and the law comes out in bounded time for any k.
+    """
+    if k < 0:
+        raise ValueError("step count must be non-negative")
     law = np.ones(1)
     down = stay = up = law[:0]
-    while True:
+    state = law.tobytes()
+    checkpoint, since, power = state, 0, 1
+    step = 0
+    while step < k:
         n = len(law) + 1
         if n > len(down):
             down, stay, up = _step_coefficients(coin_table(field, max(2 * n, 64), y), field.p)
@@ -187,44 +193,15 @@ def _walk_states(field: FieldParams, y: float | None):
         while n > 1 and law[n - 1] == 0.0:
             n -= 1
         law = law[:n]
-        yield law
-
-
-def walk_law(field: FieldParams, k: int, *, y: float | None = None) -> np.ndarray:
-    """Law of the rank after k steps of the walk from rank 0, over ranks
-    0..W-1 for the last non-zero rank W-1 <= k.
-
-    y selects the bounded-error coin as in coin_table. The law is bitwise
-    the one the full k-step loop over ranks 0..k gives (see _walk_states),
-    so nothing is truncated.
-
-    A step is a function of the law alone, so once it repeats bitwise (a
-    float fixed point, or rarely a short float cycle, found by Brent's
-    method) every later law is known, and the loop stops: the law comes
-    out in bounded time for any k.
-    """
-    if k < 0:
-        raise ValueError("step count must be non-negative")
-    states = _walk_states(field, y)
-    law = np.ones(1)
-    state = law.tobytes()
-    checkpoint, since, power = state, 0, 1
-    for step in range(1, k + 1):
-        previous = state
-        law = next(states)
-        state = law.tobytes()
+        step += 1
+        previous, state = state, law.tobytes()
         since += 1
         if state == previous:
-            period = 1
+            k = step
         elif state == checkpoint:
-            period = since
-        else:
-            if since == power:
-                checkpoint, since, power = state, 0, 2 * power
-            continue
-        for _ in range((k - step) % period):
-            law = next(states)
-        break
+            k = step + (k - step) % since
+        elif since == power:
+            checkpoint, since, power = state, 0, 2 * power
     return law
 
 

@@ -20,7 +20,7 @@ import scipy.stats  # noqa: F401  # the benchmark reads its import time (ROADMAP
 from scipy.special import chdtrc
 
 from .gf import FieldParams
-from .rankdist import corank_law, walk_law, zeros
+from .rankdist import corank_law, walk_law
 
 # counts are int64 and sum to samples, so totals fit
 MAX_SAMPLES = 1 << 62
@@ -275,7 +275,7 @@ def simulate(config: SimConfig) -> EmpiricalDistribution:
     else:
         law = walk_law(config.field, config.k, y=config.chebotarev_y)
     counts = _simulate_chunk(config, law)
-    shift = zeros(config.shift, np.int64)
+    shift = np.zeros(config.shift, np.int64)
     return EmpiricalDistribution(counts=np.concatenate([shift, counts]), total=config.samples,
                                  reference=np.concatenate([shift, [1.0 - law[1:].sum()],
                                                            law[1:]]))

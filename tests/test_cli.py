@@ -22,7 +22,7 @@ from twistrank.cli import (
     load_sim_config,
     main,
 )
-from twistrank.gf import Flavor, build_field, format_elem
+from twistrank.gf import Flavor, FqElem, build_field
 from twistrank.records import OutputRecord
 from twistrank.spaces import (
     enumerate_isotropic_lines,
@@ -296,11 +296,12 @@ def test_isotropic_closed_form_is_the_general_solver_over_the_domain(flavor):
     those rendered from isotropic_slopes, the solver for any Gram matrix,
     at every prime below 2000 and at 3067 and 32749."""
     for p in SPOT_PRIMES:
-        first, *ramified = isotropic_slopes(hyperbolic_plane(build_field(p, flavor)))
+        field = build_field(p, flavor)
+        first, *ramified = isotropic_slopes(hyperbolic_plane(field))
         assert first is None
         expected = [("lines_total", str(p + 1)), ("fiber_size", str(fiber_size(p, 1))),
                     ("unramified", "(0, 1)")]
-        expected += [(f"ramified[{i}]", f"(1, {format_elem(*slope)})")
+        expected += [(f"ramified[{i}]", f"(1, {FqElem(field, *slope)})")
                      for i, slope in enumerate(ramified)]
         assert expanded(cmd_isotropic(p, flavor, 1)) == expected, p
 

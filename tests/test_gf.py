@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twistrank.gf import MAX_P, Flavor, FqElem, build_field, format_elem
+from twistrank.gf import MAX_P, Flavor, FqElem, build_field
 from twistrank.rankdist import stationary_distribution
 
 from oracles import DOMAIN_PRIMES, SMALL_PRIMES, fields_q_le, primes_up_to
@@ -213,20 +213,25 @@ def test_str_of_field_elements():
     assert str(build_field(7, Flavor.SYMPLECTIC).elem(6)) == "6"
 
 
-def test_format_elem_is_the_text_of_every_element():
-    """format_elem(c0, c1) is str(FqElem): over every element of F_4, F_9,
-    F_25 and F_49, and on 1000 seeded elements of F_{32749^2}. The CLI does
-    not call it (`isotropic` writes its lines from Run templates); it is the
-    text of str(FqElem) and of the rows tests/test_cli.py expects."""
+def test_str_is_the_text_of_every_element():
+    """str(FqElem) is the text of c0 + c1*x that this test builds term by
+    term: over every element of F_4, F_9, F_25 and F_49, and on 1000 seeded
+    elements of F_{32749^2}. It is also the text of the rows
+    tests/test_cli.py expects from `isotropic`."""
+
+    def text(c0, c1):
+        terms = [("" if c1 == 1 else str(c1)) + "x"] if c1 else []
+        return "+".join(terms + [str(c0)] if c0 or not c1 else terms)
+
     for p in (2, 3, 5, 7):
         for a in build_field(p, Flavor.UNITARY).elements():
-            assert format_elem(a.c0, a.c1) == str(a)
+            assert str(a) == text(a.c0, a.c1)
     field = build_field(32749, Flavor.UNITARY)
     rng = random.Random(21)
     for _ in range(1000):
         a = FqElem(field, rng.randrange(field.p), rng.randrange(field.p))
-        assert format_elem(a.c0, a.c1) == str(a)
-    assert format_elem(7, 0) == str(build_field(11, Flavor.SYMPLECTIC).elem(7)) == "7"
+        assert str(a) == text(a.c0, a.c1)
+    assert str(build_field(11, Flavor.SYMPLECTIC).elem(7)) == text(7, 0) == "7"
 
 
 @settings(derandomize=True, deadline=None)

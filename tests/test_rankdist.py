@@ -316,7 +316,11 @@ def test_walk_law_any_k_repeats_the_cycle():
             far = rd.walk_law(field, k, y=y)
             assert far.tobytes() == law.tobytes()
         if period == 2:
-            assert rd.walk_law(field, 1001, y=y).tobytes() != law.tobytes()
+            odd = rd.walk_law(field, 1001, y=y)
+            assert odd.tobytes() != law.tobytes()
+            # the odd phase: one step past the even law, whatever the size of k
+            for k in (10**18 + 1, 10**700 + 1):
+                assert rd.walk_law(field, k, y=y).tobytes() == odd.tobytes()
 
 
 def test_walk_law_tail_bound_is_capped_at_one():
@@ -389,6 +393,17 @@ def test_stationary_moments_are_the_poonen_rains_product(p, flavor):
         assert abs(got - want) <= Fraction(1, 10**14) * want, (j, float(got / want - 1))
 
 
+def tv_to_detailed_balance(field, law, y):
+    """TV from law to pi(r) ~ prod_{i<r} up(i)/down(i+1), the stationary law
+    of the chain with y's coin table, over twice law's width."""
+    n = 2 * len(law)
+    down, _, up = rd._step_coefficients(rd.coin_table(field, n, y), field.p)
+    assert (down[1:] > 0).all()
+    pi = np.cumprod(np.append(1.0, up[:-1] / down[1:]))
+    pi /= pi.sum()
+    return 0.5 * np.abs(np.append(law, np.zeros(n - len(law))) - pi).sum()
+
+
 @pytest.mark.parametrize("p,flavor,y,bound", [
     (2, "sym", 0.5, 1e-14), (2, "uni", 0.3, 1e-14), (3, "uni", 50.0, 1e-14),
     (2, "sym", 2.0, 1e-14), (5, "uni", 1.0, 1e-14), (2, "sym", None, 1e-14),
@@ -400,14 +415,27 @@ def test_walk_law_far_k_is_the_detailed_balance_law(p, flavor, y, bound):
     stationary law is pi(r) ~ prod_{i<r} up(i)/down(i+1). This reference
     does not iterate the kernel, unlike walk_law."""
     field = build_field(p, Flavor(flavor))
-    law = rd.walk_law(field, 10**18, y=y)
-    n = 2 * len(law)
-    down, _, up = rd._step_coefficients(rd.coin_table(field, n, y), p)
-    assert (down[1:] > 0).all()
-    pi = np.cumprod(np.append(1.0, up[:-1] / down[1:]))
-    pi /= pi.sum()
-    tv = 0.5 * np.abs(np.append(law, np.zeros(n - len(law))) - pi).sum()
+    tv = tv_to_detailed_balance(field, rd.walk_law(field, 10**18, y=y), y)
     assert tv < bound, tv
+
+
+@settings(derandomize=True, deadline=None)
+@given(p=st.sampled_from(DOMAIN_PRIMES), flavor=st.sampled_from(list(Flavor)),
+       y=st.none() | st.floats(-2.0, 12.0).map(lambda u: 10.0**u))
+# the two inputs furthest from pi before renormalising (1.69e-13 and 8.1e-13)
+@example(p=24809, flavor=Flavor.SYMPLECTIC, y=None)
+@example(p=31729, flavor=Flavor.UNITARY, y=1.5e11)
+def test_walk_law_far_k_renormalised_is_the_detailed_balance_law(p, flavor, y):
+    """Over the domain and every coin, walk_law at k = 10^18, renormalised,
+    is the detailed-balance law pi of the pinned test above to 1e-15 in TV,
+    and the law loses less than 1e-11 of its mass. The unrenormalised law is
+    further from pi at large p: the lost mass is the gap."""
+    field = build_field(p, flavor)
+    law = rd.walk_law(field, 10**18, y=y)
+    lost = abs(1.0 - law.sum())
+    assert lost < 1e-11, lost
+    tv = tv_to_detailed_balance(field, law / law.sum(), y)
+    assert tv < 1e-15, tv
 
 
 def test_coin_table_exact_mode():
